@@ -181,8 +181,11 @@ def normalized_limit(f: Iterable[Optional[Monomial]], j: int) -> Vector:
     is positive (a positive-level magnitude shrinking to 0 falls off the
     bottom of its level); (level_i, a_i/a_j) on equal degrees; and
     (level_i, inf) when its degree is larger.  Zero entries stay Zero.
+    The reference index j must satisfy 0 <= j < len(f).
     """
     fam = _as_family(f)
+    if not 0 <= j < len(fam):
+        raise ValueError(f"reference index {j} is out of range 0..{len(fam) - 1}")
     ref = fam[j]
     if ref is None:
         raise ValueError(f"reference entry {j} is zero")

@@ -1,12 +1,90 @@
-"""Command-line reports: golden runs, exit codes, determinism."""
+"""Command-line reports: golden runs, exit codes, determinism.
 
+``python3 tests/test_cli.py`` (with ``src`` on ``PYTHONPATH``) rewrites the
+golden reports under ``tests/golden`` from the current code.
+"""
+
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from levelring.cli import main
+from levelring.cli import COMMANDS, main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# name -> argv, run from tests/golden/inputs in both --format json and text
+GOLDEN_CASES = {
+    "svalue": ["svalue", "exprs.json", "--height-bound", "5"],
+    "track_validate": ["track", "validate", "spiral_track.json", "spiral_weights.json"],
+    "track_validate_violations": ["track", "validate", "xy_track.json", "xy_weights.json"],
+    "track_align": ["track", "align", "spiral_track.json", "spiral_weights.json"],
+    "track_adjust": ["track", "adjust", "spiral_track.json", "spiral_weights.json"],
+    "track_contiguous": ["track", "contiguous", "spiral_track.json", "spiral_weights.json"],
+    "track_strata": ["track", "strata", "xy_track.json", "--height-bound", "2"],
+    "track_filtration": ["track", "filtration", "merged_track.json", "family3.json"],
+    "measure_eval": ["measure", "eval", "measure.json"],
+    "measure_decompose": ["measure", "decompose", "measure.json"],
+    "measure_validate": ["measure", "validate", "measure.json"],
+    "measure_validate_buried": ["measure", "validate", "buried_measure.json"],
+    "measure_align": ["measure", "align", "buried_measure.json"],
+    "tree_dist": ["tree", "dist", "dist.json"],
+    "tree_metric": ["tree", "metric", "tree.json"],
+    "tree_insert": ["tree", "insert", "insert.json"],
+    "tree_collapse": ["tree", "collapse", "collapse.json"],
+    "tree_dual": ["tree", "dual", "chords.json"],
+    "family_limits": ["family", "limits", "family.json"],
+    "family_limit": ["family", "limit", "limit.json"],
+    "error_align_without_weights": ["track", "align", "spiral_track.json"],
+    "error_filtration_without_family": ["track", "filtration", "merged_track.json"],
+    "error_not_json": ["track", "strata", "not_json.json"],
+    "error_unreadable": ["measure", "eval", "missing.json"],
+    "error_format": ["measure", "eval", "malformed_measure.json"],
+    "error_library_value": ["track", "strata", "xy_track.json", "--height-bound", "0"],
+    "error_adjust_not_invariant": ["track", "adjust", "xy_track.json", "xy_weights.json"],
+    "error_unknown_node": ["tree", "dist", "dist_unknown_node.json"],
+}
+HELP_CASES = {
+    "help": ["--help"],
+    **{f"help_{group}": [group, "--help"] for group in ("svalue", "track", "measure", "tree", "family")},
+}
+
+
+# golden file name -> argv
+GOLDEN_RUNS = {
+    **{f"{name}.{fmt}.golden": argv + ["--format", fmt]
+       for name, argv in GOLDEN_CASES.items() for fmt in ("json", "text")},
+    **{f"{name}.golden": argv for name, argv in HELP_CASES.items()},
+}
+
+
+def capture(argv):
+    """Exit code, stdout and stderr of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def golden_report(argv):
+    code, out, err = capture(argv)
+    return f"exit {code}\n--- stdout\n{out}--- stderr\n{err}"
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN_RUNS))
+def test_golden_report(golden, monkeypatch):
+    monkeypatch.chdir(GOLDEN / "inputs")
+    monkeypatch.setenv("COLUMNS", "80")
+    assert golden_report(GOLDEN_RUNS[golden]).encode() == (GOLDEN / golden).read_bytes()
 
 
 def run(capsys, *argv):
@@ -327,3 +405,98 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"] == ["EQ"]
+
+
+@pytest.mark.parametrize("op", ["add", "mul", "compare"])
+def test_svalue_args_must_be_an_array(tmp_path, capsys, op):
+    exprs = write(tmp_path, "exprs.json", [{"op": op, "args": 3}])
+    code, out, err = run(capsys, "svalue", exprs)
+    assert code == 1
+    assert json.loads(out)["result"] is None
+    assert err == f'error: exprs[0]: {op} wants an "args" array\n'
+
+
+def test_tree_insert_attach_must_name_nodes(tmp_path, capsys):
+    grow = write(
+        tmp_path,
+        "grow.json",
+        dict(json.loads((GOLDEN / "inputs" / "insert.json").read_text()), attach={"p": "a", "q": 3}),
+    )
+    code, _, err = run(capsys, "tree", "insert", grow)
+    assert code == 1
+    assert err == 'error: tree insert "attach" must map insertion nodes to neighbors\n'
+
+
+@pytest.mark.parametrize("reference", [2, 5, -1])
+def test_family_limit_reference_out_of_range(tmp_path, capsys, reference):
+    family = json.loads((GOLDEN / "inputs" / "family.json").read_text())
+    doc = write(tmp_path, "limit.json", {"family": family, "reference": reference})
+    code, out, err = run(capsys, "family", "limit", doc)
+    assert code == 1
+    assert json.loads(out)["result"] is None
+    assert err == f"error: reference index {reference} is out of range 0..1\n"
+
+
+def test_deeply_nested_file_is_not_json(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 3000 + "]" * 3000)
+    code, out, err = run(capsys, "svalue", str(deep))
+    assert code == 1
+    assert json.loads(out)["result"] is None
+    assert err.startswith("error: exprs file is not JSON: maximum recursion depth exceeded")
+
+
+# --- no input escapes as a traceback ----------------------------------------------
+
+OTHER_JSON = st.one_of(
+    st.integers(-3, 3),
+    st.text(max_size=3),
+    st.lists(st.integers(0, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2),
+    st.none(),
+    st.booleans(),
+)
+
+
+def sub_values(doc, path=()):
+    """(path, value) for every value inside a JSON document, itself included."""
+    yield path, doc
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in children:
+        yield from sub_values(child, path + (key,))
+
+
+def replaced(doc, path, value):
+    if not path:
+        return value
+    copy = list(doc) if isinstance(doc, list) else dict(doc)
+    copy[path[0]] = replaced(doc[path[0]], path[1:], value)
+    return copy
+
+
+@pytest.mark.parametrize("words", sorted(COMMANDS), ids=" ".join)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_wrong_type_anywhere_is_a_diagnostic(words, data, tmp_path_factory):
+    argv = GOLDEN_CASES["_".join(words)]
+    files = {a: json.loads((GOLDEN / "inputs" / a).read_text()) for a in argv if a.endswith(".json")}
+    name = data.draw(st.sampled_from(sorted(files)))
+    path, old = data.draw(st.sampled_from(list(sub_values(files[name]))))
+    files[name] = replaced(files[name], path, data.draw(OTHER_JSON.filter(lambda v: type(v) is not type(old))))
+    where = tmp_path_factory.mktemp("mutated")
+    for a, doc in files.items():
+        (where / a).write_text(json.dumps(doc))
+    code, out, err = capture([str(where / a) if a in files else a for a in argv])
+    assert code in (0, 1)
+    if code == 1:
+        assert any(d["severity"] == "error" for d in json.loads(out)["diagnostics"])
+        assert "error: " in err
+
+
+if __name__ == "__main__":
+    import os
+
+    os.chdir(GOLDEN / "inputs")
+    os.environ["COLUMNS"] = "80"
+    for golden, argv in GOLDEN_RUNS.items():
+        (GOLDEN / golden).write_bytes(golden_report(argv).encode())
