@@ -23,6 +23,7 @@ location; encoders emit plain JSON-ready structures (no custom classes).
 from __future__ import annotations
 
 import re
+import reprlib
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -61,33 +62,41 @@ def _fail(where: str, why: str) -> "FormatError":
     return FormatError(f"{where}: {why}")
 
 
+# Diagnostics quote offending input values through this bounded repr, so
+# they stay a few hundred characters long whatever the input's size.
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel = 1
+
+
 def _expect_int(obj: Any, where: str) -> int:
     if isinstance(obj, bool) or not isinstance(obj, int):
-        raise _fail(where, f"expected an integer, got {obj!r}")
+        raise _fail(where, f"expected an integer, got {_ECHO.repr(obj)}")
     return obj
 
 
 def _expect_str(obj: Any, where: str) -> str:
     if not isinstance(obj, str):
-        raise _fail(where, f"expected a string, got {obj!r}")
+        raise _fail(where, f"expected a string, got {_ECHO.repr(obj)}")
     return obj
 
 
 def _expect_list(obj: Any, where: str) -> list:
     if not isinstance(obj, list):
-        raise _fail(where, f"expected an array, got {obj!r}")
+        raise _fail(where, f"expected an array, got {_ECHO.repr(obj)}")
     return obj
 
 
 def _expect_obj(obj: Any, keys: set, where: str) -> dict:
     if not isinstance(obj, dict):
-        raise _fail(where, f"expected an object, got {obj!r}")
+        raise _fail(where, f"expected an object, got {_ECHO.repr(obj)}")
+    if obj.keys() == keys:
+        return obj
     missing = keys - obj.keys()
     if missing:
         raise _fail(where, f"missing keys {sorted(missing)}")
     stray = obj.keys() - keys - {"comment"}
     if stray:
-        raise _fail(where, f"unknown keys {sorted(stray)}")
+        raise _fail(where, f"unknown keys {_ECHO.repr(sorted(stray))}")
     return obj
 
 
@@ -100,19 +109,20 @@ def rat_to_str(x) -> str:
     return str(Fraction(x))
 
 
-_RATIONAL = re.compile(r"^[0-9]+(/[0-9]+)?$")
+_RATIONAL = re.compile(r"^([0-9]+)(?:/([0-9]+))?$")
 
 
 def rat_from_str(s: Any, where: str = "rational") -> XRat:
     text = _expect_str(s, where)
     if text == "inf":
         return XRat("inf")
-    if not _RATIONAL.match(text):
-        raise _fail(where, f'not a "p/q" rational or "inf": {text!r}')
+    match = _RATIONAL.match(text)
+    if not match:
+        raise _fail(where, f'not a "p/q" rational or "inf": {_ECHO.repr(text)}')
     try:
-        return XRat(Fraction(text))
+        return XRat(Fraction(int(match[1]), int(match[2] or 1)))
     except ZeroDivisionError:
-        raise _fail(where, f"zero denominator: {text!r}")
+        raise _fail(where, f"zero denominator: {_ECHO.repr(text)}")
 
 
 def _finite_from_str(s: Any, where: str) -> Fraction:
@@ -215,7 +225,7 @@ def track_from_json(obj: Any, where: str = "track") -> TrainTrack:
     if "free_ends" in doc:
         raw = doc["free_ends"]
         if not isinstance(raw, dict):
-            raise _fail(f"{where}.free_ends", f"expected an object, got {raw!r}")
+            raise _fail(f"{where}.free_ends", f"expected an object, got {_ECHO.repr(raw)}")
         free_ends = {
             seg: _expect_int(count, f"{where}.free_ends[{seg}]")
             for seg, count in raw.items()
@@ -318,7 +328,7 @@ def measure_from_json(obj: Any, where: str = "measure") -> FHMeasure:
                     )
                 )
             else:
-                raise _fail(spot, f"unknown component kind {kind!r}")
+                raise _fail(spot, f"unknown component kind {_ECHO.repr(kind)}")
         except (ValueError, KeyError) as exc:
             if isinstance(exc, FormatError):
                 raise

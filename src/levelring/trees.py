@@ -12,7 +12,7 @@ externally supplied distance table.
 offered for flat (all level-0) trees only: a node is infinite when every
 path reaching it has infinite total length, i.e. when all of its incident
 edges are infinite.  A tree is locally finite when boundary and infinite
-points coincide.
+points coincide (``tree_is_locally_finite``).
 
 ``insert`` splices a tree into a node (redistributing the node's edges
 onto chosen near-boundary nodes of the insertion), ``collapse`` contracts
@@ -27,10 +27,12 @@ chord (carrying its weight) between the regions on its two sides.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional
 
-from levelring.values import LevelValue, XRat, ZERO, total
+from levelring.values import LevelValue, ZERO, total
 
 __all__ = [
     "ChordFamily",
@@ -42,9 +44,9 @@ __all__ = [
     "dual_tree",
     "infinite_points",
     "insert",
-    "is_locally_finite",
     "isomorphic",
     "path",
+    "tree_is_locally_finite",
     "verify_metric",
 ]
 
@@ -57,6 +59,8 @@ class STree:
 
     nodes: tuple[str, ...]
     edges: tuple[Edge, ...]
+    # node -> {neighbor: length}, built once from the sorted edges
+    _adjacency: dict[str, dict[str, LevelValue]] = field(compare=False, repr=False)
 
     def __init__(
         self, nodes: Iterable[str], edges: Iterable[tuple[str, str, LevelValue]] = ()
@@ -64,13 +68,13 @@ class STree:
         node_list = tuple(str(n) for n in nodes)
         if not node_list:
             raise ValueError("a tree needs at least one node")
-        if len(set(node_list)) != len(node_list):
+        adjacency: dict[str, dict[str, LevelValue]] = {n: {} for n in node_list}
+        if len(adjacency) != len(node_list):
             raise ValueError("node ids must be unique")
-        known = set(node_list)
         edge_list = []
         for a, b, length in edges:
             a, b = str(a), str(b)
-            if a not in known or b not in known:
+            if a not in adjacency or b not in adjacency:
                 raise ValueError(f"edge ({a},{b}) mentions unknown nodes")
             if a == b:
                 raise ValueError(f"self-loop at {a}")
@@ -82,60 +86,61 @@ class STree:
                 f"{len(node_list)} nodes need exactly {len(node_list) - 1} edges "
                 f"for a tree, got {len(edge_list)}"
             )
-        # connectivity (acyclicity then follows from the edge count)
-        adj: dict[str, list[str]] = {n: [] for n in node_list}
-        for a, b, _ in edge_list:
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = {node_list[0]}
-        frontier = [node_list[0]]
-        while frontier:
-            cur = frontier.pop()
-            for nxt in adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        if len(seen) != len(node_list):
-            raise ValueError("tree is not connected")
+        edge_list.sort(key=lambda e: (e[0], e[1]))
+        for a, b, length in edge_list:
+            adjacency[a][b] = adjacency[b][a] = length
         object.__setattr__(self, "nodes", node_list)
-        object.__setattr__(self, "edges", tuple(sorted(edge_list, key=lambda e: (e[0], e[1]))))
+        object.__setattr__(self, "edges", tuple(edge_list))
+        object.__setattr__(self, "_adjacency", adjacency)
+        # connectivity (acyclicity then follows from the edge count)
+        if sum(1 for _ in _walk(self, node_list[0])) != len(node_list) - 1:
+            raise ValueError("tree is not connected")
 
-    def neighbors(self, node: str) -> dict[str, LevelValue]:
-        """Adjacent nodes with the connecting edge lengths."""
-        if node not in self.nodes:
+    def neighbors(self, node: str) -> Mapping[str, LevelValue]:
+        """Adjacent nodes with the connecting edge lengths (a read-only view)."""
+        if not _is_node(self, node):
             raise KeyError(f"unknown node {node!r}")
-        out: dict[str, LevelValue] = {}
-        for a, b, length in self.edges:
-            if a == node:
-                out[b] = length
-            elif b == node:
-                out[a] = length
-        return out
+        return MappingProxyType(self._adjacency[node])
 
     def degree(self, node: str) -> int:
         return len(self.neighbors(node))
 
 
+def _is_node(tree: STree, node) -> bool:
+    return isinstance(node, str) and node in tree._adjacency
+
+
+def _walk(tree: STree, root: str, within: Optional[set] = None):
+    """Breadth-first walk from root, staying inside `within` when given:
+    yields (node, parent, length) once for every other node reached, in
+    order of hops from root."""
+    seen = {root}
+    queue = deque([root])
+    while queue:
+        cur = queue.popleft()
+        for nxt, length in tree._adjacency[cur].items():
+            if nxt not in seen and (within is None or nxt in within):
+                seen.add(nxt)
+                queue.append(nxt)
+                yield nxt, cur, length
+
+
 def path(tree: STree, x: str, y: str) -> list[tuple[str, str, LevelValue]]:
     """The unique simple path from x to y as oriented (from, to, length)
     steps; empty for x == y."""
-    if x not in tree.nodes or y not in tree.nodes:
+    if not (_is_node(tree, x) and _is_node(tree, y)):
         raise KeyError(f"unknown node in path query: {x!r} or {y!r}")
-    parent: dict[str, Optional[tuple[str, LevelValue]]] = {x: None}
-    frontier = [x]
-    while frontier and y not in parent:
-        cur = frontier.pop()
-        for nxt, length in tree.neighbors(cur).items():
-            if nxt not in parent:
-                parent[nxt] = (cur, length)
-                frontier.append(nxt)
+    parent: dict[str, tuple[str, LevelValue]] = {}
+    for node, prev, length in _walk(tree, x) if x != y else ():
+        parent[node] = (prev, length)
+        if node == y:
+            break
     steps = []
-    cur = y
-    while parent[cur] is not None:
-        prev, length = parent[cur]  # type: ignore[misc]
-        steps.append((prev, cur, length))
-        cur = prev
-    return list(reversed(steps))
+    while y != x:
+        prev, length = parent[y]
+        steps.append((prev, y, length))
+        y = prev
+    return steps[::-1]
 
 
 def distance(tree: STree, x: str, y: str) -> LevelValue:
@@ -154,20 +159,16 @@ def verify_metric(
     may pass its own table to have it audited instead.
     """
     if table is None:
-        table = {
-            (x, y): distance(tree, x, y)
-            for x in tree.nodes
-            for y in tree.nodes
-        }
+        table = {}
+        for x in tree.nodes:
+            dist = {x: ZERO}
+            for node, prev, length in _walk(tree, x):
+                dist[node] = dist[prev] + length
+            table.update(((x, y), d) for y, d in dist.items())
     d = lambda x, y: table[(x, y)]
-    for x in tree.nodes:
-        if d(x, x) != ZERO:
+    for x, y in itertools.product(tree.nodes, repeat=2):
+        if d(x, y) != d(y, x) or (d(x, y) == ZERO) != (x == y):
             return False
-        for y in tree.nodes:
-            if d(x, y) != d(y, x):
-                return False
-            if x != y and d(x, y) == ZERO:
-                return False
     for x, y, z in itertools.product(tree.nodes, repeat=3):
         if not (d(y, z) <= d(y, x) + d(x, z)):
             return False
@@ -198,7 +199,7 @@ def infinite_points(tree: STree) -> set[str]:
     return out
 
 
-def is_locally_finite(tree: STree) -> bool:
+def tree_is_locally_finite(tree: STree) -> bool:
     """Whether boundary points and infinite points coincide (flat trees)."""
     return boundary_points(tree) == infinite_points(tree)
 
@@ -213,12 +214,10 @@ def insert(
     from v toward that neighbor is reattached to the chosen node, keeping
     its length.  Node sets must be disjoint.
     """
-    if v not in tree.nodes:
-        raise KeyError(f"unknown node {v!r}")
+    neighbors = tree.neighbors(v)
     overlap = set(tree.nodes) & set(insertion.nodes)
     if overlap:
         raise ValueError(f"insertion shares node ids with the tree: {sorted(overlap)}")
-    neighbors = tree.neighbors(v)
     if sorted(attach.values()) != sorted(neighbors):
         raise ValueError(
             "attachment must map onto the neighbors of the replaced node, "
@@ -250,19 +249,9 @@ def collapse(tree: STree, group: Iterable[str]) -> STree:
     unknown = chosen - set(tree.nodes)
     if unknown:
         raise KeyError(f"unknown nodes: {sorted(unknown)}")
-    # connectivity of the chosen set
-    start = next(iter(chosen))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        cur = frontier.pop()
-        for nxt in tree.neighbors(cur):
-            if nxt in chosen and nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    if seen != chosen:
-        raise ValueError("collapse set is not connected")
     merged = min(chosen)
+    if sum(1 for _ in _walk(tree, merged, within=chosen)) != len(chosen) - 1:
+        raise ValueError("collapse set is not connected")
     nodes = [merged] + [n for n in tree.nodes if n not in chosen]
     edges = []
     for a, b, length in tree.edges:
@@ -273,28 +262,45 @@ def collapse(tree: STree, group: Iterable[str]) -> STree:
     return STree(nodes, edges)
 
 
-def _encode(tree: STree, root: str) -> tuple:
-    """Rooted canonical encoding with edge-length keys."""
+def _far_end(tree: STree, root: str) -> str:
+    """A node farthest from root in hops: the last one the walk reaches."""
+    last = deque(_walk(tree, root), maxlen=1)
+    return last[0][0] if last else root
 
-    def key(length: LevelValue) -> tuple:
-        return (length.level, length.magnitude)
 
-    def enc(node: str, parent: Optional[str]) -> tuple:
-        children = sorted(
-            (key(length), enc(nxt, node))
-            for nxt, length in tree.neighbors(node).items()
-            if nxt != parent
-        )
-        return tuple(children)
-
-    return enc(root, None)
+def _rooted_form(tree: STree, root: str) -> tuple:
+    """Flat AHU encoding of the tree hung from root: one entry per depth,
+    deepest first, holding the sorted signatures of that depth's nodes.  A
+    signature is the sorted (level, magnitude, child rank) triples of a
+    node's child edges; a node's rank is the index of its signature among
+    the distinct signatures of its depth."""
+    depth = {root: 0}
+    children = defaultdict(list)
+    for node, prev, length in _walk(tree, root):
+        depth[node] = depth[prev] + 1
+        children[prev].append((length.level, length.magnitude, node))
+    rank: dict[str, int] = {}
+    form = []
+    # the walk reaches nodes in order of depth, so reversed they come deepest first
+    for _, level in itertools.groupby(reversed(depth), key=depth.__getitem__):
+        signature = {
+            n: tuple(sorted((lv, mag, rank[c]) for lv, mag, c in children[n])) for n in level
+        }
+        distinct = {s: i for i, s in enumerate(sorted(set(signature.values())))}
+        rank.update((n, distinct[s]) for n, s in signature.items())
+        form.append(tuple(sorted(signature.values())))
+    return tuple(form)
 
 
 def canonical_form(tree: STree) -> tuple:
-    """Root-independent canonical form: the minimum rooted encoding over
-    all choices of root.  Equal forms mean label- and
-    orientation-independent equality of shape and lengths."""
-    return min(_encode(tree, r) for r in tree.nodes)
+    """Root-independent canonical form: the smaller flat rooted encoding at
+    the tree's one or two centers (the middle of a path with the most hops).
+    Equal forms mean label- and orientation-independent equality of shape
+    and lengths; forms nest to a fixed depth, so comparing them is flat."""
+    u = _far_end(tree, tree.nodes[0])
+    spine = [u] + [b for _, b, _ in path(tree, u, _far_end(tree, u))]
+    centers = {spine[(len(spine) - 1) // 2], spine[len(spine) // 2]}
+    return min(_rooted_form(tree, c) for c in centers)
 
 
 def isomorphic(a: STree, b: STree) -> bool:
@@ -330,39 +336,24 @@ class ChordFamily:
         object.__setattr__(self, "chords", tuple(sorted(rows)))
 
 
-def _chord_parent(rows: Sequence[tuple[int, int, LevelValue]], idx: int) -> Optional[int]:
-    """Index of the smallest chord strictly enclosing rows[idx], if any."""
-    a, b, _ = rows[idx]
-    best: Optional[int] = None
-    for k, (c, d, _) in enumerate(rows):
-        if k == idx:
-            continue
-        if c <= a and b <= d:
-            if best is None or (rows[best][1] - rows[best][0]) > (d - c):
-                best = k
-    return best
-
-
-def _region_id(row: tuple[int, int, LevelValue]) -> str:
-    return f"r{row[0]}_{row[1]}"
-
-
 def dual_tree(family: ChordFamily) -> tuple[STree, dict[str, tuple]]:
     """The tree of complementary regions of the chord family.
 
     One node per region — the outer region plus, for each chord, the
     region just inside it — and one edge per chord, joining the regions on
-    its two sides with the chord's weight.  Also returns a provenance map:
-    node id -> ("outer",) or ("chord", (i, j)).
+    its two sides with the chord's weight.  Also returns a provenance map,
+    node id -> ("outer",) or ("chord", (i, j)), in the tree's node order.
     """
-    rows = family.chords
-    names = ["outer"] + [_region_id(r) for r in rows]
     provenance: dict[str, tuple] = {"outer": ("outer",)}
-    for r in rows:
-        provenance[_region_id(r)] = ("chord", (r[0], r[1]))
     edges = []
-    for idx, row in enumerate(rows):
-        up = _chord_parent(rows, idx)
-        parent_name = "outer" if up is None else _region_id(rows[up])
-        edges.append((parent_name, _region_id(row), row[2]))
-    return STree(names, edges), provenance
+    # chords come sorted by left end and never cross, so the chords still
+    # open at a chord's left end are exactly those enclosing it, innermost last
+    enclosing: list[tuple[int, str]] = []
+    for a, b, weight in family.chords:
+        while enclosing and enclosing[-1][0] < a:
+            enclosing.pop()
+        name = f"r{a}_{b}"
+        provenance[name] = ("chord", (a, b))
+        edges.append((enclosing[-1][1] if enclosing else "outer", name, weight))
+        enclosing.append((b, name))
+    return STree(list(provenance), edges), provenance

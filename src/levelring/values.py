@@ -31,6 +31,7 @@ __all__ = [
     "DEFAULT_HEIGHT_BOUND",
     "INF",
     "LevelValue",
+    "MAX_SEQUENCE_HEIGHT",
     "RatLike",
     "XRat",
     "ZERO",
@@ -44,6 +45,9 @@ __all__ = [
 ]
 
 DEFAULT_HEIGHT_BOUND = 16
+
+# `to_sequence` allocates its whole output, so it refuses heights above this.
+MAX_SEQUENCE_HEIGHT = 2**16
 
 RatLike = Union["XRat", Fraction, int, str]
 
@@ -72,8 +76,8 @@ class XRat:
             value = Fraction(text)
         if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
             raise TypeError(f"not an exact rational: {value!r}")
-        frac = Fraction(value)
-        if frac < 0:
+        frac = value if isinstance(value, Fraction) else Fraction(value)
+        if frac.numerator < 0:
             raise ValueError(f"negative value not allowed: {value!r}")
         self._frac = frac
 
@@ -159,6 +163,7 @@ class XRat:
 INF = XRat("inf")
 
 
+@total_ordering
 @dataclass(frozen=True)
 class LevelValue:
     """Zero, or a (level, magnitude) pair of the leveled semiring.
@@ -195,21 +200,6 @@ class LevelValue:
         if not isinstance(other, LevelValue):
             return NotImplemented
         return self._key() < other._key()
-
-    def __le__(self, other: "LevelValue") -> bool:
-        if not isinstance(other, LevelValue):
-            return NotImplemented
-        return self == other or self._key() < other._key()
-
-    def __gt__(self, other: "LevelValue") -> bool:
-        if not isinstance(other, LevelValue):
-            return NotImplemented
-        return other < self
-
-    def __ge__(self, other: "LevelValue") -> bool:
-        if not isinstance(other, LevelValue):
-            return NotImplemented
-        return other <= self
 
     def __add__(self, other: "LevelValue") -> "LevelValue":
         if not isinstance(other, LevelValue):
@@ -288,10 +278,13 @@ def to_sequence(x: LevelValue, height: int = DEFAULT_HEIGHT_BOUND) -> tuple[XRat
 
     A value of level k becomes (inf, ..., inf, magnitude, 0, ..., 0) with
     the magnitude at index k; zero becomes the all-zero sequence.  Raises
-    when the level does not fit below the height bound.
+    when the level does not fit below the height bound, or when the height
+    exceeds ``MAX_SEQUENCE_HEIGHT``.
     """
     if height < 1:
         raise ValueError("height must be at least 1")
+    if height > MAX_SEQUENCE_HEIGHT:
+        raise ValueError(f"height {height} exceeds the sequence cap {MAX_SEQUENCE_HEIGHT}")
     if x.is_zero:
         return (XRat(0),) * height
     k = level_of(x)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levelring.cli import COMMANDS, main
+from levelring.values import MAX_SEQUENCE_HEIGHT
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -425,6 +426,37 @@ def test_tree_insert_attach_must_name_nodes(tmp_path, capsys):
     code, _, err = run(capsys, "tree", "insert", grow)
     assert code == 1
     assert err == 'error: tree insert "attach" must map insertion nodes to neighbors\n'
+
+
+@pytest.mark.parametrize("pair", [[[], "c"], ["a", {"b": 1}], ["a", 3]])
+def test_tree_dist_non_string_node_id_is_unknown(tmp_path, capsys, pair):
+    doc = dict(json.loads((GOLDEN / "inputs" / "dist.json").read_text()), pairs=[pair])
+    code, out, err = run(capsys, "tree", "dist", write(tmp_path, "dist.json", doc))
+    assert code == 1
+    assert json.loads(out)["result"] is None
+    assert err == f"error: unknown node in path query: {pair[0]!r} or {pair[1]!r}\n"
+
+
+def test_psi_height_over_the_cap_is_a_diagnostic(tmp_path, capsys):
+    exprs = write(tmp_path, "exprs.json", [{"op": "psi", "value": None}])
+    too_high = MAX_SEQUENCE_HEIGHT + 1
+    code, out, err = run(capsys, "svalue", exprs, "--height-bound", str(too_high))
+    assert code == 1
+    assert json.loads(out)["result"] is None
+    assert err == f"error: exprs[0]: height {too_high} exceeds the sequence cap {MAX_SEQUENCE_HEIGHT}\n"
+
+
+def test_diagnostic_echo_is_bounded(tmp_path, capsys):
+    # a measure whose domain is a large array instead of an object
+    rows = [{"id": f"I{i}", "length": f"{i + 1}/7"} for i in range(2000)]
+    doc = dict(json.loads((GOLDEN / "inputs" / "measure.json").read_text()), domain=rows)
+    measure = write(tmp_path, "measure.json", doc)
+    assert Path(measure).stat().st_size > 60_000
+    code, out, err = run(capsys, "measure", "eval", measure)
+    assert code == 1
+    assert err.startswith("error: measure.domain: expected an object, got [{")
+    assert len(err) < 1024
+    assert json.loads(out)["diagnostics"][0]["message"] == err[len("error: "):-1]
 
 
 @pytest.mark.parametrize("reference", [2, 5, -1])

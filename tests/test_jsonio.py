@@ -1,6 +1,7 @@
 """Round trips and rejection behavior of the JSON encodings."""
 
 import json
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -46,6 +47,8 @@ def test_rational_strings():
     assert rat_to_str(XRat(7)) == "7"
     assert rat_to_str(INF) == "inf"
     assert rat_from_str("3/4") == XRat("3/4")
+    assert rat_from_str("006/08").as_fraction == Fraction(3, 4)
+    assert rat_from_str("0/5") == XRat(0) and rat_from_str("12") == XRat(12)
     assert rat_from_str("inf").is_infinite
     with pytest.raises(FormatError):
         rat_from_str("-1/2")

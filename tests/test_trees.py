@@ -2,6 +2,7 @@
 families."""
 
 import itertools
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -17,9 +18,9 @@ from levelring.trees import (
     dual_tree,
     infinite_points,
     insert,
-    is_locally_finite,
     isomorphic,
     path,
+    tree_is_locally_finite,
     verify_metric,
 )
 from levelring.values import INF, ZERO, pair, total
@@ -65,6 +66,36 @@ def separating_distance(family, regions, r1, r2):
     )
 
 
+def encode_over_all_roots(tree):
+    """Reference canonical form for the differential test: recursive rooted
+    encodings keyed by edge length, minimised over every choice of root."""
+
+    def enc(node, parent):
+        return tuple(
+            sorted(
+                ((length.level, length.magnitude), enc(nxt, node))
+                for nxt, length in tree.neighbors(node).items()
+                if nxt != parent
+            )
+        )
+
+    return min(enc(root, None) for root in tree.nodes)
+
+
+def chord_parent(rows, idx):
+    """Reference for dual_tree: index of the smallest chord strictly
+    enclosing rows[idx], found by scanning every chord."""
+    a, b, _ = rows[idx]
+    best = None
+    for k, (c, d, _) in enumerate(rows):
+        if k == idx:
+            continue
+        if c <= a and b <= d:
+            if best is None or (rows[best][1] - rows[best][0]) > (d - c):
+                best = k
+    return best
+
+
 # --- fixtures ----------------------------------------------------------------
 
 ABC = STree(["a", "b", "c"], [("a", "b", pair(0, 1)), ("b", "c", pair(1, 2))])
@@ -103,7 +134,7 @@ def test_single_node_tree():
     assert verify_metric(t)
     assert boundary_points(t) == set()
     assert infinite_points(t) == set()
-    assert is_locally_finite(t)
+    assert tree_is_locally_finite(t)
 
 
 # --- paths and distance -------------------------------------------------------
@@ -165,11 +196,11 @@ def test_infinite_points_examples():
     span = STree(["a", "b"], [("a", "b", pair(0, INF))])
     assert infinite_points(span) == {"a", "b"}
     assert boundary_points(span) == {"a", "b"}
-    assert is_locally_finite(span)
+    assert tree_is_locally_finite(span)
 
     flat = STree(["a", "b", "c"], [("a", "b", pair(0, 1)), ("b", "c", pair(0, 1))])
     assert infinite_points(flat) == set()
-    assert not is_locally_finite(flat)  # finite-length leaf edges
+    assert not tree_is_locally_finite(flat)  # finite-length leaf edges
 
     with pytest.raises(ValueError):
         infinite_points(ABC)  # has a level-1 edge
@@ -182,7 +213,7 @@ def test_interior_infinite_point():
         [("a", "b", pair(0, INF)), ("b", "c", pair(0, INF))],
     )
     assert infinite_points(t) == {"a", "b", "c"}
-    assert not is_locally_finite(t)
+    assert not tree_is_locally_finite(t)
 
 
 def test_mixed_leaf_is_not_infinite():
@@ -192,7 +223,7 @@ def test_mixed_leaf_is_not_infinite():
     )
     assert infinite_points(t) == {"p"}
     assert boundary_points(t) == {"p", "q"}
-    assert not is_locally_finite(t)
+    assert not tree_is_locally_finite(t)
 
 
 # --- insertion and collapse ----------------------------------------------------
@@ -308,6 +339,78 @@ def test_isomorphic_sees_shape():
     assert not isomorphic(rod, star)
 
 
+def relabelled(rng, tree):
+    """The same tree under fresh node names, with edges listed in a random
+    order and orientation."""
+    fresh = [f"m{i}" for i in range(len(tree.nodes))]
+    rng.shuffle(fresh)
+    names = dict(zip(tree.nodes, fresh))
+    edges = []
+    for a, b, length in tree.edges:
+        ends = [names[a], names[b]]
+        rng.shuffle(ends)
+        edges.append((*ends, length))
+    rng.shuffle(edges)
+    return STree(rng.sample(fresh, len(fresh)), edges)
+
+
+def test_isomorphic_agrees_with_the_all_roots_form():
+    rng = Random(53)
+    same = different = 0
+    while same < 100 or different < 100:
+        t = random_tree(rng, max_nodes=7, levels=(0, 1))
+        if same < 100:
+            copy = relabelled(rng, t)
+            assert encode_over_all_roots(copy) == encode_over_all_roots(t)
+            assert isomorphic(t, copy) and canonical_form(t) == canonical_form(copy)
+            same += 1
+        other = random_tree(rng, max_nodes=7, levels=(0, 1))
+        if different < 100 and len(other.nodes) == len(t.nodes):
+            if encode_over_all_roots(other) != encode_over_all_roots(t):
+                assert not isomorphic(t, other)
+                different += 1
+
+
+def test_large_trees_need_no_deep_recursion():
+    n = 10_000
+    names = [f"v{i:05d}" for i in range(n)]
+    line = STree(names, [(names[i], names[i + 1], pair(i % 2, 1)) for i in range(n - 1)])
+    star = STree(names, [(names[0], names[i], pair(0, i)) for i in range(1, n)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        assert len(canonical_form(line)) == n // 2 + 1  # one entry per depth below a center
+        assert len(canonical_form(star)) == 2
+        for tree in (line, star):
+            assert isomorphic(tree, relabelled(Random(59), tree))
+            assert len(collapse(tree, names[: n // 2]).nodes) == n // 2 + 1
+        assert distance(line, names[1], names[-1]) == pair(1, n // 2 - 1)
+        assert distance(star, names[1], names[-1]) == pair(0, n)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_tree_identity_ignores_adjacency():
+    twin = STree(["c", "b", "a"][::-1], [("c", "b", pair(1, 2)), ("b", "a", pair(0, 1))])
+    assert twin == ABC and hash(twin) == hash(ABC)
+    assert repr(ABC) == (
+        "STree(nodes=('a', 'b', 'c'), edges=(('a', 'b', pair(0, '1')), ('b', 'c', pair(1, '2'))))"
+    )
+    assert dict(ABC.neighbors("b")) == {"a": pair(0, 1), "c": pair(1, 2)}
+    with pytest.raises(TypeError):
+        ABC.neighbors("b")["d"] = pair(0, 1)
+
+
+@pytest.mark.parametrize("node", [[], {"b": 1}, 3])
+def test_non_string_node_ids_are_unknown(node):
+    with pytest.raises(KeyError):
+        distance(ABC, node, "a")
+    with pytest.raises(KeyError):
+        path(ABC, "a", node)
+    with pytest.raises(KeyError):
+        ABC.neighbors(node)
+
+
 # --- chord families and dual trees ----------------------------------------------
 
 def test_chord_family_guards():
@@ -376,6 +479,22 @@ def test_dual_distance_matches_separating_weights():
             assert distance(tree, r1, r2) == separating_distance(
                 fam, regions, r1, r2
             )
+
+
+def test_dual_tree_agrees_with_the_enclosing_scan():
+    rng = Random(61)
+    for _ in range(200):
+        full = random_chords(rng, max_chords=8)
+        kept = [row for row in full.chords if rng.random() < 0.7]
+        for fam in (full, ChordFamily(full.marks, kept)):
+            rows = fam.chords
+            names = ["outer"] + [f"r{a}_{b}" for a, b, _ in rows]
+            edges = []
+            for idx, (a, b, w) in enumerate(rows):
+                up = chord_parent(rows, idx)
+                edges.append(("outer" if up is None else names[up + 1], f"r{a}_{b}", w))
+            tree, _ = dual_tree(fam)
+            assert tree == STree(names, edges) and tree.nodes == tuple(names)
 
 
 # --- order-tree axioms -----------------------------------------------------------

@@ -9,6 +9,7 @@ from levelring.values import (
     DEFAULT_HEIGHT_BOUND,
     INF,
     LevelValue,
+    MAX_SEQUENCE_HEIGHT,
     XRat,
     ZERO,
     compare,
@@ -203,6 +204,13 @@ def test_sequence_rejects_levels_at_or_above_height():
     with pytest.raises(ValueError):
         to_sequence(pair(4, 1), 4)
     to_sequence(pair(3, 1), 4)  # fits
+
+
+def test_sequence_refuses_heights_over_the_cap():
+    with pytest.raises(ValueError, match="exceeds the sequence cap"):
+        to_sequence(ZERO, MAX_SEQUENCE_HEIGHT + 1)
+    with pytest.raises(ValueError, match="exceeds the sequence cap"):
+        to_sequence(pair(3, 1), MAX_SEQUENCE_HEIGHT + 1)
 
 
 @given(values)
