@@ -29,9 +29,11 @@ default 10), --format json|text.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
 from levelring import jsonio, measures, tracks, trees, values, vectors
@@ -94,7 +96,7 @@ def _eval_expr(doc: Any, where: str, height: int) -> Any:
             return jsonio.svalue_to_json(values.from_sequence(entries))
     except ValueError as exc:
         raise CommandError(f"{where}: {exc}")
-    raise CommandError(f"{where}: unknown op {op!r}")
+    raise CommandError(f"{where}: unknown op {values._ECHO.repr(op)}")
 
 
 def _svalue(args, diagnostics: list, doc: Any) -> Any:
@@ -126,14 +128,17 @@ def _track_validate(args, diagnostics: list, track, weights) -> Any:
 
 def _track_strata(args, diagnostics: list, track) -> Any:
     strata = tracks.enumerate_strata(track, args.height_bound, max_segments=args.max_segments)
+    # One dict per distinct shape, so the report writer renders each once.
+    shapes: dict = {None: None}
+    for stratum in strata:
+        for shape in stratum.pattern:
+            if shape not in shapes:
+                shapes[shape] = {"level": shape[0], "kind": shape[1]}
     return {
         "height_bound": args.height_bound,
         "strata": [
             {
-                "pattern": [
-                    None if shape is None else {"level": shape[0], "kind": shape[1]}
-                    for shape in stratum.pattern
-                ],
+                "pattern": [shapes[shape] for shape in stratum.pattern],
                 "feasible": stratum.feasible,
                 "witness": None if stratum.witness is None else jsonio.vector_to_json(stratum.witness),
             }
@@ -330,6 +335,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(
@@ -383,6 +389,68 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _render_json(report: dict) -> str:
+    """``json.dumps(report, indent=2, sort_keys=True)``, byte for byte, for
+    the types a report holds: dicts with str keys, lists, tuples, str, int,
+    bool and None; any other type raises TypeError.  A container of scalars
+    met again at the same depth reuses the text written for it the first
+    time.  Only those are kept: keeping the text of every container would
+    hold a large report in memory once per level of nesting."""
+    parts: list[str] = []
+    written: dict[tuple[int, int], str] = {}  # (id, depth) -> text
+
+    def write(obj: Any, depth: int) -> bool:
+        """Append the text of obj; True when obj is a nonempty container."""
+        if isinstance(obj, str):
+            parts.append(encode_basestring_ascii(obj))
+        elif obj is None:
+            parts.append("null")
+        elif obj is True:
+            parts.append("true")
+        elif obj is False:
+            parts.append("false")
+        elif isinstance(obj, int):
+            parts.append(int.__repr__(obj))
+        elif isinstance(obj, (dict, list, tuple)):
+            if not obj:
+                parts.append("{}" if isinstance(obj, dict) else "[]")
+                return False
+            text = written.get((id(obj), depth))
+            if text is not None:
+                parts.append(text)
+                return True
+            start = len(parts)
+            nested = False
+            indent = "\n" + "  " * (depth + 1)
+            if isinstance(obj, dict):
+                parts.append("{")
+                for key, value in sorted(obj.items()):
+                    if not isinstance(key, str):
+                        raise TypeError(f"keys must be str, not {type(key).__name__}")
+                    parts.extend((indent, encode_basestring_ascii(key), ": "))
+                    nested |= write(value, depth + 1)
+                    parts.append(",")
+                parts[-1] = "\n" + "  " * depth + "}"
+            else:
+                parts.append("[")
+                for value in obj:
+                    parts.append(indent)
+                    nested |= write(value, depth + 1)
+                    parts.append(",")
+                parts[-1] = "\n" + "  " * depth + "]"
+            if not nested:
+                text = written[id(obj), depth] = "".join(parts[start:])
+                del parts[start:]
+                parts.append(text)
+            return True
+        else:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        return False
+
+    write(report, 0)
+    return "".join(parts)
+
+
 def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
 
@@ -417,7 +485,7 @@ def main(argv: Optional[list] = None) -> int:
         "diagnostics": diagnostics,
     }
     if args.format == "json":
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_render_json(report) + "\n")
     else:
         sys.stdout.write(_render_text(report))
     failed = False

@@ -23,14 +23,13 @@ location; encoders emit plain JSON-ready structures (no custom classes).
 from __future__ import annotations
 
 import re
-import reprlib
 from fractions import Fraction
 from typing import Any, Optional
 
 from levelring.measures import Atom, Density, Domain, FHMeasure
 from levelring.tracks import TrainTrack
 from levelring.trees import ChordFamily, STree
-from levelring.values import DEFAULT_HEIGHT_BOUND, LevelValue, XRat, ZERO, pair
+from levelring.values import _ECHO, DEFAULT_HEIGHT_BOUND, LevelValue, XRat, ZERO, pair
 from levelring.vectors import Monomial, MonomialFamily, Vector, monomial
 
 __all__ = [
@@ -60,12 +59,6 @@ class FormatError(ValueError):
 
 def _fail(where: str, why: str) -> "FormatError":
     return FormatError(f"{where}: {why}")
-
-
-# Diagnostics quote offending input values through this bounded repr, so
-# they stay a few hundred characters long whatever the input's size.
-_ECHO = reprlib.Repr()
-_ECHO.maxlevel = 1
 
 
 def _expect_int(obj: Any, where: str) -> int:

@@ -30,12 +30,14 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from math import comb
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from levelring.values import INF, LevelValue, XRat, ZERO, pair, total
+from levelring.values import _ECHO, INF, LevelValue, XRat, ZERO, pair, total
 from levelring.vectors import Monomial
 
 __all__ = [
+    "MAX_STRATA",
     "Stratum",
     "TrainTrack",
     "Violation",
@@ -46,6 +48,7 @@ __all__ = [
     "is_contiguous",
     "is_proximal",
     "raise_levels",
+    "strata_count",
     "validate",
 ]
 
@@ -78,12 +81,12 @@ class TrainTrack:
         ends = Counter(s for a, b in sw for s in a + b)
         unknown = set(ends) - set(segs)
         if unknown:
-            raise ValueError(f"switches mention unknown segments: {sorted(unknown)}")
+            raise ValueError(f"switches mention unknown segments: {_ECHO.repr(sorted(unknown))}")
         if free_ends is None:
             declared = {s: 2 - ends[s] for s in segs}
             if any(v < 0 for v in declared.values()):
                 worst = [s for s in segs if declared[s] < 0]
-                raise ValueError(f"segments with more than two ends: {worst}")
+                raise ValueError(f"segments with more than two ends: {_ECHO.repr(worst)}")
         else:
             declared = {s: int(free_ends.get(s, 0)) for s in segs}
         for s in segs:
@@ -171,7 +174,7 @@ def raise_levels(
     chosen = set(subset)
     unknown = chosen - set(track.segments)
     if unknown:
-        raise ValueError(f"unknown segments: {sorted(unknown)}")
+        raise ValueError(f"unknown segments: {_ECHO.repr(sorted(unknown))}")
     vec = _as_weights(track, w)
     return tuple(
         e if e.is_zero or s not in chosen else LevelValue(e.level + 1, e.magnitude)
@@ -405,6 +408,68 @@ def _switch_reduction(
     return {k: v for k, v in coeffs.items() if v}
 
 
+# `enumerate_strata` refuses a track and height bound with more proximal
+# patterns than this (`strata_count`): 6 segments give at most 423,857.
+MAX_STRATA = 10**6
+
+
+def _surjections(j: int, m: int) -> int:
+    return sum((-1) ** i * comb(m, i) * (m - i) ** j for i in range(m + 1))
+
+
+def strata_count(n_segments: int, height_bound: int) -> int:
+    """Number of proximal shape patterns on n segments with levels below
+    the height bound: choose the j nonzero segments, their fin/inf kinds,
+    and a surjection of them onto levels 0..m-1 with m <= height bound."""
+    return sum(
+        comb(n_segments, j) * 2**j * _surjections(j, m)
+        for j in range(n_segments + 1)
+        for m in range(min(j, height_bound) + 1)
+    )
+
+
+def _proximal_patterns(n: int, height_bound: int) -> Iterator[tuple[Shape, ...]]:
+    """Every proximal pattern on n segments with levels below the height
+    bound, in the lexicographic order of per-segment options ZERO, (0, fin),
+    (0, inf), (1, fin), ...  A depth-first walk over prefixes that drops an
+    option as soon as the segments left cannot fill the levels missing
+    below the prefix's highest level."""
+    levels = min(height_bound, n)  # n segments use at most n levels
+    options: list[Shape] = [None]
+    for lev in range(levels):
+        options += [(lev, FIN), (lev, INFINITE)]
+    pattern: list[Shape] = [None] * n
+    choice = [0] * n  # option index tried next at each segment
+    at_level = [0] * levels  # segments before k on each level
+    top = [-1] * n  # highest level used before segment k
+    used = [0] * n  # distinct levels used before segment k
+    k = 0
+    while k >= 0:
+        if choice[k] == len(options):
+            choice[k] = 0
+            k -= 1
+            if k >= 0 and pattern[k] is not None:
+                at_level[pattern[k][0]] -= 1
+            continue
+        shape = pattern[k] = options[choice[k]]
+        choice[k] += 1
+        t, u = top[k], used[k]
+        if shape is not None:
+            t = max(t, shape[0])
+            u += not at_level[shape[0]]
+        if t + 1 - u > n - 1 - k:  # more missing levels than segments left
+            if t > top[k]:  # every later option sits higher still
+                choice[k] = len(options)
+            continue
+        if k == n - 1:
+            yield tuple(pattern)
+            continue
+        if shape is not None:
+            at_level[shape[0]] += 1
+        k += 1
+        top[k], used[k] = t, u
+
+
 def enumerate_strata(
     track: TrainTrack, height_bound: int, max_segments: int = 10
 ) -> list[Stratum]:
@@ -414,25 +479,33 @@ def enumerate_strata(
     A pattern assigns every segment ZERO or (level, fin/inf); proximal
     means the levels used are exactly 0..m-1 for some m.  Feasibility
     asks for strictly positive finite magnitudes satisfying every switch;
-    witnesses are attached when they exist.  Patterns are enumerated in a
-    fixed order (per segment: ZERO, then by level, finite before
-    infinite), so output order is deterministic.
+    witnesses are attached when they exist.
+
+    Order contract: patterns come in the lexicographic order of their
+    per-segment options, first segment first, where each segment's options
+    run ZERO, then by level ascending, finite before infinite.  Only
+    proximal patterns are generated, so levels stop below
+    min(height_bound, number of segments), and every height bound at or
+    above the number of segments gives the same list.
+
+    Raises ValueError for a height bound below 1, for more than
+    `max_segments` segments, and when `strata_count` exceeds
+    `MAX_STRATA`, before any pattern is generated.
     """
+    n = len(track.segments)
     if height_bound < 1:
         raise ValueError("height bound must be at least 1")
-    if len(track.segments) > max_segments:
+    if n > max_segments:
+        raise ValueError(f"{n} segments exceeds the enumeration cap {max_segments}")
+    # Patterns of ZERO and level-0 shapes alone number 3**n, so that cheap
+    # bound refuses long tracks before the exact count is worked out.
+    if 3**n > MAX_STRATA or strata_count(n, height_bound) > MAX_STRATA:
         raise ValueError(
-            f"{len(track.segments)} segments exceeds the enumeration cap "
-            f"{max_segments}"
+            f"{n} segments at height bound {height_bound} give more than "
+            f"{MAX_STRATA} strata; refusing to enumerate them"
         )
-    options: list[Shape] = [None]
-    for lev in range(height_bound):
-        options += [(lev, FIN), (lev, INFINITE)]
     out: list[Stratum] = []
-    for pattern in itertools.product(options, repeat=len(track.segments)):
-        used = sorted({sh[0] for sh in pattern if sh is not None})
-        if used != list(range(len(used))):
-            continue  # not proximal
+    for pattern in _proximal_patterns(n, height_bound):
         shape_of = dict(zip(track.segments, pattern))
         equations: list[dict[str, Fraction]] = []
         contradictory = False

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
-from levelring.values import LevelValue, ZERO, total
+from levelring.values import _ECHO, LevelValue, ZERO, total
 
 __all__ = [
     "ChordFamily",
@@ -99,7 +99,7 @@ class STree:
     def neighbors(self, node: str) -> Mapping[str, LevelValue]:
         """Adjacent nodes with the connecting edge lengths (a read-only view)."""
         if not _is_node(self, node):
-            raise KeyError(f"unknown node {node!r}")
+            raise KeyError(f"unknown node {_ECHO.repr(node)}")
         return MappingProxyType(self._adjacency[node])
 
     def degree(self, node: str) -> int:
@@ -129,7 +129,7 @@ def path(tree: STree, x: str, y: str) -> list[tuple[str, str, LevelValue]]:
     """The unique simple path from x to y as oriented (from, to, length)
     steps; empty for x == y."""
     if not (_is_node(tree, x) and _is_node(tree, y)):
-        raise KeyError(f"unknown node in path query: {x!r} or {y!r}")
+        raise KeyError(f"unknown node in path query: {_ECHO.repr(x)} or {_ECHO.repr(y)}")
     parent: dict[str, tuple[str, LevelValue]] = {}
     for node, prev, length in _walk(tree, x) if x != y else ():
         parent[node] = (prev, length)
@@ -217,18 +217,18 @@ def insert(
     neighbors = tree.neighbors(v)
     overlap = set(tree.nodes) & set(insertion.nodes)
     if overlap:
-        raise ValueError(f"insertion shares node ids with the tree: {sorted(overlap)}")
+        raise ValueError(f"insertion shares node ids with the tree: {_ECHO.repr(sorted(overlap))}")
     if sorted(attach.values()) != sorted(neighbors):
         raise ValueError(
             "attachment must map onto the neighbors of the replaced node, "
-            f"{sorted(neighbors)}; got {sorted(attach.values())}"
+            f"{sorted(neighbors)}; got {_ECHO.repr(sorted(attach.values()))}"
         )
     for b in attach:
         if b not in insertion.nodes:
-            raise KeyError(f"attachment node {b!r} is not in the insertion")
+            raise KeyError(f"attachment node {_ECHO.repr(b)} is not in the insertion")
         if insertion.degree(b) > 1:
             raise ValueError(
-                f"attachment node {b!r} has degree {insertion.degree(b)} > 1"
+                f"attachment node {_ECHO.repr(b)} has degree {insertion.degree(b)} > 1"
             )
     to_node = {direction: b for b, direction in attach.items()}
     nodes = tuple(n for n in tree.nodes if n != v) + insertion.nodes
@@ -248,7 +248,7 @@ def collapse(tree: STree, group: Iterable[str]) -> STree:
         raise ValueError("nothing to collapse")
     unknown = chosen - set(tree.nodes)
     if unknown:
-        raise KeyError(f"unknown nodes: {sorted(unknown)}")
+        raise KeyError(f"unknown nodes: {_ECHO.repr(sorted(unknown))}")
     merged = min(chosen)
     if sum(1 for _ in _walk(tree, merged, within=chosen)) != len(chosen) - 1:
         raise ValueError("collapse set is not connected")

@@ -22,6 +22,7 @@ faithfully ordered chunk of a countable product of extended half-lines.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
@@ -45,6 +46,12 @@ __all__ = [
 ]
 
 DEFAULT_HEIGHT_BOUND = 16
+
+# Error messages across the package quote offending input values through
+# this bounded repr, so they stay a few hundred characters long whatever
+# the input's size.
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel = 1
 
 # `to_sequence` allocates its whole output, so it refuses heights above this.
 MAX_SEQUENCE_HEIGHT = 2**16

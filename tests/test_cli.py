@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levelring import cli, tracks
 from levelring.cli import COMMANDS, main
+from levelring.tracks import MAX_STRATA
 from levelring.values import MAX_SEQUENCE_HEIGHT
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -459,6 +461,71 @@ def test_diagnostic_echo_is_bounded(tmp_path, capsys):
     assert json.loads(out)["diagnostics"][0]["message"] == err[len("error: "):-1]
 
 
+# name -> (golden input, the input with one huge offending value, start of the diagnostic)
+HUGE_ECHOES = {
+    "tree collapse": (
+        "collapse.json",
+        lambda doc: dict(doc, group=[f"ghost{i}" for i in range(5000)]),
+        "error: unknown nodes: ['ghost0', 'ghost1', ",
+    ),
+    "tree dist": (
+        "dist.json",
+        lambda doc: dict(doc, pairs=[["a", "g" * 65536]]),
+        "error: unknown node in path query: 'a' or 'ggg",
+    ),
+    "svalue": (
+        "exprs.json",
+        lambda doc: [{"op": "w" * 65536}],
+        "error: exprs[0]: unknown op 'www",
+    ),
+}
+
+
+@pytest.mark.parametrize("words", sorted(HUGE_ECHOES))
+def test_library_and_cli_echoes_are_bounded(tmp_path, capsys, words):
+    name, enlarge, start = HUGE_ECHOES[words]
+    doc = enlarge(json.loads((GOLDEN / "inputs" / name).read_text()))
+    path = write(tmp_path, name, doc)
+    assert Path(path).stat().st_size > 60_000
+    code, out, err = run(capsys, *words.split(), path)
+    assert code == 1
+    assert err.startswith(start)
+    assert len(err) < 1024
+    assert json.loads(out)["diagnostics"][0]["message"] == err[len("error: "):-1]
+
+
+def test_oversized_strata_are_refused_up_front(tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(tracks, "_proximal_patterns", never)
+    seven = write(tmp_path, "seven.json", {
+        "segments": [f"s{i}" for i in range(7)],
+        "switches": [{"a": ["s0", "s1"], "b": ["s2"]}],
+    })
+    code, out, err = run(capsys, "track", "strata", seven)
+    assert code == 1
+    assert json.loads(out)["result"] is None
+    assert err == (
+        f"error: 7 segments at height bound 16 give more than {MAX_STRATA} strata; "
+        "refusing to enumerate them\n"
+    )
+
+
+def test_one_parser_serves_every_call(monkeypatch):
+    monkeypatch.chdir(GOLDEN / "inputs")
+    monkeypatch.setenv("COLUMNS", "80")
+    for golden in (
+        "track_strata.json.golden",
+        "svalue.text.golden",
+        "error_library_value.json.golden",
+        "help_track.golden",
+        "track_strata.text.golden",
+    ):
+        assert golden_report(GOLDEN_RUNS[golden]).encode() == (GOLDEN / golden).read_bytes()
+    assert cli._build_parser() is cli._build_parser()
+
+
 @pytest.mark.parametrize("reference", [2, 5, -1])
 def test_family_limit_reference_out_of_range(tmp_path, capsys, reference):
     family = json.loads((GOLDEN / "inputs" / "family.json").read_text())
@@ -523,6 +590,36 @@ def test_wrong_type_anywhere_is_a_diagnostic(words, data, tmp_path_factory):
     if code == 1:
         assert any(d["severity"] == "error" for d in json.loads(out)["diagnostics"])
         assert "error: " in err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**80), 2**80) | st.text(),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.tuples(inner, inner)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_report_writer_matches_json_dumps(doc):
+    assert cli._render_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_report_writer_reuses_shared_objects():
+    shape = {"kind": "fin", "level": 0}
+    pattern = [shape, None, shape]
+    doc = {"a": [pattern, pattern], "b": shape, "c": [{"d": [shape]}], "e": ("\u00e9\x00", -3, True)}
+    assert cli._render_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [1.5, {"a": {1, 2}}, {1: "int key"}, [b"bytes"]])
+def test_report_writer_refuses_other_types(doc):
+    with pytest.raises(TypeError):
+        cli._render_json(doc)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Tests for branched graphs: validation, alignment, adjustment,
 contiguity, strata, and the degree filtration."""
 
+import itertools
 from fractions import Fraction
 from random import Random
 
@@ -8,7 +9,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import random_track_family
+from levelring import tracks
 from levelring.tracks import (
+    FIN,
+    INFINITE,
+    MAX_STRATA,
     Stratum,
     TrainTrack,
     adjustments,
@@ -18,6 +23,7 @@ from levelring.tracks import (
     is_contiguous,
     is_proximal,
     raise_levels,
+    strata_count,
     validate,
 )
 from levelring.values import INF, XRat, ZERO, pair
@@ -270,6 +276,109 @@ def test_witness_solves_a_genuine_linear_system():
     assert hit.feasible
     u, v, w = hit.witness
     assert u.magnitude + v.magnitude == w.magnitude
+
+
+def product_strata(track, height_bound):
+    """The former enumerator, kept as the oracle: walk the whole product of
+    per-segment options and drop the patterns that are not proximal."""
+    options = [None]
+    for lev in range(height_bound):
+        options += [(lev, FIN), (lev, INFINITE)]
+    out = []
+    for pattern in itertools.product(options, repeat=len(track.segments)):
+        used = sorted({sh[0] for sh in pattern if sh is not None})
+        if used != list(range(len(used))):
+            continue  # not proximal
+        shape_of = dict(zip(track.segments, pattern))
+        equations = []
+        contradictory = False
+        for a, b in track.switches:
+            red = tracks._switch_reduction(shape_of, a, b)
+            if red is None:
+                contradictory = True
+                break
+            if red:
+                equations.append(red)
+        if contradictory:
+            out.append(Stratum(pattern, False))
+            continue
+        fin_vars = [s for s in track.segments if shape_of[s] and shape_of[s][1] == FIN]
+        solution = tracks._fm_feasible(fin_vars, equations)
+        if solution is None:
+            out.append(Stratum(pattern, False))
+            continue
+        witness = tuple(
+            ZERO
+            if shape_of[s] is None
+            else pair(shape_of[s][0], INF)
+            if shape_of[s][1] == INFINITE
+            else pair(shape_of[s][0], solution[s])
+            for s in track.segments
+        )
+        if validate(track, witness):
+            raise RuntimeError(
+                f"feasibility witness fails validation for pattern {pattern}"
+            )
+        out.append(Stratum(pattern, True, witness))
+    return out
+
+
+def random_track(rng, n):
+    """n segments whose ends are dealt onto the sides of random switches;
+    the ends left over are free."""
+    segments = [f"s{i}" for i in range(n)]
+    ends = [s for s in segments for _ in range(2)]
+    rng.shuffle(ends)
+    switches = []
+    while len(ends) >= 2 and rng.random() < 0.9:
+        a = [ends.pop() for _ in range(rng.randint(1, min(2, len(ends) - 1)))]
+        b = [ends.pop() for _ in range(rng.randint(1, min(2, len(ends))))]
+        switches.append((a, b))
+    return TrainTrack(segments, switches)
+
+
+def test_strata_agree_with_the_product_oracle():
+    # every (segments, height) pair with 1-5 segments and heights 1-6; five
+    # segments once per height, because the oracle walks up to 13**5 patterns
+    cases = [(5, h) for h in range(1, 7)]
+    cases += [(1 + i % 4, 1 + i // 4 % 6) for i in range(194)]
+    rng = Random(2024)
+    for n, height in cases:
+        track = random_track(rng, n)
+        want = product_strata(track, height)
+        assert enumerate_strata(track, height) == want, (track, height)
+        assert strata_count(n, height) == len(want)
+
+
+def test_heights_past_the_segment_count_add_nothing():
+    rng = Random(7)
+    for n in range(1, 6):
+        for _ in range(3 if n < 5 else 1):
+            track = random_track(rng, n)
+            base = enumerate_strata(track, n)
+            for height in (n + 1, 3 * n, 10**9):
+                assert enumerate_strata(track, height) == base
+
+
+def test_strata_count_cap():
+    assert strata_count(6, 6) == 423_857 <= MAX_STRATA
+    assert strata_count(7, 3) <= MAX_STRATA < strata_count(7, 4)
+    assert strata_count(7, 7) == strata_count(7, 16) == 8_560_947
+
+
+def test_oversized_strata_are_refused_before_enumerating(monkeypatch):
+    def never(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(tracks, "_proximal_patterns", never)
+    seven = TrainTrack([f"s{i}" for i in range(7)], [(["s0"], ["s1"])])
+    with pytest.raises(ValueError, match=f"more than {MAX_STRATA} strata"):
+        enumerate_strata(seven, 4)
+    # a long track is refused without working out its exact count
+    monkeypatch.setattr(tracks, "strata_count", never)
+    long = TrainTrack([f"s{i}" for i in range(5000)], [])
+    with pytest.raises(ValueError, match=f"more than {MAX_STRATA} strata"):
+        enumerate_strata(long, 16, max_segments=10**4)
 
 
 # ---------------------------------------------------------------------------
