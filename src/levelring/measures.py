@@ -17,16 +17,24 @@ mass at or above a level), the slice functions ``nu_k`` / ``nu_hat``, the
 recovery round-trip that rebuilds evaluation from the per-level slices, the
 gradedness and local-finiteness validators, and ``align``, which deletes
 empty levels.
+
+Each measure keeps a level index, built on first use: its components by
+level, the support of every occupied level (built once, top down), and the
+complements and strata the slices reuse.  Region operations are linear
+merges over sorted, disjoint piece lists.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from levelring.values import DEFAULT_HEIGHT_BOUND, LevelValue, XRat, ZERO, pair
+from levelring.values import _ECHO, DEFAULT_HEIGHT_BOUND, LevelValue, XRat, ZERO, pair
 
 __all__ = [
     "Atom",
@@ -77,7 +85,7 @@ class Domain:
         for i, length in self.intervals:
             if i == interval:
                 return length
-        raise KeyError(f"no interval {interval!r} in domain")
+        raise KeyError(f"no interval {_ECHO.repr(interval)} in domain")
 
     @property
     def ids(self) -> tuple[str, ...]:
@@ -85,8 +93,11 @@ class Domain:
 
 
 # One piece: (lo, hi, closed_lo, closed_hi).  lo < hi, or lo == hi with both
-# ends closed (an isolated point).
+# ends closed (an isolated point).  A region keeps each interval's pieces
+# normalized (``_norm``): sorted, disjoint and not touching, so both the
+# starts and the ends increase along the list.
 Piece = tuple[Fraction, Fraction, bool, bool]
+_LO, _HI = itemgetter(0), itemgetter(1)
 
 
 def _piece_contains(p: Piece, x: Fraction) -> bool:
@@ -101,15 +112,59 @@ def _piece_contains(p: Piece, x: Fraction) -> bool:
 
 
 def _piece_intersect(p: Piece, q: Piece) -> Optional[Piece]:
-    lo = max(p[0], q[0])
-    hi = min(p[1], q[1])
-    if lo > hi:
-        return None
-    cl = _piece_contains(p, lo) and _piece_contains(q, lo)
-    cr = _piece_contains(p, hi) and _piece_contains(q, hi)
-    if lo == hi:
-        return (lo, hi, True, True) if cl and cr else None
-    return (lo, hi, cl, cr)
+    # The later start and the earlier end bound the overlap; a shared end
+    # stays closed only when both pieces close it.
+    if p[0] > q[0]:
+        lo, cl = p[0], p[2]
+    elif q[0] > p[0]:
+        lo, cl = q[0], q[2]
+    else:
+        lo, cl = p[0], p[2] and q[2]
+    if p[1] < q[1]:
+        hi, cr = p[1], p[3]
+    elif q[1] < p[1]:
+        hi, cr = q[1], q[3]
+    else:
+        hi, cr = p[1], p[3] and q[3]
+    if lo < hi:
+        return (lo, hi, cl, cr)
+    if lo == hi and cl and cr:
+        return (lo, hi, True, True)
+    return None
+
+
+def _intersect(ps: Sequence[Piece], qs: Sequence[Piece]) -> tuple[Piece, ...]:
+    """Intersection of two normalized piece lists, in one merge pass.  The
+    result is normalized already: its pieces keep the gaps of both lists."""
+    out: list[Piece] = []
+    i = j = 0
+    while i < len(ps) and j < len(qs):
+        p, q = ps[i], qs[j]
+        r = _piece_intersect(p, q)
+        if r is not None:
+            out.append(r)
+        # The piece that ends first meets nothing further along the other
+        # list; on a shared end neither does (the next pieces of both lists
+        # start at or after it, open there if they start on it).
+        if p[1] < q[1]:
+            i += 1
+        elif q[1] < p[1]:
+            j += 1
+        else:
+            i += 1
+            j += 1
+    return tuple(out)
+
+
+def _overlap(pieces: Sequence[Piece], lo: Fraction, hi: Fraction) -> Fraction:
+    """Length of the part of the normalized pieces inside [lo, hi]."""
+    total = Fraction(0)
+    for k in range(bisect_right(pieces, lo, key=_HI), len(pieces)):
+        a, b, _, _ = pieces[k]
+        if a >= hi:
+            break
+        total += min(b, hi) - max(a, lo)
+    return total
 
 
 def _touches(p: Piece, q: Piece) -> bool:
@@ -152,7 +207,9 @@ def _norm(pieces: Iterable[Piece]) -> tuple[Piece, ...]:
 
 
 def _complement(pieces: Sequence[Piece], length: Fraction) -> tuple[Piece, ...]:
-    """Complement of a normalized piece list within [0, length]."""
+    """Complement of a normalized piece list within [0, length].  The gaps
+    come out normalized: each is nonempty, and a nonempty piece separates
+    any two of them."""
     out: list[Piece] = []
     pos, incl = Fraction(0), True
     for lo, hi, cl, cr in pieces:
@@ -162,7 +219,7 @@ def _complement(pieces: Sequence[Piece], length: Fraction) -> tuple[Piece, ...]:
         pos, incl = hi, not cr
     if pos < length or (pos == length and incl):
         out.append((pos, length, incl, True))
-    return _norm(out)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -190,14 +247,21 @@ class Region:
             lo, hi = _frac(lo), _frac(hi)
             length = domain.length_of(interval)
             if lo > hi:
-                raise ValueError(f"reversed endpoints: [{lo}, {hi}]")
+                raise ValueError(
+                    f"reversed endpoints: [{_ECHO.repr(str(lo))}, {_ECHO.repr(str(hi))}]"
+                )
             if lo < 0 or hi > length:
-                raise ValueError(f"span [{lo},{hi}] outside interval {interval!r}")
+                raise ValueError(
+                    f"span [{_ECHO.repr(str(lo))}, {_ECHO.repr(str(hi))}] "
+                    f"outside interval {_ECHO.repr(interval)}"
+                )
             by_id.setdefault(interval, []).append((lo, hi, cl, cr))
         for interval, x in points:
             x = _frac(x)
             if x < 0 or x > domain.length_of(interval):
-                raise ValueError(f"point {x} outside interval {interval!r}")
+                raise ValueError(
+                    f"point {_ECHO.repr(str(x))} outside interval {_ECHO.repr(interval)}"
+                )
             by_id.setdefault(interval, []).append((x, x, True, True))
         parts = tuple(
             (i, _norm(by_id[i])) for i in domain.ids if by_id.get(i)
@@ -241,16 +305,9 @@ class Region:
 
     def intersect(self, other: "Region") -> "Region":
         self._check_same_domain(other)
-        out: dict[str, tuple[Piece, ...]] = {}
-        for i in self.domain.ids:
-            hits = [
-                r
-                for p in self._pieces(i)
-                for q in other._pieces(i)
-                if (r := _piece_intersect(p, q)) is not None
-            ]
-            out[i] = _norm(hits)
-        return self._rebuild(out)
+        return self._rebuild(
+            {i: _intersect(ps, other._pieces(i)) for i, ps in self.parts}
+        )
 
     def complement(self) -> "Region":
         return self._rebuild(
@@ -278,7 +335,10 @@ class Region:
 
     def contains(self, interval: str, x: Rat) -> bool:
         x = _frac(x)
-        return any(_piece_contains(p, x) for p in self._pieces(interval))
+        pieces = self._pieces(interval)
+        # only the last piece starting at or before x can hold it
+        k = bisect_right(pieces, x, key=_LO)
+        return k > 0 and _piece_contains(pieces[k - 1], x)
 
     @property
     def is_empty(self) -> bool:
@@ -385,6 +445,10 @@ class FHMeasure:
     domain: Domain
     components: tuple[Component, ...]
     height_bound: int = DEFAULT_HEIGHT_BOUND
+    # the level index, built on first use by _index_of
+    _index: Optional[_LevelIndex] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __init__(
         self,
@@ -399,40 +463,114 @@ class FHMeasure:
             length = domain.length_of(c.interval)
             if isinstance(c, Atom):
                 if not (0 <= c.position <= length):
-                    raise ValueError(f"atom position {c.position} outside interval")
+                    raise ValueError(
+                        f"atom position {_ECHO.repr(str(c.position))} outside interval"
+                    )
             else:
                 if c.lo < 0 or c.hi > length:
-                    raise ValueError(f"density [{c.lo},{c.hi}] outside interval")
+                    raise ValueError(
+                        f"density [{_ECHO.repr(str(c.lo))}, {_ECHO.repr(str(c.hi))}] "
+                        "outside interval"
+                    )
             if c.level >= height_bound:
                 raise ValueError(
-                    f"component level {c.level} exceeds height bound {height_bound}"
+                    f"component level {_ECHO.repr(c.level)} exceeds height bound "
+                    f"{_ECHO.repr(height_bound)}"
                 )
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "height_bound", int(height_bound))
+        object.__setattr__(self, "_index", None)
 
     @property
     def height(self) -> Optional[int]:
         """Largest level carrying a component, or None for the zero measure."""
-        return max((c.level for c in self.components), default=None)
+        levels = self.levels()
+        return levels[-1] if levels else None
 
     def levels(self) -> tuple[int, ...]:
-        return tuple(sorted({c.level for c in self.components}))
+        return _index_of(self).levels
+
+
+class _LevelIndex:
+    """Per-level views of one measure.  The components by level are sorted
+    out at once; the supports, their complements, the strata and the atom
+    stacks are each built on first use and then kept."""
+
+    def __init__(self, mu: FHMeasure):
+        by_level: dict[int, list[Component]] = {}
+        for c in mu.components:
+            by_level.setdefault(c.level, []).append(c)
+        self.domain = mu.domain
+        self.levels = tuple(sorted(by_level))
+        self.by_level = by_level
+        self._outside: dict[int, Region] = {}
+        self._strata: dict[int, Region] = {}
+
+    @cached_property
+    def supports(self) -> tuple[Region, ...]:
+        """support(k) at each occupied level k, in level order, built top
+        down: each level's carriers joined to the support above it."""
+        out: list[Region] = []
+        above = Region.empty(self.domain)
+        for k in reversed(self.levels):
+            comps = self.by_level[k]
+            above = above.union(
+                Region.of(
+                    self.domain,
+                    [(c.interval, c.lo, c.hi, True, True) for c in comps if isinstance(c, Density)],
+                    [(c.interval, c.position) for c in comps if isinstance(c, Atom)],
+                )
+            )
+            out.append(above)
+        return tuple(reversed(out))
+
+    def support(self, k: int) -> Region:
+        """support(k) is that of the lowest occupied level at or above k."""
+        i = bisect_left(self.levels, k)
+        return self.supports[i] if i < len(self.levels) else Region.empty(self.domain)
+
+    def outside(self, k: int) -> Region:
+        """The complement of support(k), kept per distinct support."""
+        i = bisect_left(self.levels, k)
+        if i not in self._outside:
+            self._outside[i] = self.support(k).complement()
+        return self._outside[i]
+
+    def stratum(self, k: int) -> Region:
+        """support(k) clear of support(k+1); empty at unoccupied levels."""
+        if k not in self.by_level:
+            return Region.empty(self.domain)
+        if k not in self._strata:
+            self._strata[k] = self.support(k).intersect(self.outside(k + 1))
+        return self._strata[k]
+
+    @cached_property
+    def top_atom(self) -> dict[tuple[str, Fraction], int]:
+        """The highest atom level at each (interval, position) holding one."""
+        out: dict[tuple[str, Fraction], int] = {}
+        for c in itertools.chain.from_iterable(self.by_level.values()):
+            if isinstance(c, Atom):
+                spot = (c.interval, c.position)
+                out[spot] = max(out.get(spot, c.level), c.level)
+        return out
+
+
+def _index_of(mu: FHMeasure) -> _LevelIndex:
+    if mu._index is None:
+        object.__setattr__(mu, "_index", _LevelIndex(mu))
+    return mu._index
 
 
 def _level_mass(mu: FHMeasure, k: int, region: Region) -> XRat:
     """Total level-k mass of the region: atom masses plus rate x length."""
     out = XRat(0)
-    for c in mu.components:
-        if c.level != k:
-            continue
+    for c in _index_of(mu).by_level.get(k, ()):
         if isinstance(c, Atom):
             if region.contains(c.interval, c.position):
                 out = out + c.mass
         else:
-            overlap = region.intersect(
-                interval(mu.domain, c.interval, c.lo, c.hi)
-            ).length()
+            overlap = _overlap(region._pieces(c.interval), c.lo, c.hi)
             if overlap > 0:
                 out = out + c.rate * overlap
     return out
@@ -443,7 +581,7 @@ def evaluate(mu: FHMeasure, region: Region) -> LevelValue:
     with that mass; ZERO when nothing meets the region."""
     if region.domain != mu.domain:
         raise ValueError("region is not on this measure's domain")
-    for k in sorted({c.level for c in mu.components}, reverse=True):
+    for k in reversed(mu.levels()):
         m = _level_mass(mu, k, region)
         if m:
             return pair(k, m)
@@ -465,24 +603,13 @@ def nu_k(mu: FHMeasure, k: int, region: Region) -> XRat:
 
 def support(mu: FHMeasure, k: int) -> Region:
     """Closed region carrying components of level >= k."""
-    spans = [
-        (c.interval, c.lo, c.hi, True, True)
-        for c in mu.components
-        if isinstance(c, Density) and c.level >= k
-    ]
-    pts = [
-        (c.interval, c.position)
-        for c in mu.components
-        if isinstance(c, Atom) and c.level >= k
-    ]
-    return Region.of(mu.domain, spans, pts)
+    return _index_of(mu).support(k)
 
 
 def nu_hat(mu: FHMeasure, k: int, region: Region) -> XRat:
     """Level-k mass of the part of the region in support(k) and clear of
     support(k+1) — the level-k slice used by the recovery formula."""
-    stratum = support(mu, k).minus(support(mu, k + 1))
-    return _level_mass(mu, k, region.intersect(stratum))
+    return _level_mass(mu, k, region.intersect(_index_of(mu).stratum(k)))
 
 
 def recover(mu: FHMeasure) -> FHMeasure:
@@ -493,17 +620,18 @@ def recover(mu: FHMeasure) -> FHMeasure:
     are clipped to what survives (up to endpoints, which carry no density
     mass).  For gradable measures this evaluates identically to mu.
     """
+    index = _index_of(mu)
     comps: list[Component] = []
-    for k in sorted({c.level for c in mu.components}):
-        higher = support(mu, k + 1)
-        for c in mu.components:
-            if c.level != k:
-                continue
+    for k in index.levels:
+        higher = index.support(k + 1)
+        for c in index.by_level[k]:
             if isinstance(c, Atom):
                 if not higher.contains(c.interval, c.position):
                     comps.append(c)
             else:
-                kept = interval(mu.domain, c.interval, c.lo, c.hi).minus(higher)
+                kept = interval(mu.domain, c.interval, c.lo, c.hi).intersect(
+                    index.outside(k + 1)
+                )
                 for lo, hi, _, _ in kept._pieces(c.interval):
                     if lo < hi:
                         comps.append(Density(c.interval, lo, hi, k, c.rate))
@@ -526,11 +654,11 @@ def recover_check(
         regions = grid_sets(mu)
     if slice_mass is None:
         slice_mass = lambda k, region: nu_hat(mu, k, region)
-    levels = sorted({c.level for c in mu.components})
+    index = _index_of(mu)
     for region in regions:
         best: LevelValue = ZERO
-        for k in levels:
-            m = slice_mass(k, region.minus(support(mu, k + 1)))
+        for k in index.levels:
+            m = slice_mass(k, region.intersect(index.outside(k + 1)))
             if m:
                 best = pair(k, m)
         if best != evaluate(mu, region):
@@ -553,19 +681,13 @@ def is_open_graded(mu: FHMeasure) -> bool:
     representation the predicate is exactly equivalent to the recovery
     formula reproducing evaluation on every region.
     """
+    index = _index_of(mu)
     for c in mu.components:
-        if not isinstance(c, Atom):
-            continue
-        if not support(mu, c.level + 1).contains(c.interval, c.position):
-            continue
-        stacked = any(
-            isinstance(d, Atom)
-            and d.level > c.level
-            and d.interval == c.interval
-            and d.position == c.position
-            for d in mu.components
-        )
-        if not stacked:
+        if (
+            isinstance(c, Atom)
+            and index.top_atom[(c.interval, c.position)] == c.level
+            and index.support(c.level + 1).contains(c.interval, c.position)
+        ):
             return False
     return True
 
@@ -577,16 +699,16 @@ def is_locally_finite(mu: FHMeasure) -> bool:
     support: an infinite atom clear of the higher support fails, and an
     infinite density whose closed carrier misses the higher support fails.
     """
+    index = _index_of(mu)
     for c in mu.components:
+        higher = index.support(c.level + 1)
         if isinstance(c, Atom):
-            if c.mass.is_infinite and not support(mu, c.level + 1).contains(
-                c.interval, c.position
-            ):
+            if c.mass.is_infinite and not higher.contains(c.interval, c.position):
                 return False
         else:
             if c.rate.is_infinite:
                 carrier = interval(mu.domain, c.interval, c.lo, c.hi)
-                if carrier.intersect(support(mu, c.level + 1)).is_empty:
+                if carrier.intersect(higher).is_empty:
                     return False
     return True
 

@@ -478,6 +478,11 @@ HUGE_ECHOES = {
         lambda doc: [{"op": "w" * 65536}],
         "error: exprs[0]: unknown op 'www",
     ),
+    "measure eval": (
+        "measure.json",
+        lambda doc: dict(doc, components=[dict(doc["components"][0], interval="v" * 60000)]),
+        "error: measure: no interval 'vvv",
+    ),
 }
 
 
@@ -488,6 +493,20 @@ def test_library_and_cli_echoes_are_bounded(tmp_path, capsys, words):
     path = write(tmp_path, name, doc)
     assert Path(path).stat().st_size > 60_000
     code, out, err = run(capsys, *words.split(), path)
+    assert code == 1
+    assert err.startswith(start)
+    assert len(err) < 1024
+    assert json.loads(out)["diagnostics"][0]["message"] == err[len("error: "):-1]
+
+
+@pytest.mark.parametrize("field, value, start", [
+    ("level", 10**4000, "error: measure: component level 1000"),
+    ("position", f"{10**4000}/3", "error: measure: atom position '1000"),
+], ids=["level", "position"])
+def test_measure_number_echoes_are_bounded(tmp_path, capsys, field, value, start):
+    doc = json.loads((GOLDEN / "inputs" / "measure.json").read_text())
+    doc["components"][0][field] = value
+    code, out, err = run(capsys, "measure", "eval", write(tmp_path, "measure.json", doc))
     assert code == 1
     assert err.startswith(start)
     assert len(err) < 1024

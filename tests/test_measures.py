@@ -7,8 +7,11 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_measure, random_open_graded
+from helpers import random_components, random_domain, random_measure, random_open_graded
 from levelring.measures import (
+    _complement,
+    _norm,
+    _piece_contains,
     Atom,
     Density,
     Domain,
@@ -47,6 +50,161 @@ def _span(iid):
 regions = st.lists(
     st.one_of(_span("I"), _span("J")), max_size=4
 ).map(lambda spans: Region.of(DOM, spans))
+
+
+# ---------------------------------------------------------------------------
+# oracles: the all-pairs intersection and the per-call support, as they were
+# before regions were merged linearly and measures kept a level index, and
+# the measure functions rebuilt on them
+
+def oracle_piece_intersect(p, q):
+    lo = max(p[0], q[0])
+    hi = min(p[1], q[1])
+    if lo > hi:
+        return None
+    cl = _piece_contains(p, lo) and _piece_contains(q, lo)
+    cr = _piece_contains(p, hi) and _piece_contains(q, hi)
+    if lo == hi:
+        return (lo, hi, True, True) if cl and cr else None
+    return (lo, hi, cl, cr)
+
+
+def oracle_intersect(a, b):
+    return a._rebuild(
+        {
+            i: _norm(
+                r
+                for p in a._pieces(i)
+                for q in b._pieces(i)
+                if (r := oracle_piece_intersect(p, q)) is not None
+            )
+            for i in a.domain.ids
+        }
+    )
+
+
+def oracle_complement(a):
+    return a._rebuild(
+        {i: _norm(_complement(a._pieces(i), length)) for i, length in a.domain.intervals}
+    )
+
+
+def oracle_minus(a, b):
+    return oracle_intersect(a, oracle_complement(b))
+
+
+def oracle_contains(a, iid, x):
+    return any(_piece_contains(p, x) for p in a._pieces(iid))
+
+
+def oracle_support(mu, k):
+    spans = [
+        (c.interval, c.lo, c.hi, True, True)
+        for c in mu.components
+        if isinstance(c, Density) and c.level >= k
+    ]
+    pts = [(c.interval, c.position) for c in mu.components if isinstance(c, Atom) and c.level >= k]
+    return Region.of(mu.domain, spans, pts)
+
+
+def oracle_level_mass(mu, k, region):
+    out = XRat(0)
+    for c in mu.components:
+        if c.level != k:
+            continue
+        if isinstance(c, Atom):
+            if oracle_contains(region, c.interval, c.position):
+                out = out + c.mass
+        else:
+            carrier = interval(mu.domain, c.interval, c.lo, c.hi)
+            overlap = oracle_intersect(region, carrier).length()
+            if overlap > 0:
+                out = out + c.rate * overlap
+    return out
+
+
+def oracle_evaluate(mu, region):
+    for k in sorted({c.level for c in mu.components}, reverse=True):
+        m = oracle_level_mass(mu, k, region)
+        if m:
+            return pair(k, m)
+    return ZERO
+
+
+def oracle_nu_hat(mu, k, region):
+    stratum = oracle_minus(oracle_support(mu, k), oracle_support(mu, k + 1))
+    return oracle_level_mass(mu, k, oracle_intersect(region, stratum))
+
+
+def oracle_recover(mu):
+    comps = []
+    for k in sorted({c.level for c in mu.components}):
+        higher = oracle_support(mu, k + 1)
+        for c in mu.components:
+            if c.level != k:
+                continue
+            if isinstance(c, Atom):
+                if not oracle_contains(higher, c.interval, c.position):
+                    comps.append(c)
+            else:
+                kept = oracle_minus(interval(mu.domain, c.interval, c.lo, c.hi), higher)
+                for lo, hi, _, _ in kept._pieces(c.interval):
+                    if lo < hi:
+                        comps.append(Density(c.interval, lo, hi, k, c.rate))
+    return FHMeasure(mu.domain, comps, mu.height_bound)
+
+
+def oracle_is_open_graded(mu):
+    for c in mu.components:
+        if not isinstance(c, Atom):
+            continue
+        if not oracle_contains(oracle_support(mu, c.level + 1), c.interval, c.position):
+            continue
+        stacked = any(
+            isinstance(d, Atom)
+            and d.level > c.level
+            and d.interval == c.interval
+            and d.position == c.position
+            for d in mu.components
+        )
+        if not stacked:
+            return False
+    return True
+
+
+def oracle_is_locally_finite(mu):
+    for c in mu.components:
+        higher = oracle_support(mu, c.level + 1)
+        if isinstance(c, Atom):
+            if c.mass.is_infinite and not oracle_contains(higher, c.interval, c.position):
+                return False
+        elif c.rate.is_infinite:
+            carrier = interval(mu.domain, c.interval, c.lo, c.hi)
+            if oracle_intersect(carrier, higher).is_empty:
+                return False
+    return True
+
+
+# regions on three intervals mixing points, open, half-open and closed
+# pieces on a coarse grid, so that pieces often abut or share an end
+TRIO = Domain([("I", 1), ("J", 2), ("K", Fraction(1, 3))])
+
+
+def _trio_span(iid, length):
+    return st.tuples(
+        st.integers(0, 6), st.integers(0, 6), st.booleans(), st.booleans()
+    ).map(lambda t: (iid, length * min(t[:2]) / 6, length * max(t[:2]) / 6, t[2], t[3]))
+
+
+trio_regions = st.tuples(
+    st.lists(st.one_of(*[_trio_span(i, l) for i, l in TRIO.intervals]), max_size=8),
+    st.lists(
+        st.tuples(st.sampled_from(TRIO.intervals), st.integers(0, 6)).map(
+            lambda t: (t[0][0], t[0][1] * t[1] / 6)
+        ),
+        max_size=3,
+    ),
+).map(lambda t: Region.of(TRIO, *t))
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +305,35 @@ def test_contains_tracks_set_ops(a, b):
             a.contains(iid, x) and b.contains(iid, x)
         )
         assert a.complement().contains(iid, x) == (not a.contains(iid, x))
+
+
+@settings(max_examples=300)
+@given(trio_regions, trio_regions)
+def test_region_ops_agree_with_the_all_pairs_oracle(a, b):
+    assert a.intersect(b) == oracle_intersect(a, b)
+    assert a.minus(b) == oracle_minus(a, b)
+    assert a.complement() == oracle_complement(a)
+    for iid, length in TRIO.intervals:
+        for n in range(13):
+            x = length * n / 12
+            assert a.contains(iid, x) == oracle_contains(a, iid, x)
+
+
+def test_region_echoes_are_bounded():
+    huge = Fraction(10**4000, 3)
+    for bad in (
+        lambda: interval(DOM, "I", huge, 0),
+        lambda: interval(DOM, "I", 0, huge),
+        lambda: points(DOM, ("I", huge)),
+        lambda: interval(DOM, "K" * 60000, 0, 1),
+        lambda: FHMeasure(UNIT, [Atom("I", huge, 0, 1)]),
+        lambda: FHMeasure(UNIT, [Density("I", 0, huge, 0, 1)]),
+        lambda: FHMeasure(UNIT, [Atom("I", 0, 10**4000, 1)]),
+        lambda: FHMeasure(UNIT, [Atom("K" * 60000, 0, 0, 1)]),
+    ):
+        with pytest.raises((ValueError, KeyError)) as caught:
+            bad()
+        assert len(caught.value.args[0]) < 200
 
 
 # ---------------------------------------------------------------------------
@@ -329,3 +516,57 @@ def test_atom_stacked_under_higher_atom_is_invisible_but_safe():
     thinned = FHMeasure(UNIT, [Atom("I", p, 1, 2)])
     for region in grid_sets(stacked):
         assert evaluate(stacked, region) == evaluate(thinned, region)
+
+
+# ---------------------------------------------------------------------------
+# the level index against the oracles
+
+
+def _lumped_measure(rng):
+    """Several random component draws on one domain: up to 20 components,
+    often stacked or abutting."""
+    dom = random_domain(rng)
+    comps = [c for _ in range(4) for c in random_components(rng, dom, 3, True)]
+    return FHMeasure(dom, comps)
+
+
+def test_level_index_agrees_with_the_oracle_supports():
+    rng = Random(6)
+    makers = (random_measure, random_open_graded, _lumped_measure)
+    seen = set()
+    for n in range(90):
+        maker = makers[n % 3]
+        mu = maker(rng) if maker is _lumped_measure else maker(rng, max_level=3)
+        top = mu.height if mu.height is not None else 0
+        for k in range(-1, top + 3):
+            assert support(mu, k) == oracle_support(mu, k)
+        sets = grid_sets(mu, midpoints=False)
+        for region in rng.sample(sets, min(len(sets), 30)):
+            assert evaluate(mu, region) == oracle_evaluate(mu, region)
+            for k in range(top + 2):
+                assert nu_hat(mu, k, region) == oracle_nu_hat(mu, k, region)
+        assert recover(mu) == oracle_recover(mu)
+        graded, finite = is_open_graded(mu), is_locally_finite(mu)
+        assert graded == oracle_is_open_graded(mu)
+        assert finite == oracle_is_locally_finite(mu)
+        seen.add((graded, finite))
+    assert len(seen) == 4  # every verdict pair is exercised
+
+
+def test_measure_identity_ignores_index():
+    comps = [Atom("I", Fraction(1, 2), 3, 1), Density("I", 0, 1, 1, 2)]
+    warm, cold = FHMeasure(UNIT, comps), FHMeasure(UNIT, comps)
+    assert nu_hat(warm, 1, Region.whole(UNIT)) == XRat(2)
+    assert warm._index is not None and cold._index is None
+    assert warm == cold
+    assert hash(warm) == hash(cold)
+    assert repr(warm) == repr(cold)
+    assert warm in {cold}
+    # derived measures start with an index of their own
+    aligned, rebuilt = align(warm), recover(warm)
+    assert aligned._index is None and rebuilt._index is None
+    assert support(aligned, 1) == points(UNIT, ("I", Fraction(1, 2)))
+    assert support(aligned, 1) == oracle_support(aligned, 1)
+    assert aligned._index is not warm._index
+    assert support(warm, 2) == support(warm, 3) == points(UNIT, ("I", Fraction(1, 2)))
+    assert support(rebuilt, 0) == oracle_support(rebuilt, 0)
