@@ -18,10 +18,17 @@ recovery round-trip that rebuilds evaluation from the per-level slices, the
 gradedness and local-finiteness validators, and ``align``, which deletes
 empty levels.
 
-Each measure keeps a level index, built on first use: its components by
-level, the support of every occupied level (built once, top down), and the
-complements and strata the slices reuse.  Region operations are linear
-merges over sorted, disjoint piece lists.
+Each measure keeps a level index, built on first use.  It groups the
+components by level and sweeps each interval once.  The marks of an
+interval (0, its length, every atom position and density end), sorted as
+x_0 < ... < x_m, cut it into slots: slot 2i is the point x_i and slot 2i+1
+the open gap (x_i, x_i+1).  Painting the components from the highest level
+down, each slot written once, gives top[slot], the highest level covering
+it.  A maximal run of slots is one normalized piece, so support(k) is the
+runs with top >= k, its complement the runs with top < k, and every
+stratum (top == k) comes out of one pass.  Point queries read top
+directly.  Region operations are linear merges over sorted, disjoint piece
+lists.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from levelring.values import _ECHO, DEFAULT_HEIGHT_BOUND, LevelValue, XRat, ZERO, pair
 
@@ -81,11 +88,16 @@ class Domain:
                 raise ValueError("interval lengths must be positive")
         object.__setattr__(self, "intervals", rows)
 
+    @cached_property
+    def _lengths(self) -> dict[str, Fraction]:
+        # not a field: equality, hash and repr see only the intervals
+        return dict(self.intervals)
+
     def length_of(self, interval: str) -> Fraction:
-        for i, length in self.intervals:
-            if i == interval:
-                return length
-        raise KeyError(f"no interval {_ECHO.repr(interval)} in domain")
+        length = self._lengths.get(interval)
+        if length is None:
+            raise KeyError(f"no interval {_ECHO.repr(interval)} in domain")
+        return length
 
     @property
     def ids(self) -> tuple[str, ...]:
@@ -278,11 +290,13 @@ class Region:
             domain, [(i, 0, l, True, True) for i, l in domain.intervals]
         )
 
+    @cached_property
+    def _by_id(self) -> dict[str, tuple[Piece, ...]]:
+        # not a field: equality, hash and repr see only the parts
+        return dict(self.parts)
+
     def _pieces(self, interval: str) -> tuple[Piece, ...]:
-        for i, ps in self.parts:
-            if i == interval:
-                return ps
-        return ()
+        return self._by_id.get(interval, ())
 
     def _check_same_domain(self, other: "Region") -> None:
         if self.domain != other.domain:
@@ -492,10 +506,35 @@ class FHMeasure:
         return _index_of(self).levels
 
 
+def _ends(c: Component) -> tuple[Fraction, Fraction]:
+    """The ends of a component's closed carrier (an atom's are its point)."""
+    return (c.position, c.position) if isinstance(c, Atom) else (c.lo, c.hi)
+
+
+def _runs(
+    x: Sequence[Fraction], top: Sequence[int], key: Optional[Callable[[int], object]] = None
+) -> Iterator[tuple[object, Piece]]:
+    """Each maximal run of slots over which key(top) keeps one value, as
+    (value, piece).  Slot 2i is the mark x[i] and slot 2i+1 the open gap
+    after it, so slots s..e-1 make the piece from x[s // 2] to x[e // 2],
+    closed at each end that is a mark.  A slot of another value parts any
+    two runs of one value, so the pieces of one value come out normalized."""
+    s = 0
+    for value, run in itertools.groupby(top, key):
+        e = s + len(tuple(run))
+        yield value, (x[s // 2], x[e // 2], s % 2 == 0, e % 2 == 1)
+        s = e
+
+
 class _LevelIndex:
-    """Per-level views of one measure.  The components by level are sorted
-    out at once; the supports, their complements, the strata and the atom
-    stacks are each built on first use and then kept."""
+    """Per-level views of one measure.
+
+    The components by level are sorted out at once.  On first use each
+    interval is swept: its marks (0, the length, every atom position and
+    density end) cut it into slots, and top[slot] is the highest level
+    covering the slot, or -1.  The supports, their complements and the
+    strata are runs of slots; each is built on first use and then kept.
+    """
 
     def __init__(self, mu: FHMeasure):
         by_level: dict[int, list[Component]] = {}
@@ -504,46 +543,95 @@ class _LevelIndex:
         self.domain = mu.domain
         self.levels = tuple(sorted(by_level))
         self.by_level = by_level
-        self._outside: dict[int, Region] = {}
-        self._strata: dict[int, Region] = {}
+        self._cuts: dict[int, tuple[Region, Region]] = {}
 
     @cached_property
-    def supports(self) -> tuple[Region, ...]:
-        """support(k) at each occupied level k, in level order, built top
-        down: each level's carriers joined to the support above it."""
-        out: list[Region] = []
-        above = Region.empty(self.domain)
+    def sweep(self) -> dict[str, tuple[list[Fraction], dict[Fraction, int], list[int]]]:
+        """Per interval, in domain order: its sorted marks, the index of
+        each mark, and top[slot], painted from the highest level down."""
+        comps: dict[str, list[Component]] = {i: [] for i in self.domain.ids}
         for k in reversed(self.levels):
-            comps = self.by_level[k]
-            above = above.union(
-                Region.of(
-                    self.domain,
-                    [(c.interval, c.lo, c.hi, True, True) for c in comps if isinstance(c, Density)],
-                    [(c.interval, c.position) for c in comps if isinstance(c, Atom)],
-                )
-            )
-            out.append(above)
-        return tuple(reversed(out))
+            for c in self.by_level[k]:
+                comps[c.interval].append(c)
+        out = {}
+        for iid, length in self.domain.intervals:
+            marks = {Fraction(0), length}
+            for c in comps[iid]:
+                marks.update(_ends(c))
+            x = sorted(marks)
+            at = {v: i for i, v in enumerate(x)}
+            top = [-1] * (2 * len(x) - 1)
+            # skip[s] leads to the first unpainted slot at or after s, so
+            # each slot is painted once, by the highest level covering it
+            skip = list(range(len(top) + 1))
+            for c in comps[iid]:
+                lo, hi = _ends(c)
+                s, last = 2 * at[lo], 2 * at[hi]
+                while True:
+                    r = s
+                    while skip[r] != r:
+                        r = skip[r]
+                    while skip[s] != r:
+                        skip[s], s = r, skip[s]
+                    if r > last:
+                        break
+                    top[r] = c.level
+                    skip[r] = s = r + 1
+            out[iid] = (x, at, top)
+        return out
+
+    def _regions(self, key: Optional[Callable[[int], object]] = None) -> dict[object, Region]:
+        """The slots grouped by key(top level), one region per value."""
+        parts: dict[object, list] = {}
+        for iid, (x, _, top) in self.sweep.items():
+            pieces: dict[object, list[Piece]] = {}
+            for value, p in _runs(x, top, key):
+                pieces.setdefault(value, []).append(p)
+            for value, ps in pieces.items():
+                parts.setdefault(value, []).append((iid, tuple(ps)))
+        return {value: Region(self.domain, tuple(ps)) for value, ps in parts.items()}
+
+    def _cut(self, k: int) -> tuple[Region, Region]:
+        """support(k), the slots covered at level k or higher (at least 0),
+        and its complement, kept per distinct support."""
+        i = bisect_left(self.levels, k)
+        if i not in self._cuts:
+            sides = self._regions(lambda t: t >= max(k, 0))
+            empty = Region.empty(self.domain)
+            self._cuts[i] = (sides.get(True, empty), sides.get(False, empty))
+        return self._cuts[i]
 
     def support(self, k: int) -> Region:
-        """support(k) is that of the lowest occupied level at or above k."""
-        i = bisect_left(self.levels, k)
-        return self.supports[i] if i < len(self.levels) else Region.empty(self.domain)
+        return self._cut(k)[0]
 
     def outside(self, k: int) -> Region:
-        """The complement of support(k), kept per distinct support."""
-        i = bisect_left(self.levels, k)
-        if i not in self._outside:
-            self._outside[i] = self.support(k).complement()
-        return self._outside[i]
+        return self._cut(k)[1]
+
+    @cached_property
+    def strata(self) -> dict[int, Region]:
+        """The slots whose top level is k, for every k at once: each slot
+        lies in exactly one stratum (-1 holds the uncovered slots)."""
+        return self._regions()
 
     def stratum(self, k: int) -> Region:
         """support(k) clear of support(k+1); empty at unoccupied levels."""
-        if k not in self.by_level:
+        if k < 0 or k not in self.strata:
             return Region.empty(self.domain)
-        if k not in self._strata:
-            self._strata[k] = self.support(k).intersect(self.outside(k + 1))
-        return self._strata[k]
+        return self.strata[k]
+
+    def peak(self, c: Component) -> int:
+        """The highest level covering any point of c's carrier."""
+        _, at, top = self.sweep[c.interval]
+        lo, hi = _ends(c)
+        return max(top[2 * at[lo] : 2 * at[hi] + 1])
+
+    def clear(self, c: Density) -> list[tuple[Fraction, Fraction]]:
+        """The runs of a density's carrier that no higher level covers.  No
+        run is a lone point: a carrier covering a gap covers its ends."""
+        x, at, top = self.sweep[c.interval]
+        a, b = at[c.lo], at[c.hi]
+        runs = _runs(x[a : b + 1], top[2 * a : 2 * b + 1], lambda t: t == c.level)
+        return [(lo, hi) for bare, (lo, hi, _, _) in runs if bare]
 
     @cached_property
     def top_atom(self) -> dict[tuple[str, Fraction], int]:
@@ -623,18 +711,13 @@ def recover(mu: FHMeasure) -> FHMeasure:
     index = _index_of(mu)
     comps: list[Component] = []
     for k in index.levels:
-        higher = index.support(k + 1)
         for c in index.by_level[k]:
             if isinstance(c, Atom):
-                if not higher.contains(c.interval, c.position):
+                if index.peak(c) == k:
                     comps.append(c)
             else:
-                kept = interval(mu.domain, c.interval, c.lo, c.hi).intersect(
-                    index.outside(k + 1)
-                )
-                for lo, hi, _, _ in kept._pieces(c.interval):
-                    if lo < hi:
-                        comps.append(Density(c.interval, lo, hi, k, c.rate))
+                for lo, hi in index.clear(c):
+                    comps.append(Density(c.interval, lo, hi, k, c.rate))
     return FHMeasure(mu.domain, comps, mu.height_bound)
 
 
@@ -686,7 +769,7 @@ def is_open_graded(mu: FHMeasure) -> bool:
         if (
             isinstance(c, Atom)
             and index.top_atom[(c.interval, c.position)] == c.level
-            and index.support(c.level + 1).contains(c.interval, c.position)
+            and index.peak(c) > c.level
         ):
             return False
     return True
@@ -701,15 +784,9 @@ def is_locally_finite(mu: FHMeasure) -> bool:
     """
     index = _index_of(mu)
     for c in mu.components:
-        higher = index.support(c.level + 1)
-        if isinstance(c, Atom):
-            if c.mass.is_infinite and not higher.contains(c.interval, c.position):
-                return False
-        else:
-            if c.rate.is_infinite:
-                carrier = interval(mu.domain, c.interval, c.lo, c.hi)
-                if carrier.intersect(higher).is_empty:
-                    return False
+        weight = c.mass if isinstance(c, Atom) else c.rate
+        if weight.is_infinite and index.peak(c) == c.level:
+            return False
     return True
 
 

@@ -1,6 +1,8 @@
 """Tests for the interval-region algebra and finite-height measures."""
 
 import itertools
+import json
+from bisect import bisect_left
 from fractions import Fraction
 from random import Random
 
@@ -8,8 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import random_components, random_domain, random_measure, random_open_graded
+from levelring.cli import main
 from levelring.measures import (
     _complement,
+    _index_of,
     _norm,
     _piece_contains,
     Atom,
@@ -183,6 +187,41 @@ def oracle_is_locally_finite(mu):
             if oracle_intersect(carrier, higher).is_empty:
                 return False
     return True
+
+
+class OracleLevelIndex:
+    """The level index as it was before the slot sweep: each occupied
+    level's support joined to the one above it with Region.union, top
+    down, and the complements and strata taken by region algebra."""
+
+    def __init__(self, mu):
+        self.domain = mu.domain
+        self.levels = sorted({c.level for c in mu.components})
+        self.supports = []
+        above = Region.empty(mu.domain)
+        for k in reversed(self.levels):
+            comps = [c for c in mu.components if c.level == k]
+            above = above.union(
+                Region.of(
+                    mu.domain,
+                    [(c.interval, c.lo, c.hi, True, True) for c in comps if isinstance(c, Density)],
+                    [(c.interval, c.position) for c in comps if isinstance(c, Atom)],
+                )
+            )
+            self.supports.append(above)
+        self.supports.reverse()
+
+    def support(self, k):
+        i = bisect_left(self.levels, k)
+        return self.supports[i] if i < len(self.levels) else Region.empty(self.domain)
+
+    def outside(self, k):
+        return self.support(k).complement()
+
+    def stratum(self, k):
+        if k not in self.levels:
+            return Region.empty(self.domain)
+        return self.support(k).intersect(self.outside(k + 1))
 
 
 # regions on three intervals mixing points, open, half-open and closed
@@ -530,6 +569,23 @@ def _lumped_measure(rng):
     return FHMeasure(dom, comps)
 
 
+def _assert_index_agrees(mu):
+    """The slot sweep against the union-built index and the per-call
+    oracles, at every level from -1 to two above the top; returns the
+    (open-graded, locally-finite) verdicts."""
+    index, old = _index_of(mu), OracleLevelIndex(mu)
+    top = mu.height if mu.height is not None else 0
+    for k in range(-1, top + 3):
+        assert support(mu, k) == old.support(k) == oracle_support(mu, k)
+        assert index.outside(k) == old.outside(k)
+        assert index.stratum(k) == old.stratum(k)
+    assert recover(mu) == oracle_recover(mu)
+    graded, finite = is_open_graded(mu), is_locally_finite(mu)
+    assert graded == oracle_is_open_graded(mu)
+    assert finite == oracle_is_locally_finite(mu)
+    return graded, finite
+
+
 def test_level_index_agrees_with_the_oracle_supports():
     rng = Random(6)
     makers = (random_measure, random_open_graded, _lumped_measure)
@@ -537,20 +593,62 @@ def test_level_index_agrees_with_the_oracle_supports():
     for n in range(90):
         maker = makers[n % 3]
         mu = maker(rng) if maker is _lumped_measure else maker(rng, max_level=3)
+        seen.add(_assert_index_agrees(mu))
         top = mu.height if mu.height is not None else 0
-        for k in range(-1, top + 3):
-            assert support(mu, k) == oracle_support(mu, k)
         sets = grid_sets(mu, midpoints=False)
         for region in rng.sample(sets, min(len(sets), 30)):
             assert evaluate(mu, region) == oracle_evaluate(mu, region)
             for k in range(top + 2):
                 assert nu_hat(mu, k, region) == oracle_nu_hat(mu, k, region)
-        assert recover(mu) == oracle_recover(mu)
-        graded, finite = is_open_graded(mu), is_locally_finite(mu)
-        assert graded == oracle_is_open_graded(mu)
-        assert finite == oracle_is_locally_finite(mu)
-        seen.add((graded, finite))
     assert len(seen) == 4  # every verdict pair is exercised
+
+
+def _dense_measure(rng):
+    """40-200 components on 1-3 intervals, all ends on a 1/8 grid so they
+    often coincide: abutting densities, atoms on density ends, atoms
+    stacked on one spot, same-level overlaps and infinite weights.  The
+    domain's last interval carries no component."""
+    lengths = [Fraction(rng.randint(1, 3), rng.choice((1, 2))) for _ in range(rng.randint(1, 3))]
+    dom = Domain([(f"I{i}", l) for i, l in enumerate(lengths)] + [("E", 1)])
+    top = rng.randint(1, 6)
+    comps = []
+    for _ in range(rng.randint(40, 200)):
+        i = rng.randrange(len(lengths))
+        iid, step = f"I{i}", lengths[i] / 8
+        level = rng.randint(0, top)
+        weight = XRat("inf") if rng.random() < 0.05 else XRat(Fraction(rng.randint(1, 9), rng.randint(1, 3)))
+        ours = [c for c in comps if c.interval == iid]
+        kind = rng.random()
+        if kind < 0.4:
+            a, b = sorted(rng.sample(range(9), 2))
+            comps.append(Density(iid, a * step, b * step, level, weight))
+        elif kind < 0.55 and ours:
+            # abut a density already there, on either side
+            d = rng.choice([c for c in ours if isinstance(c, Density)] or [None])
+            if d is not None and d.hi < lengths[i]:
+                comps.append(Density(iid, d.hi, lengths[i], level, weight))
+            elif d is not None and d.lo > 0:
+                comps.append(Density(iid, 0, d.lo, level, weight))
+        elif kind < 0.7 and ours:
+            # an atom on a density end, or stacked on another atom
+            c = rng.choice(ours)
+            spot = c.position if isinstance(c, Atom) else rng.choice((c.lo, c.hi))
+            comps.append(Atom(iid, spot, level, weight))
+        else:
+            comps.append(Atom(iid, rng.randint(0, 8) * step, level, weight))
+    return FHMeasure(dom, comps)
+
+
+def test_level_index_agrees_with_the_oracle_on_dense_ends():
+    rng = Random(7)
+    seen = set()
+    for _ in range(40):
+        mu = _dense_measure(rng)
+        assert 40 <= len(mu.components) <= 200
+        seen.add(_assert_index_agrees(mu))
+        assert support(mu, 0)._pieces("E") == ()
+        assert _index_of(mu).outside(0)._pieces("E") == ((Fraction(0), Fraction(1), True, True),)
+    assert len(seen) >= 3
 
 
 def test_measure_identity_ignores_index():
@@ -570,3 +668,48 @@ def test_measure_identity_ignores_index():
     assert aligned._index is not warm._index
     assert support(warm, 2) == support(warm, 3) == points(UNIT, ("I", Fraction(1, 2)))
     assert support(rebuilt, 0) == oracle_support(rebuilt, 0)
+
+
+def test_stacked_levels_scale(tmp_path, capsys):
+    # n atoms at n distinct levels: every level is its own stratum, so each
+    # slice holds exactly its own atom's mass
+    n = 2000
+    comps = [Atom("I", Fraction(i, n), i, i + 1) for i in range(n)]
+    mu = FHMeasure(UNIT, comps, height_bound=n)
+    whole = Region.whole(UNIT)
+    assert [nu_hat(mu, k, whole) for k in mu.levels()] == [XRat(k + 1) for k in range(n)]
+    assert is_open_graded(mu) and is_locally_finite(mu)
+
+    doc = {
+        "domain": {"intervals": [{"id": "I", "length": "1"}]},
+        "height_bound": n,
+        "components": [
+            {"kind": "atom", "interval": "I", "position": str(c.position), "level": c.level, "mass": str(c.level + 1)}
+            for c in comps
+        ],
+    }
+    target = tmp_path / "stacked.json"
+    target.write_text(json.dumps(doc))
+    assert main(["measure", "decompose", str(target)]) == 0
+    table = json.loads(capsys.readouterr().out)["result"]["table"]
+    assert table == [{"level": k, "mass": str(k + 1)} for k in range(n)]
+
+
+def test_many_intervals_keep_identity():
+    # the id lookups domains and regions keep take no part in identity
+    n = 3000
+    rows = [(f"I{i}", Fraction(i + 1, 7)) for i in range(n)]
+    dom = Domain(rows)
+    comps = [Atom(f"I{i}", 0, i % 3, 1) for i in range(n)]
+    mu = FHMeasure(dom, comps)
+    whole = Region.whole(dom)
+    assert evaluate(mu, whole) == pair(2, 1000)
+    assert whole.contains(f"I{n - 1}", Fraction(n, 7))
+
+    fresh_dom = Domain(rows)
+    assert "_lengths" in dom.__dict__ and "_lengths" not in fresh_dom.__dict__
+    assert (dom == fresh_dom, hash(dom), repr(dom)) == (True, hash(fresh_dom), repr(fresh_dom))
+    fresh_whole = Region.of(fresh_dom, [(i, 0, l, True, True) for i, l in rows])
+    assert (whole == fresh_whole, hash(whole), repr(whole)) == (True, hash(fresh_whole), repr(fresh_whole))
+    fresh = FHMeasure(fresh_dom, comps)
+    assert (mu == fresh, hash(mu), repr(mu)) == (True, hash(fresh), repr(fresh))
