@@ -18,6 +18,11 @@ token; rationals are reduced strings.  The composite formats:
 
 Decoders validate shape and raise ``FormatError`` with the offending
 location; encoders emit plain JSON-ready structures (no custom classes).
+Locations are formatted only when a check fails: each private decoder
+reports a fault relative to the value it was handed, every enclosing
+array or object decoder prefixes its own segment (``.edges``, ``[12]``)
+as the error passes out, and the public ``*_from_json`` prefixes its
+``where``.  The text is the same as if every spot had been named up front.
 """
 
 from __future__ import annotations
@@ -29,8 +34,8 @@ from typing import Any, Optional
 from levelring.measures import Atom, Density, Domain, FHMeasure
 from levelring.tracks import TrainTrack
 from levelring.trees import ChordFamily, STree
-from levelring.values import _ECHO, DEFAULT_HEIGHT_BOUND, LevelValue, XRat, ZERO, pair
-from levelring.vectors import Monomial, MonomialFamily, Vector, monomial
+from levelring.values import _ECHO, DEFAULT_HEIGHT_BOUND, INF, LevelValue, XRat, ZERO
+from levelring.vectors import Monomial, MonomialFamily, Vector
 
 __all__ = [
     "FormatError",
@@ -54,43 +59,89 @@ __all__ = [
 
 
 class FormatError(ValueError):
-    """Malformed input document."""
+    """Malformed input document; the message reads ``"<where>: <why>"``.
+
+    ``where`` locates the fault relative to the value being decoded, and
+    ``within`` prefixes an enclosing segment.  ``why`` may itself be a
+    ``FormatError`` located relative to the same value (a nested failure
+    a decoder reports as its own); ``within`` prefixes it too.
+    """
+
+    def __init__(self, where: str, why: "str | FormatError"):
+        super().__init__(f"{where}: {why}")
+        self.where = where
+        self.why = why
+
+    def within(self, prefix: str) -> "FormatError":
+        why = self.why.within(prefix) if isinstance(self.why, FormatError) else self.why
+        return FormatError(prefix + self.where, why)
 
 
-def _fail(where: str, why: str) -> "FormatError":
-    return FormatError(f"{where}: {why}")
+def _wrong(obj: Any, what: str, where: str) -> FormatError:
+    return FormatError(where, f"expected {what}, got {_ECHO.repr(obj)}")
 
 
 def _expect_int(obj: Any, where: str) -> int:
     if isinstance(obj, bool) or not isinstance(obj, int):
-        raise _fail(where, f"expected an integer, got {_ECHO.repr(obj)}")
+        raise _wrong(obj, "an integer", where)
     return obj
 
 
 def _expect_str(obj: Any, where: str) -> str:
     if not isinstance(obj, str):
-        raise _fail(where, f"expected a string, got {_ECHO.repr(obj)}")
+        raise _wrong(obj, "a string", where)
     return obj
 
 
 def _expect_list(obj: Any, where: str) -> list:
     if not isinstance(obj, list):
-        raise _fail(where, f"expected an array, got {_ECHO.repr(obj)}")
+        raise _wrong(obj, "an array", where)
     return obj
 
 
-def _expect_obj(obj: Any, keys: set, where: str) -> dict:
+def _expect_obj(obj: Any, keys: "set | frozenset", where: str) -> dict:
     if not isinstance(obj, dict):
-        raise _fail(where, f"expected an object, got {_ECHO.repr(obj)}")
+        raise _wrong(obj, "an object", where)
     if obj.keys() == keys:
         return obj
     missing = keys - obj.keys()
     if missing:
-        raise _fail(where, f"missing keys {sorted(missing)}")
+        raise FormatError(where, f"missing keys {sorted(missing)}")
     stray = obj.keys() - keys - {"comment"}
     if stray:
-        raise _fail(where, f"unknown keys {_ECHO.repr(sorted(stray))}")
+        raise FormatError(where, f"unknown keys {_ECHO.repr(sorted(stray))}")
     return obj
+
+
+def _located(decode, obj: Any, where: str):
+    """decode(obj), with any fault's location prefixed by where."""
+    try:
+        return decode(obj)
+    except FormatError as exc:
+        raise exc.within(where) from None
+
+
+def _each(decode, obj: Any, where: str) -> list:
+    """decode each entry of the array obj; a fault in entry i is located
+    at where[i]."""
+    out = []
+    for i, entry in enumerate(_expect_list(obj, where)):
+        try:
+            out.append(decode(entry))
+        except FormatError as exc:
+            raise exc.within(f"{where}[{i}]") from None
+    return out
+
+
+def _strings(obj: Any, where: str) -> list:
+    """An array of strings; a bad entry is located at ``where[i]``.  (The
+    check is inline, not an ``_each`` call per entry: a tree lists every
+    node id here.)"""
+    items = _expect_list(obj, where)
+    for i, s in enumerate(items):
+        if not isinstance(s, str):
+            raise _wrong(s, "a string", f"{where}[{i}]")
+    return items
 
 
 # --- scalars -------------------------------------------------------------------
@@ -105,24 +156,34 @@ def rat_to_str(x) -> str:
 _RATIONAL = re.compile(r"^([0-9]+)(?:/([0-9]+))?$")
 
 
-def rat_from_str(s: Any, where: str = "rational") -> XRat:
-    text = _expect_str(s, where)
-    if text == "inf":
-        return XRat("inf")
-    match = _RATIONAL.match(text)
+def _fraction(s: Any, where: str) -> Optional[Fraction]:
+    """A "p/q" or "p" string as a Fraction; None for "inf"."""
+    if not isinstance(s, str):
+        raise _wrong(s, "a string", where)
+    if s == "inf":
+        return None
+    match = _RATIONAL.match(s)
     if not match:
-        raise _fail(where, f'not a "p/q" rational or "inf": {_ECHO.repr(text)}')
+        raise FormatError(where, f'not a "p/q" rational or "inf": {_ECHO.repr(s)}')
+    num, den = match.groups()
+    if den is None:
+        return Fraction(int(num))
     try:
-        return XRat(Fraction(int(match[1]), int(match[2] or 1)))
+        return Fraction(int(num), int(den))
     except ZeroDivisionError:
-        raise _fail(where, f"zero denominator: {_ECHO.repr(text)}")
+        raise FormatError(where, f"zero denominator: {_ECHO.repr(s)}") from None
+
+
+def rat_from_str(s: Any, where: str = "rational") -> XRat:
+    frac = _fraction(s, where)
+    return INF if frac is None else XRat(frac)
 
 
 def _finite_from_str(s: Any, where: str) -> Fraction:
-    x = rat_from_str(s, where)
-    if x.is_infinite:
-        raise _fail(where, '"inf" is not allowed here')
-    return x.as_fraction
+    frac = _fraction(s, where)
+    if frac is None:
+        raise FormatError(where, '"inf" is not allowed here')
+    return frac
 
 
 # --- leveled values --------------------------------------------------------------
@@ -133,16 +194,23 @@ def svalue_to_json(v: LevelValue) -> Optional[dict]:
     return {"level": v.level, "real": rat_to_str(v.magnitude)}
 
 
-def svalue_from_json(obj: Any, where: str = "value") -> LevelValue:
+_VALUE = frozenset({"level", "real"})
+
+
+def _svalue(obj: Any) -> LevelValue:
     if obj is None:
         return ZERO
-    doc = _expect_obj(obj, {"level", "real"}, where)
-    level = _expect_int(doc["level"], f"{where}.level")
-    magnitude = rat_from_str(doc["real"], f"{where}.real")
+    doc = _expect_obj(obj, _VALUE, "")
+    level = _expect_int(doc["level"], ".level")
+    frac = _fraction(doc["real"], ".real")
     try:
-        return pair(level, magnitude)
+        return LevelValue(level, INF if frac is None else XRat(frac))
     except ValueError as exc:
-        raise _fail(where, str(exc))
+        raise FormatError("", str(exc)) from None
+
+
+def svalue_from_json(obj: Any, where: str = "value") -> LevelValue:
+    return _located(_svalue, obj, where)
 
 
 def vector_to_json(vec) -> list:
@@ -150,10 +218,7 @@ def vector_to_json(vec) -> list:
 
 
 def vector_from_json(obj: Any, where: str = "vector") -> Vector:
-    return tuple(
-        svalue_from_json(entry, f"{where}[{i}]")
-        for i, entry in enumerate(_expect_list(obj, where))
-    )
+    return tuple(_each(_svalue, obj, where))
 
 
 # --- monomial families ------------------------------------------------------------
@@ -167,26 +232,24 @@ def family_to_json(family: MonomialFamily) -> list:
     ]
 
 
+_MONOMIAL = frozenset({"level", "coeff", "degree"})
+
+
+def _monomial(obj: Any) -> Optional[Monomial]:
+    if obj is None:
+        return None
+    doc = _expect_obj(obj, _MONOMIAL, "")
+    coeff = _finite_from_str(doc["coeff"], ".coeff")
+    try:
+        return Monomial(_expect_int(doc["level"], ".level"), coeff, _expect_int(doc["degree"], ".degree"))
+    except ValueError as exc:
+        # a bad level or degree is a fault of the whole entry, quoting the
+        # located fault as its reason
+        raise FormatError("", exc if isinstance(exc, FormatError) else str(exc)) from None
+
+
 def family_from_json(obj: Any, where: str = "family") -> MonomialFamily:
-    out = []
-    for i, entry in enumerate(_expect_list(obj, where)):
-        spot = f"{where}[{i}]"
-        if entry is None:
-            out.append(None)
-            continue
-        doc = _expect_obj(entry, {"level", "coeff", "degree"}, spot)
-        coeff = _finite_from_str(doc["coeff"], f"{spot}.coeff")
-        try:
-            out.append(
-                monomial(
-                    _expect_int(doc["level"], f"{spot}.level"),
-                    coeff,
-                    _expect_int(doc["degree"], f"{spot}.degree"),
-                )
-            )
-        except ValueError as exc:
-            raise _fail(spot, str(exc))
-    return tuple(out)
+    return tuple(_each(_monomial, obj, where))
 
 
 # --- train tracks -------------------------------------------------------------------
@@ -199,34 +262,45 @@ def track_to_json(track: TrainTrack) -> dict:
     }
 
 
-def track_from_json(obj: Any, where: str = "track") -> TrainTrack:
-    doc = _expect_obj(obj, {"segments", "switches"} | (
-        {"free_ends"} if isinstance(obj, dict) and "free_ends" in obj else set()
-    ), where)
-    segments = [
-        _expect_str(s, f"{where}.segments[{i}]")
-        for i, s in enumerate(_expect_list(doc["segments"], f"{where}.segments"))
-    ]
-    switches = []
-    for i, sw in enumerate(_expect_list(doc["switches"], f"{where}.switches")):
-        spot = f"{where}.switches[{i}]"
-        sw_doc = _expect_obj(sw, {"a", "b"}, spot)
-        side_a = [_expect_str(s, f"{spot}.a") for s in _expect_list(sw_doc["a"], f"{spot}.a")]
-        side_b = [_expect_str(s, f"{spot}.b") for s in _expect_list(sw_doc["b"], f"{spot}.b")]
-        switches.append((side_a, side_b))
+_SWITCH = frozenset({"a", "b"})
+
+
+def _side(obj: Any, where: str) -> list:
+    items = _expect_list(obj, where)
+    for s in items:
+        _expect_str(s, where)
+    return items
+
+
+def _switch(obj: Any) -> tuple[list, list]:
+    doc = _expect_obj(obj, _SWITCH, "")
+    return _side(doc["a"], ".a"), _side(doc["b"], ".b")
+
+
+def _track(obj: Any) -> TrainTrack:
+    has_free = isinstance(obj, dict) and "free_ends" in obj
+    doc = _expect_obj(obj, {"segments", "switches"} | ({"free_ends"} if has_free else set()), "")
+    segments = _strings(doc["segments"], ".segments")
+    switches = _each(_switch, doc["switches"], ".switches")
     free_ends = None
-    if "free_ends" in doc:
+    if has_free:
         raw = doc["free_ends"]
         if not isinstance(raw, dict):
-            raise _fail(f"{where}.free_ends", f"expected an object, got {_ECHO.repr(raw)}")
-        free_ends = {
-            seg: _expect_int(count, f"{where}.free_ends[{seg}]")
-            for seg, count in raw.items()
-        }
+            raise _wrong(raw, "an object", ".free_ends")
+        free_ends = {}
+        for seg, count in raw.items():
+            try:
+                free_ends[seg] = _expect_int(count, "")
+            except FormatError as exc:
+                raise exc.within(f".free_ends[{seg}]") from None
     try:
         return TrainTrack(segments, switches, free_ends)
     except ValueError as exc:
-        raise _fail(where, str(exc))
+        raise FormatError("", str(exc)) from None
+
+
+def track_from_json(obj: Any, where: str = "track") -> TrainTrack:
+    return _located(_track, obj, where)
 
 
 # --- measures -------------------------------------------------------------------------
@@ -267,72 +341,69 @@ def measure_to_json(mu: FHMeasure) -> dict:
     }
 
 
-def measure_from_json(obj: Any, where: str = "measure") -> FHMeasure:
-    doc = _expect_obj(
-        obj,
-        {"domain", "components"}
-        | ({"height_bound"} if isinstance(obj, dict) and "height_bound" in obj else set()),
-        where,
-    )
-    dom_doc = _expect_obj(doc["domain"], {"intervals"}, f"{where}.domain")
-    intervals = []
-    for i, row in enumerate(_expect_list(dom_doc["intervals"], f"{where}.domain.intervals")):
-        spot = f"{where}.domain.intervals[{i}]"
-        row_doc = _expect_obj(row, {"id", "length"}, spot)
-        intervals.append(
-            (
-                _expect_str(row_doc["id"], f"{spot}.id"),
-                _finite_from_str(row_doc["length"], f"{spot}.length"),
-            )
+_INTERVAL = frozenset({"id", "length"})
+_ATOM = frozenset({"kind", "interval", "position", "level", "mass"})
+_DENSITY = frozenset({"kind", "interval", "lo", "hi", "level", "rate"})
+
+
+def _interval(obj: Any) -> tuple[str, Fraction]:
+    doc = _expect_obj(obj, _INTERVAL, "")
+    return _expect_str(doc["id"], ".id"), _finite_from_str(doc["length"], ".length")
+
+
+def _component(obj: Any):
+    if not isinstance(obj, dict) or "kind" not in obj:
+        raise FormatError("", "expected an object with a \"kind\" tag")
+    kind = obj["kind"]
+    if kind == "atom":
+        doc = _expect_obj(obj, _ATOM, "")
+        return Atom(
+            _expect_str(doc["interval"], ".interval"),
+            _finite_from_str(doc["position"], ".position"),
+            _expect_int(doc["level"], ".level"),
+            rat_from_str(doc["mass"], ".mass"),
         )
+    if kind == "density":
+        doc = _expect_obj(obj, _DENSITY, "")
+        return Density(
+            _expect_str(doc["interval"], ".interval"),
+            _finite_from_str(doc["lo"], ".lo"),
+            _finite_from_str(doc["hi"], ".hi"),
+            _expect_int(doc["level"], ".level"),
+            rat_from_str(doc["rate"], ".rate"),
+        )
+    raise FormatError("", f"unknown component kind {_ECHO.repr(kind)}")
+
+
+def _measure(obj: Any) -> FHMeasure:
+    has_bound = isinstance(obj, dict) and "height_bound" in obj
+    doc = _expect_obj(obj, {"domain", "components"} | ({"height_bound"} if has_bound else set()), "")
+    dom_doc = _expect_obj(doc["domain"], {"intervals"}, ".domain")
+    intervals = _each(_interval, dom_doc["intervals"], ".domain.intervals")
     try:
         domain = Domain(intervals)
     except ValueError as exc:
-        raise _fail(f"{where}.domain", str(exc))
+        raise FormatError(".domain", str(exc)) from None
 
     components = []
-    for i, raw in enumerate(_expect_list(doc["components"], f"{where}.components")):
-        spot = f"{where}.components[{i}]"
-        if not isinstance(raw, dict) or "kind" not in raw:
-            raise _fail(spot, "expected an object with a \"kind\" tag")
-        kind = raw["kind"]
+    for i, raw in enumerate(_expect_list(doc["components"], ".components")):
         try:
-            if kind == "atom":
-                c_doc = _expect_obj(raw, {"kind", "interval", "position", "level", "mass"}, spot)
-                components.append(
-                    Atom(
-                        _expect_str(c_doc["interval"], f"{spot}.interval"),
-                        _finite_from_str(c_doc["position"], f"{spot}.position"),
-                        _expect_int(c_doc["level"], f"{spot}.level"),
-                        rat_from_str(c_doc["mass"], f"{spot}.mass"),
-                    )
-                )
-            elif kind == "density":
-                c_doc = _expect_obj(
-                    raw, {"kind", "interval", "lo", "hi", "level", "rate"}, spot
-                )
-                components.append(
-                    Density(
-                        _expect_str(c_doc["interval"], f"{spot}.interval"),
-                        _finite_from_str(c_doc["lo"], f"{spot}.lo"),
-                        _finite_from_str(c_doc["hi"], f"{spot}.hi"),
-                        _expect_int(c_doc["level"], f"{spot}.level"),
-                        rat_from_str(c_doc["rate"], f"{spot}.rate"),
-                    )
-                )
-            else:
-                raise _fail(spot, f"unknown component kind {_ECHO.repr(kind)}")
+            components.append(_component(raw))
+        except FormatError as exc:
+            raise exc.within(f".components[{i}]") from None
         except (ValueError, KeyError) as exc:
-            if isinstance(exc, FormatError):
-                raise
-            raise _fail(spot, exc.args[0] if exc.args else str(exc))
+            raise FormatError(f".components[{i}]", exc.args[0] if exc.args else str(exc)) from None
     height_bound = DEFAULT_HEIGHT_BOUND
-    if "height_bound" in doc:
-        height_bound = _expect_int(doc["height_bound"], f"{where}.height_bound")
+    if has_bound:
+        height_bound = _expect_int(doc["height_bound"], ".height_bound")
     try:
         return FHMeasure(domain, components, height_bound)
     except (ValueError, KeyError) as exc:
-        raise _fail(where, exc.args[0] if exc.args else str(exc))
+        raise FormatError("", exc.args[0] if exc.args else str(exc)) from None
+
+
+def measure_from_json(obj: Any, where: str = "measure") -> FHMeasure:
+    return _located(_measure, obj, where)
 
 
 # --- trees and chords --------------------------------------------------------------------
@@ -347,27 +418,28 @@ def tree_to_json(tree: STree) -> dict:
     }
 
 
-def tree_from_json(obj: Any, where: str = "tree") -> STree:
-    doc = _expect_obj(obj, {"nodes", "edges"}, where)
-    nodes = [
-        _expect_str(n, f"{where}.nodes[{i}]")
-        for i, n in enumerate(_expect_list(doc["nodes"], f"{where}.nodes"))
-    ]
-    edges = []
-    for i, raw in enumerate(_expect_list(doc["edges"], f"{where}.edges")):
-        spot = f"{where}.edges[{i}]"
-        e_doc = _expect_obj(raw, {"a", "b", "len"}, spot)
-        edges.append(
-            (
-                _expect_str(e_doc["a"], f"{spot}.a"),
-                _expect_str(e_doc["b"], f"{spot}.b"),
-                svalue_from_json(e_doc["len"], f"{spot}.len"),
-            )
-        )
+_EDGE = frozenset({"a", "b", "len"})
+
+
+def _edge(obj: Any) -> tuple[str, str, LevelValue]:
+    doc = _expect_obj(obj, _EDGE, "")
+    a = _expect_str(doc["a"], ".a")
+    b = _expect_str(doc["b"], ".b")
+    return a, b, _located(_svalue, doc["len"], ".len")
+
+
+def _tree(obj: Any) -> STree:
+    doc = _expect_obj(obj, {"nodes", "edges"}, "")
+    nodes = _strings(doc["nodes"], ".nodes")
+    edges = _each(_edge, doc["edges"], ".edges")
     try:
         return STree(nodes, edges)
     except ValueError as exc:
-        raise _fail(where, str(exc))
+        raise FormatError("", str(exc)) from None
+
+
+def tree_from_json(obj: Any, where: str = "tree") -> STree:
+    return _located(_tree, obj, where)
 
 
 def chords_to_json(family: ChordFamily) -> dict:
@@ -380,24 +452,28 @@ def chords_to_json(family: ChordFamily) -> dict:
     }
 
 
-def chords_from_json(obj: Any, where: str = "chords") -> ChordFamily:
-    doc = _expect_obj(obj, {"marks", "chords"}, where)
-    marks = _expect_int(doc["marks"], f"{where}.marks")
-    chords = []
-    for i, raw in enumerate(_expect_list(doc["chords"], f"{where}.chords")):
-        spot = f"{where}.chords[{i}]"
-        c_doc = _expect_obj(raw, {"ends", "weight"}, spot)
-        ends = _expect_list(c_doc["ends"], f"{spot}.ends")
-        if len(ends) != 2:
-            raise _fail(f"{spot}.ends", f"expected two marks, got {len(ends)}")
-        chords.append(
-            (
-                _expect_int(ends[0], f"{spot}.ends[0]"),
-                _expect_int(ends[1], f"{spot}.ends[1]"),
-                svalue_from_json(c_doc["weight"], f"{spot}.weight"),
-            )
-        )
+_CHORD = frozenset({"ends", "weight"})
+
+
+def _chord(obj: Any) -> tuple[int, int, LevelValue]:
+    doc = _expect_obj(obj, _CHORD, "")
+    ends = _expect_list(doc["ends"], ".ends")
+    if len(ends) != 2:
+        raise FormatError(".ends", f"expected two marks, got {len(ends)}")
+    i = _expect_int(ends[0], ".ends[0]")
+    j = _expect_int(ends[1], ".ends[1]")
+    return i, j, _located(_svalue, doc["weight"], ".weight")
+
+
+def _chords(obj: Any) -> ChordFamily:
+    doc = _expect_obj(obj, {"marks", "chords"}, "")
+    marks = _expect_int(doc["marks"], ".marks")
+    chords = _each(_chord, doc["chords"], ".chords")
     try:
         return ChordFamily(marks, chords)
     except ValueError as exc:
-        raise _fail(where, str(exc))
+        raise FormatError("", str(exc)) from None
+
+
+def chords_from_json(obj: Any, where: str = "chords") -> ChordFamily:
+    return _located(_chords, obj, where)

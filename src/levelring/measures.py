@@ -303,10 +303,9 @@ class Region:
             raise ValueError("regions live on different domains")
 
     def _rebuild(self, by_id: dict[str, tuple[Piece, ...]]) -> "Region":
-        return Region(
-            self.domain,
-            tuple((i, by_id[i]) for i in self.domain.ids if by_id.get(i)),
-        )
+        """The region of the nonempty pieces of by_id, whose keys come in
+        domain order."""
+        return Region(self.domain, tuple((i, ps) for i, ps in by_id.items() if ps))
 
     def union(self, other: "Region") -> "Region":
         self._check_same_domain(other)
@@ -318,10 +317,12 @@ class Region:
         )
 
     def intersect(self, other: "Region") -> "Region":
+        """Walks the parts of whichever region has fewer and looks the
+        other's up by id, so the cost follows the smaller region."""
         self._check_same_domain(other)
-        return self._rebuild(
-            {i: _intersect(ps, other._pieces(i)) for i, ps in self.parts}
-        )
+        if len(self.parts) <= len(other.parts):
+            return self._rebuild({i: _intersect(ps, other._pieces(i)) for i, ps in self.parts})
+        return self._rebuild({i: _intersect(self._pieces(i), ps) for i, ps in other.parts})
 
     def complement(self) -> "Region":
         return self._rebuild(

@@ -92,7 +92,7 @@ class TrainTrack:
         for s in segs:
             if ends[s] + declared[s] != 2:
                 raise ValueError(
-                    f"segment {s!r} has {ends[s]} switch ends and "
+                    f"segment {_ECHO.repr(s)} has {ends[s]} switch ends and "
                     f"{declared[s]} free ends; ends must total 2"
                 )
         object.__setattr__(self, "segments", segs)

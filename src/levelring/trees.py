@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
@@ -65,7 +66,7 @@ class STree:
     def __init__(
         self, nodes: Iterable[str], edges: Iterable[tuple[str, str, LevelValue]] = ()
     ):
-        node_list = tuple(str(n) for n in nodes)
+        node_list = tuple(map(str, nodes))
         if not node_list:
             raise ValueError("a tree needs at least one node")
         adjacency: dict[str, dict[str, LevelValue]] = {n: {} for n in node_list}
@@ -75,26 +76,33 @@ class STree:
         for a, b, length in edges:
             a, b = str(a), str(b)
             if a not in adjacency or b not in adjacency:
-                raise ValueError(f"edge ({a},{b}) mentions unknown nodes")
+                raise ValueError(f"edge ({_ECHO.repr(a)},{_ECHO.repr(b)}) mentions unknown nodes")
             if a == b:
-                raise ValueError(f"self-loop at {a}")
+                raise ValueError(f"self-loop at {_ECHO.repr(a)}")
             if not isinstance(length, LevelValue) or length.is_zero:
-                raise ValueError(f"edge ({a},{b}) needs a nonzero length")
-            edge_list.append((min(a, b), max(a, b), length))
+                raise ValueError(f"edge ({_ECHO.repr(a)},{_ECHO.repr(b)}) needs a nonzero length")
+            edge_list.append((a, b, length) if a < b else (b, a, length))
         if len(edge_list) != len(node_list) - 1:
             raise ValueError(
                 f"{len(node_list)} nodes need exactly {len(node_list) - 1} edges "
                 f"for a tree, got {len(edge_list)}"
             )
-        edge_list.sort(key=lambda e: (e[0], e[1]))
+        edge_list.sort(key=itemgetter(0, 1))
         for a, b, length in edge_list:
             adjacency[a][b] = adjacency[b][a] = length
+        # connectivity (acyclicity then follows from the edge count)
+        seen = {node_list[0]}
+        stack = [node_list[0]]
+        while stack:
+            for nxt in adjacency[stack.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        if len(seen) != len(node_list):
+            raise ValueError("tree is not connected")
         object.__setattr__(self, "nodes", node_list)
         object.__setattr__(self, "edges", tuple(edge_list))
         object.__setattr__(self, "_adjacency", adjacency)
-        # connectivity (acyclicity then follows from the edge count)
-        if sum(1 for _ in _walk(self, node_list[0])) != len(node_list) - 1:
-            raise ValueError("tree is not connected")
 
     def neighbors(self, node: str) -> Mapping[str, LevelValue]:
         """Adjacent nodes with the connecting edge lengths (a read-only view)."""
@@ -312,7 +320,13 @@ def isomorphic(a: STree, b: STree) -> bool:
 
 @dataclass(frozen=True)
 class ChordFamily:
-    """Non-crossing weighted chords on marks 1..marks around a circle."""
+    """Non-crossing weighted chords on marks 1..marks around a circle.
+
+    Crossings are found in one sweep by left end, as in parenthesis
+    matching.  When chords cross, the diagnostic names the chord with the
+    smallest left end that crosses a chord starting before it, together
+    with the innermost such chord.
+    """
 
     marks: int
     chords: tuple[tuple[int, int, LevelValue], ...]
@@ -325,15 +339,23 @@ class ChordFamily:
                 raise ValueError(f"chord ends ({i},{j}) out of range 1..{marks}")
             if not isinstance(w, LevelValue) or w.is_zero:
                 raise ValueError(f"chord ({i},{j}) needs a nonzero weight")
-            rows.append((min(i, j), max(i, j), w))
+            rows.append((i, j, w) if i < j else (j, i, w))
         ends = [e for i, j, _ in rows for e in (i, j)]
         if len(set(ends)) != len(ends):
             raise ValueError("chord endpoints must be distinct")
-        for (a, b, _), (c, d, _) in itertools.combinations(rows, 2):
-            if (a < c < b < d) or (c < a < d < b):
-                raise ValueError(f"chords ({a},{b}) and ({c},{d}) cross")
+        rows.sort()
+        # the chords still open at a chord's left end nest, innermost last;
+        # it crosses those that end before it does, and the innermost ends first
+        open_chords: list[tuple[int, int]] = []
+        for a, b, _ in rows:
+            while open_chords and open_chords[-1][1] < a:
+                open_chords.pop()
+            if open_chords and open_chords[-1][1] < b:
+                c, d = open_chords[-1]
+                raise ValueError(f"chords ({c},{d}) and ({a},{b}) cross")
+            open_chords.append((a, b))
         object.__setattr__(self, "marks", int(marks))
-        object.__setattr__(self, "chords", tuple(sorted(rows)))
+        object.__setattr__(self, "chords", tuple(rows))
 
 
 def dual_tree(family: ChordFamily) -> tuple[STree, dict[str, tuple]]:

@@ -461,24 +461,62 @@ def test_diagnostic_echo_is_bounded(tmp_path, capsys):
     assert json.loads(out)["diagnostics"][0]["message"] == err[len("error: "):-1]
 
 
-# name -> (golden input, the input with one huge offending value, start of the diagnostic)
+BIG = "g" * 100_000
+
+
+def _tree_with(doc, nodes=(), edges=()):
+    """The dist input with extra nodes and edges put in front of its own."""
+    tree = doc["tree"]
+    return dict(doc, tree={"nodes": tree["nodes"] + list(nodes), "edges": list(edges) + tree["edges"]})
+
+
+# case -> (command, golden input, the input with one huge offending value,
+# start of the diagnostic)
 HUGE_ECHOES = {
     "tree collapse": (
+        "tree collapse",
         "collapse.json",
         lambda doc: dict(doc, group=[f"ghost{i}" for i in range(5000)]),
         "error: unknown nodes: ['ghost0', 'ghost1', ",
     ),
     "tree dist": (
+        "tree dist",
         "dist.json",
         lambda doc: dict(doc, pairs=[["a", "g" * 65536]]),
         "error: unknown node in path query: 'a' or 'ggg",
     ),
+    "tree dist unknown edge end": (
+        "tree dist",
+        "dist.json",
+        lambda doc: _tree_with(doc, edges=[{"a": "a", "b": BIG, "len": None}]),
+        "error: tree: edge ('a','ggg",
+    ),
+    "tree dist self-loop": (
+        "tree dist",
+        "dist.json",
+        lambda doc: _tree_with(doc, [BIG], [{"a": BIG, "b": BIG, "len": {"level": 0, "real": "1"}}]),
+        "error: tree: self-loop at 'ggg",
+    ),
+    "tree dist zero length": (
+        "tree dist",
+        "dist.json",
+        lambda doc: _tree_with(doc, [BIG], [{"a": "c", "b": BIG, "len": None}]),
+        "error: tree: edge ('c','ggg",
+    ),
+    "track strata free ends": (
+        "track strata",
+        "spiral_track.json",
+        lambda doc: dict(doc, segments=doc["segments"] + [BIG], free_ends={"x": 1, "z": 1}),
+        "error: track: segment 'ggg",
+    ),
     "svalue": (
+        "svalue",
         "exprs.json",
         lambda doc: [{"op": "w" * 65536}],
         "error: exprs[0]: unknown op 'www",
     ),
     "measure eval": (
+        "measure eval",
         "measure.json",
         lambda doc: dict(doc, components=[dict(doc["components"][0], interval="v" * 60000)]),
         "error: measure: no interval 'vvv",
@@ -486,9 +524,9 @@ HUGE_ECHOES = {
 }
 
 
-@pytest.mark.parametrize("words", sorted(HUGE_ECHOES))
-def test_library_and_cli_echoes_are_bounded(tmp_path, capsys, words):
-    name, enlarge, start = HUGE_ECHOES[words]
+@pytest.mark.parametrize("case", sorted(HUGE_ECHOES))
+def test_library_and_cli_echoes_are_bounded(tmp_path, capsys, case):
+    words, name, enlarge, start = HUGE_ECHOES[case]
     doc = enlarge(json.loads((GOLDEN / "inputs" / name).read_text()))
     path = write(tmp_path, name, doc)
     assert Path(path).stat().st_size > 60_000
@@ -496,6 +534,7 @@ def test_library_and_cli_echoes_are_bounded(tmp_path, capsys, words):
     assert code == 1
     assert err.startswith(start)
     assert len(err) < 1024
+    assert len(out) < 1024
     assert json.loads(out)["diagnostics"][0]["message"] == err[len("error: "):-1]
 
 

@@ -695,6 +695,26 @@ def test_stacked_levels_scale(tmp_path, capsys):
     assert table == [{"level": k, "mass": str(k + 1)} for k in range(n)]
 
 
+def test_one_level_per_interval_scale(tmp_path, capsys):
+    # one atom on each of n intervals, each at its own level: every stratum
+    # lies on a single interval, so intersecting it with the whole region
+    # walks one part, not all n
+    n = 2000
+    doc = {
+        "domain": {"intervals": [{"id": f"I{i}", "length": "1"} for i in range(n)]},
+        "height_bound": n,
+        "components": [
+            {"kind": "atom", "interval": f"I{i}", "position": "1/2", "level": i, "mass": str(i + 1)}
+            for i in range(n)
+        ],
+    }
+    target = tmp_path / "spread.json"
+    target.write_text(json.dumps(doc))
+    assert main(["measure", "decompose", str(target)]) == 0
+    table = json.loads(capsys.readouterr().out)["result"]["table"]
+    assert table == [{"level": k, "mass": str(k + 1)} for k in range(n)]
+
+
 def test_many_intervals_keep_identity():
     # the id lookups domains and regions keep take no part in identity
     n = 3000

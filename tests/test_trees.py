@@ -426,6 +426,74 @@ def test_chord_family_guards():
         ChordFamily(4, [(2, 2, pair(0, 1))])
 
 
+def oracle_crosses(chords):
+    """The all-pairs crossing scan ChordFamily ran before its sweep."""
+    rows = [(min(i, j), max(i, j)) for i, j, _ in chords]
+    return any(
+        a < c < b < d or c < a < d < b
+        for (a, b), (c, d) in itertools.combinations(rows, 2)
+    )
+
+
+def named_crossing(chords):
+    """The pair the crossing diagnostic names, by its definition: the chord
+    with the smallest left end that crosses a chord starting before it, and
+    the innermost such chord."""
+    rows = sorted((min(i, j), max(i, j)) for i, j, _ in chords)
+    for c, d in rows:
+        earlier = [(a, b) for a, b in rows if a < c < b < d]
+        if earlier:
+            return max(earlier), (c, d)
+    return None
+
+
+def random_matching(rng):
+    """Chords on distinct marks in random order: a non-crossing family, or
+    one with two chords' ends swapped, or a uniform matching."""
+    m = rng.randint(2, 12)
+    draw = rng.random()
+    if draw < 0.4:
+        chords = list(random_chords(rng, max_chords=m).chords)
+        if len(chords) >= 2 and draw < 0.25:
+            s, t = rng.sample(range(len(chords)), 2)
+            (a, b, w), (c, d, v) = chords[s], chords[t]
+            chords[s], chords[t] = (a, d, w), (c, b, v)
+    else:
+        marks = rng.sample(range(1, 2 * m + 1), 2 * m)
+        chords = [(marks[2 * k], marks[2 * k + 1], pair(0, 1)) for k in range(m)]
+    rng.shuffle(chords)
+    marks = 2 * len(chords)
+    return marks, [(j, i, w) if rng.random() < 0.5 else (i, j, w) for i, j, w in chords]
+
+
+def test_chord_sweep_agrees_with_the_all_pairs_oracle():
+    rng = Random(41)
+    verdicts = set()
+    for _ in range(600):
+        marks, chords = random_matching(rng)
+        crossing = oracle_crosses(chords)
+        verdicts.add(crossing)
+        if not crossing:
+            assert ChordFamily(marks, chords).chords == tuple(sorted(
+                (min(i, j), max(i, j), w) for i, j, w in chords
+            ))
+            continue
+        with pytest.raises(ValueError) as caught:
+            ChordFamily(marks, chords)
+        (a, b), (c, d) = named_crossing(chords)
+        assert str(caught.value) == f"chords ({a},{b}) and ({c},{d}) cross"
+    assert verdicts == {True, False}
+
+
+def test_many_nested_chords():
+    # 40k chords, each inside the one before: the sweep keeps them all open
+    m = 40_000
+    family = ChordFamily(2 * m, [(i, 2 * m + 1 - i, pair(0, 1)) for i in range(m, 0, -1)])
+    tree, _ = dual_tree(family)
+    assert len(tree.nodes) == m + 1
+    assert distance(tree, "outer", f"r{m}_{m + 1}") == pair(0, m)
+
+
 def test_single_chord_dual():
     tree, regions = dual_tree(ChordFamily(2, [(1, 2, pair(0, 1))]))
     assert len(tree.nodes) == 2
