@@ -94,6 +94,8 @@ def _eval_expr(doc: Any, where: str, height: int) -> Any:
                 raise CommandError(f"{where}: unpsi wants a \"sequence\" array")
             entries = [jsonio.rat_from_str(s, f"{where}.sequence[{i}]") for i, s in enumerate(seq)]
             return jsonio.svalue_to_json(values.from_sequence(entries))
+    except jsonio.FormatError:
+        raise  # already located
     except ValueError as exc:
         raise CommandError(f"{where}: {exc}")
     raise CommandError(f"{where}: unknown op {values._ECHO.repr(op)}")

@@ -62,19 +62,16 @@ class FormatError(ValueError):
     """Malformed input document; the message reads ``"<where>: <why>"``.
 
     ``where`` locates the fault relative to the value being decoded, and
-    ``within`` prefixes an enclosing segment.  ``why`` may itself be a
-    ``FormatError`` located relative to the same value (a nested failure
-    a decoder reports as its own); ``within`` prefixes it too.
+    ``within`` prefixes an enclosing segment.
     """
 
-    def __init__(self, where: str, why: "str | FormatError"):
+    def __init__(self, where: str, why: str):
         super().__init__(f"{where}: {why}")
         self.where = where
         self.why = why
 
     def within(self, prefix: str) -> "FormatError":
-        why = self.why.within(prefix) if isinstance(self.why, FormatError) else self.why
-        return FormatError(prefix + self.where, why)
+        return FormatError(prefix + self.where, self.why)
 
 
 def _wrong(obj: Any, what: str, where: str) -> FormatError:
@@ -240,12 +237,12 @@ def _monomial(obj: Any) -> Optional[Monomial]:
         return None
     doc = _expect_obj(obj, _MONOMIAL, "")
     coeff = _finite_from_str(doc["coeff"], ".coeff")
+    level = _expect_int(doc["level"], ".level")
+    degree = _expect_int(doc["degree"], ".degree")
     try:
-        return Monomial(_expect_int(doc["level"], ".level"), coeff, _expect_int(doc["degree"], ".degree"))
+        return Monomial(level, coeff, degree)
     except ValueError as exc:
-        # a bad level or degree is a fault of the whole entry, quoting the
-        # located fault as its reason
-        raise FormatError("", exc if isinstance(exc, FormatError) else str(exc)) from None
+        raise FormatError("", str(exc)) from None
 
 
 def family_from_json(obj: Any, where: str = "family") -> MonomialFamily:
@@ -292,7 +289,7 @@ def _track(obj: Any) -> TrainTrack:
             try:
                 free_ends[seg] = _expect_int(count, "")
             except FormatError as exc:
-                raise exc.within(f".free_ends[{seg}]") from None
+                raise exc.within(f".free_ends[{_ECHO.repr(seg)}]") from None
     try:
         return TrainTrack(segments, switches, free_ends)
     except ValueError as exc:
@@ -357,22 +354,27 @@ def _component(obj: Any):
     kind = obj["kind"]
     if kind == "atom":
         doc = _expect_obj(obj, _ATOM, "")
-        return Atom(
+        make, fields = Atom, (
             _expect_str(doc["interval"], ".interval"),
             _finite_from_str(doc["position"], ".position"),
             _expect_int(doc["level"], ".level"),
             rat_from_str(doc["mass"], ".mass"),
         )
-    if kind == "density":
+    elif kind == "density":
         doc = _expect_obj(obj, _DENSITY, "")
-        return Density(
+        make, fields = Density, (
             _expect_str(doc["interval"], ".interval"),
             _finite_from_str(doc["lo"], ".lo"),
             _finite_from_str(doc["hi"], ".hi"),
             _expect_int(doc["level"], ".level"),
             rat_from_str(doc["rate"], ".rate"),
         )
-    raise FormatError("", f"unknown component kind {_ECHO.repr(kind)}")
+    else:
+        raise FormatError("", f"unknown component kind {_ECHO.repr(kind)}")
+    try:
+        return make(*fields)
+    except (ValueError, KeyError) as exc:
+        raise FormatError("", exc.args[0] if exc.args else str(exc)) from None
 
 
 def _measure(obj: Any) -> FHMeasure:
@@ -385,14 +387,7 @@ def _measure(obj: Any) -> FHMeasure:
     except ValueError as exc:
         raise FormatError(".domain", str(exc)) from None
 
-    components = []
-    for i, raw in enumerate(_expect_list(doc["components"], ".components")):
-        try:
-            components.append(_component(raw))
-        except FormatError as exc:
-            raise exc.within(f".components[{i}]") from None
-        except (ValueError, KeyError) as exc:
-            raise FormatError(f".components[{i}]", exc.args[0] if exc.args else str(exc)) from None
+    components = _each(_component, doc["components"], ".components")
     height_bound = DEFAULT_HEIGHT_BOUND
     if has_bound:
         height_bound = _expect_int(doc["height_bound"], ".height_bound")

@@ -813,16 +813,7 @@ def grid_sets(mu: FHMeasure, midpoints: bool = True) -> list[Region]:
     four open/closed shapes, together with grid singletons, the empty
     region, and the whole domain."""
     out: list[Region] = [Region.empty(mu.domain), Region.whole(mu.domain)]
-    for iid, length in mu.domain.intervals:
-        marks = {Fraction(0), length}
-        for c in mu.components:
-            if c.interval != iid:
-                continue
-            if isinstance(c, Atom):
-                marks.add(c.position)
-            else:
-                marks.update((c.lo, c.hi))
-        grid = sorted(marks)
+    for iid, (grid, _, _) in _index_of(mu).sweep.items():
         if midpoints:
             grid = sorted(
                 set(grid)

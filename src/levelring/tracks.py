@@ -232,9 +232,9 @@ def is_contiguous(track: TrainTrack, w: Sequence[LevelValue]) -> bool:
 #
 # A stratum fixes, per segment, either ZERO or a (level, finiteness) shape.
 # Each switch equation then reduces to conditions on the shapes plus at most
-# one linear equation over the finite top-level magnitudes; strict
-# positivity of those magnitudes is decided by exact Fourier-Motzkin
-# elimination.
+# one homogeneous linear equation over the finite top-level magnitudes; a
+# strictly positive solution of those equations is found, or ruled out, by
+# exact Fourier-Motzkin elimination with no constant terms.
 
 FIN = "fin"
 INFINITE = "inf"
@@ -256,114 +256,71 @@ def _fm_feasible(
     variables: Sequence[str], equations: Sequence[dict[str, Fraction]]
 ) -> Optional[dict[str, Fraction]]:
     """Strictly positive rational solution of the homogeneous equations,
-    or None.  Equality elimination by substitution, then Fourier-Motzkin
-    on the strict inequalities, then back-substitution for a witness."""
-    # constraints: (coeffs, const, is_eq); meaning sum + const (= or >) 0
-    cons: list[tuple[dict[str, Fraction], Fraction, bool]] = [
-        ({k: v for k, v in eq.items() if v}, Fraction(0), True) for eq in equations
-    ]
-    cons += [({v: Fraction(1)}, Fraction(0), False) for v in variables]
-    order: list[tuple[str, str, object]] = []  # (kind, var, data) in elim order
+    or None.  Each equation in turn is solved for its smallest variable and
+    substituted away; Fourier-Motzkin then eliminates the other variables,
+    in sorted order, from the strict inequalities, which start as v > 0;
+    back-substitution in reverse order gives the witness.  Constraints are
+    bare coefficient dicts (equalities = 0, inequalities > 0) and stay
+    homogeneous, so the system is infeasible exactly when an inequality is
+    left with no variables, and v > 0 is a lower bound of v until v goes.
+    """
+    eqs = [{k: c for k, c in eq.items() if c} for eq in equations]
+    cons = [{v: Fraction(1)} for v in variables]
+    steps: list[tuple[str, object]] = []  # (var, expr) or (var, (lowers, uppers))
 
-    def substitute(
-        target: dict[str, Fraction], const: Fraction, var: str,
-        expr: dict[str, Fraction], expr_const: Fraction,
-    ) -> tuple[dict[str, Fraction], Fraction]:
-        if var not in target:
-            return target, const
-        c = target[var]
+    def substitute(target: dict[str, Fraction], var: str, expr: dict[str, Fraction]):
+        c = target.get(var)
+        if c is None:
+            return target
         out = {k: v for k, v in target.items() if k != var}
         for k, v in expr.items():
-            out[k] = out.get(k, Fraction(0)) + c * v
-        return {k: v for k, v in out.items() if v}, const + c * expr_const
+            out[k] = out.get(k, 0) + c * v
+        return {k: v for k, v in out.items() if v}
 
-    # 1) consume equalities
-    while True:
-        eq_idx = next(
-            (i for i, (co, _, is_eq) in enumerate(cons) if is_eq and co), None
-        )
-        if eq_idx is None:
-            break
-        coeffs, const, _ = cons.pop(eq_idx)
-        var = sorted(coeffs)[0]
-        c = coeffs[var]
-        expr = {k: -v / c for k, v in coeffs.items() if k != var}
-        expr_const = -const / c
-        order.append(("sub", var, (expr, expr_const)))
-        cons = [
-            (*substitute(co, k, var, expr, expr_const), is_eq)
-            for co, k, is_eq in cons
-        ]
-    for co, const, is_eq in cons:
-        if is_eq and not co and const != 0:
-            return None
-    cons = [(co, const, is_eq) for co, const, is_eq in cons if not is_eq]
+    # 1) solve each equation, first to last, for its smallest variable
+    while eqs:
+        coeffs = eqs.pop(0)
+        if not coeffs:
+            continue
+        var = min(coeffs)
+        expr = {k: -v / coeffs[var] for k, v in coeffs.items() if k != var}
+        steps.append((var, expr))
+        eqs = [substitute(eq, var, expr) for eq in eqs]
+        cons = [substitute(co, var, expr) for co in cons]
 
     # 2) Fourier-Motzkin on the strict inequalities
-    remaining = sorted({v for co, _, _ in cons for v in co})
-    for var in remaining:
-        lowers, uppers, rest = [], [], []
-        for co, const, _ in cons:
-            c = co.get(var, Fraction(0))
-            if c > 0:
-                lowers.append((co, const))
-            elif c < 0:
-                uppers.append((co, const))
-            else:
-                rest.append((co, const, False))
-        order.append(("fm", var, (lowers, uppers)))
-        combined = []
-        for (lco, lconst), (uco, uconst) in itertools.product(lowers, uppers):
-            lc, uc = lco[var], uco[var]
+    for var in sorted({v for co in cons for v in co}):
+        lowers = [co for co in cons if co.get(var, 0) > 0]
+        uppers = [co for co in cons if co.get(var, 0) < 0]
+        steps.append((var, (lowers, uppers)))
+        cons = [co for co in cons if var not in co]
+        for lo, up in itertools.product(lowers, uppers):
+            lc, uc = lo[var], up[var]
             co = {
-                k: -uc * lco.get(k, Fraction(0)) + lc * uco.get(k, Fraction(0))
-                for k in set(lco) | set(uco)
+                k: -uc * lo.get(k, 0) + lc * up.get(k, 0)
+                for k in lo.keys() | up.keys()
                 if k != var
             }
-            co = {k: v for k, v in co.items() if v}
-            combined.append((co, -uc * lconst + lc * uconst, False))
-        cons = rest + combined
-    for co, const, _ in cons:
-        if const <= 0:  # variables all gone; strict inequality on a constant
-            return None
+            cons.append({k: v for k, v in co.items() if v})
+    if cons:  # each constraint left reads 0 > 0
+        return None
 
     # 3) back-substitute a witness
     values: dict[str, Fraction] = {}
 
-    def eval_affine(co: dict[str, Fraction], const: Fraction) -> Fraction:
-        return const + sum((c * values[k] for k, c in co.items()), Fraction(0))
+    def value(co: dict[str, Fraction], skip: Optional[str] = None) -> Fraction:
+        return sum((c * values[k] for k, c in co.items() if k != skip), Fraction(0))
 
-    for kind, var, data in reversed(order):
-        if kind == "fm":
-            lowers, uppers = data
-            los = [
-                -eval_affine({k: v for k, v in co.items() if k != var}, const)
-                / co[var]
-                for co, const in lowers
-            ]
-            ups = [
-                -eval_affine({k: v for k, v in co.items() if k != var}, const)
-                / co[var]
-                for co, const in uppers
-            ]
-            if los and ups:
-                values[var] = (max(los) + min(ups)) / 2
-            elif los:
-                values[var] = max(los) + 1
-            elif ups:
-                values[var] = min(ups) - 1
-            else:
-                values[var] = Fraction(1)
-        else:
-            expr, expr_const = data
-            values[var] = eval_affine(expr, expr_const)
-    for v in variables:
-        values.setdefault(v, Fraction(1))
-        if values[v] <= 0:
-            return None
-    for eq in equations:
-        if eval_affine({k: v for k, v in eq.items() if v}, Fraction(0)) != 0:
-            return None
+    for var, data in reversed(steps):
+        if isinstance(data, dict):
+            values[var] = value(data)
+            continue
+        lowers, uppers = data
+        lo = max(-value(co, var) / co[var] for co in lowers)
+        ups = [-value(co, var) / co[var] for co in uppers]
+        values[var] = (lo + min(ups)) / 2 if ups else lo + 1
+    if any(values[v] <= 0 for v in variables) or any(value(eq) for eq in equations):
+        return None
     return values
 
 
@@ -508,35 +465,31 @@ def enumerate_strata(
     for pattern in _proximal_patterns(n, height_bound):
         shape_of = dict(zip(track.segments, pattern))
         equations: list[dict[str, Fraction]] = []
-        contradictory = False
         for a, b in track.switches:
             red = _switch_reduction(shape_of, a, b)
             if red is None:
-                contradictory = True
                 break
             if red:
                 equations.append(red)
-        if contradictory:
-            out.append(Stratum(pattern, False))
-            continue
-        fin_vars = [s for s in track.segments if shape_of[s] and shape_of[s][1] == FIN]
-        solution = _fm_feasible(fin_vars, equations)
-        if solution is None:
-            out.append(Stratum(pattern, False))
-            continue
-        witness = tuple(
-            ZERO
-            if shape_of[s] is None
-            else pair(shape_of[s][0], INF)
-            if shape_of[s][1] == INFINITE
-            else pair(shape_of[s][0], solution[s])
-            for s in track.segments
-        )
-        if validate(track, witness):
-            raise RuntimeError(
-                f"feasibility witness fails validation for pattern {pattern}"
-            )
-        out.append(Stratum(pattern, True, witness))
+        else:
+            fin_vars = [s for s in track.segments if shape_of[s] and shape_of[s][1] == FIN]
+            solution = _fm_feasible(fin_vars, equations)
+            if solution is not None:
+                witness = tuple(
+                    ZERO
+                    if shape_of[s] is None
+                    else pair(shape_of[s][0], INF)
+                    if shape_of[s][1] == INFINITE
+                    else pair(shape_of[s][0], solution[s])
+                    for s in track.segments
+                )
+                if validate(track, witness):
+                    raise RuntimeError(
+                        f"feasibility witness fails validation for pattern {pattern}"
+                    )
+                out.append(Stratum(pattern, True, witness))
+                continue
+        out.append(Stratum(pattern, False))
     return out
 
 

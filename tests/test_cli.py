@@ -419,6 +419,14 @@ def test_svalue_args_must_be_an_array(tmp_path, capsys, op):
     assert err == f'error: exprs[0]: {op} wants an "args" array\n'
 
 
+def test_svalue_format_error_is_located_once(tmp_path, capsys):
+    exprs = write(tmp_path, "exprs.json", [{"op": "add", "args": [{"level": 0, "real": "1/0"}]}])
+    code, out, err = run(capsys, "svalue", exprs)
+    assert code == 1
+    assert json.loads(out)["result"] is None
+    assert err == "error: exprs[0].real: zero denominator: '1/0'\n"
+
+
 def test_tree_insert_attach_must_name_nodes(tmp_path, capsys):
     grow = write(
         tmp_path,
@@ -502,6 +510,12 @@ HUGE_ECHOES = {
         "dist.json",
         lambda doc: _tree_with(doc, [BIG], [{"a": "c", "b": BIG, "len": None}]),
         "error: tree: edge ('c','ggg",
+    ),
+    "track strata free_ends key": (
+        "track strata",
+        "spiral_track.json",
+        lambda doc: dict(doc, free_ends={BIG: "1"}),
+        "error: track.free_ends['ggg",
     ),
     "track strata free ends": (
         "track strata",

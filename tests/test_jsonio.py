@@ -92,6 +92,9 @@ def test_vector_and_family_round_trip():
     assert family_from_json(rewire(family_to_json(fam))) == fam
     with pytest.raises(FormatError):
         family_from_json([{"level": 0, "coeff": "inf", "degree": 1}])
+    with pytest.raises(FormatError) as exc:
+        family_from_json([{"level": "0", "coeff": "1", "degree": 0}])
+    assert str(exc.value) == "family[0].level: expected an integer, got '0'"
     with pytest.raises(FormatError):
         vector_from_json({"not": "a list"})
 
@@ -110,6 +113,9 @@ def test_track_round_trip():
         track_from_json(
             {"segments": ["x"], "switches": [{"a": ["x"], "b": ["x", "x"]}]}
         )
+    with pytest.raises(FormatError) as exc:
+        track_from_json({"segments": ["x"], "switches": [], "free_ends": {"x": "2"}})
+    assert str(exc.value) == "track.free_ends['x']: expected an integer, got '2'"
 
 
 def test_random_round_trips():
@@ -261,10 +267,10 @@ def oracle_family(obj, where="family"):
             continue
         doc = _o_obj(entry, {"level", "coeff", "degree"}, spot)
         coeff = _o_finite(doc["coeff"], f"{spot}.coeff")
+        level = _o_int(doc["level"], f"{spot}.level")
+        degree = _o_int(doc["degree"], f"{spot}.degree")
         try:
-            out.append(
-                monomial(_o_int(doc["level"], f"{spot}.level"), coeff, _o_int(doc["degree"], f"{spot}.degree"))
-            )
+            out.append(monomial(level, coeff, degree))
         except ValueError as exc:
             raise _o_fail(spot, str(exc))
     return tuple(out)
@@ -290,7 +296,7 @@ def oracle_track(obj, where="track"):
         raw = doc["free_ends"]
         if not isinstance(raw, dict):
             raise _o_fail(f"{where}.free_ends", f"expected an object, got {_ECHO.repr(raw)}")
-        free_ends = {seg: _o_int(count, f"{where}.free_ends[{seg}]") for seg, count in raw.items()}
+        free_ends = {seg: _o_int(count, f"{where}.free_ends[{_ECHO.repr(seg)}]") for seg, count in raw.items()}
     try:
         return TrainTrack(segments, switches, free_ends)
     except ValueError as exc:

@@ -224,6 +224,25 @@ class OracleLevelIndex:
         return self.support(k).intersect(self.outside(k + 1))
 
 
+def oracle_grid_sets(mu, midpoints=True):
+    """grid_sets as it was before it read its marks from the level index:
+    each interval's marks gathered by scanning every component."""
+    out = [Region.empty(mu.domain), Region.whole(mu.domain)]
+    for iid, length in mu.domain.intervals:
+        marks = {Fraction(0), length}
+        for c in mu.components:
+            if c.interval == iid:
+                marks.update((c.position,) if isinstance(c, Atom) else (c.lo, c.hi))
+        grid = sorted(marks)
+        if midpoints:
+            grid = sorted(set(grid) | {(a + b) / 2 for a, b in zip(grid, grid[1:])})
+        out += [points(mu.domain, (iid, x)) for x in grid]
+        for a, b in itertools.combinations(grid, 2):
+            for cl, cr in ((True, True), (False, False), (True, False), (False, True)):
+                out.append(interval(mu.domain, iid, a, b, cl, cr))
+    return out
+
+
 # regions on three intervals mixing points, open, half-open and closed
 # pieces on a coarse grid, so that pieces often abut or share an end
 TRIO = Domain([("I", 1), ("J", 2), ("K", Fraction(1, 3))])
@@ -544,6 +563,13 @@ def test_gradedness_is_exactly_recoverability():
         assert recover_check(mu, regions=grid_sets(mu, midpoints=False)) == graded
         broken += not graded
     assert broken > 5  # the unrepaired generator does produce buried atoms
+
+
+def test_grid_sets_agree_with_the_component_scan_oracle():
+    rng = Random(31)
+    for n in range(60):
+        mu = random_measure(rng)
+        assert grid_sets(mu, midpoints=n % 2 == 0) == oracle_grid_sets(mu, midpoints=n % 2 == 0)
 
 
 def test_atom_stacked_under_higher_atom_is_invisible_but_safe():

@@ -4,6 +4,7 @@ contiguity, strata, and the degree filtration."""
 import itertools
 from fractions import Fraction
 from random import Random
+from typing import Optional, Sequence
 
 import pytest
 from hypothesis import given, strategies as st
@@ -278,6 +279,123 @@ def test_witness_solves_a_genuine_linear_system():
     assert u.magnitude + v.magnitude == w.magnitude
 
 
+def oracle_fm_feasible(
+    variables: Sequence[str], equations: Sequence[dict[str, Fraction]]
+) -> Optional[dict[str, Fraction]]:
+    """The former affine eliminator, kept as the oracle: it carries a
+    constant term through every step, which homogeneous input keeps 0.
+    Strictly positive rational solution of the homogeneous equations, or
+    None.  Equality elimination by substitution, then Fourier-Motzkin on
+    the strict inequalities, then back-substitution for a witness."""
+    # constraints: (coeffs, const, is_eq); meaning sum + const (= or >) 0
+    cons: list[tuple[dict[str, Fraction], Fraction, bool]] = [
+        ({k: v for k, v in eq.items() if v}, Fraction(0), True) for eq in equations
+    ]
+    cons += [({v: Fraction(1)}, Fraction(0), False) for v in variables]
+    order: list[tuple[str, str, object]] = []  # (kind, var, data) in elim order
+
+    def substitute(
+        target: dict[str, Fraction], const: Fraction, var: str,
+        expr: dict[str, Fraction], expr_const: Fraction,
+    ) -> tuple[dict[str, Fraction], Fraction]:
+        if var not in target:
+            return target, const
+        c = target[var]
+        out = {k: v for k, v in target.items() if k != var}
+        for k, v in expr.items():
+            out[k] = out.get(k, Fraction(0)) + c * v
+        return {k: v for k, v in out.items() if v}, const + c * expr_const
+
+    # 1) consume equalities
+    while True:
+        eq_idx = next(
+            (i for i, (co, _, is_eq) in enumerate(cons) if is_eq and co), None
+        )
+        if eq_idx is None:
+            break
+        coeffs, const, _ = cons.pop(eq_idx)
+        var = sorted(coeffs)[0]
+        c = coeffs[var]
+        expr = {k: -v / c for k, v in coeffs.items() if k != var}
+        expr_const = -const / c
+        order.append(("sub", var, (expr, expr_const)))
+        cons = [
+            (*substitute(co, k, var, expr, expr_const), is_eq)
+            for co, k, is_eq in cons
+        ]
+    for co, const, is_eq in cons:
+        if is_eq and not co and const != 0:
+            return None
+    cons = [(co, const, is_eq) for co, const, is_eq in cons if not is_eq]
+
+    # 2) Fourier-Motzkin on the strict inequalities
+    remaining = sorted({v for co, _, _ in cons for v in co})
+    for var in remaining:
+        lowers, uppers, rest = [], [], []
+        for co, const, _ in cons:
+            c = co.get(var, Fraction(0))
+            if c > 0:
+                lowers.append((co, const))
+            elif c < 0:
+                uppers.append((co, const))
+            else:
+                rest.append((co, const, False))
+        order.append(("fm", var, (lowers, uppers)))
+        combined = []
+        for (lco, lconst), (uco, uconst) in itertools.product(lowers, uppers):
+            lc, uc = lco[var], uco[var]
+            co = {
+                k: -uc * lco.get(k, Fraction(0)) + lc * uco.get(k, Fraction(0))
+                for k in set(lco) | set(uco)
+                if k != var
+            }
+            co = {k: v for k, v in co.items() if v}
+            combined.append((co, -uc * lconst + lc * uconst, False))
+        cons = rest + combined
+    for co, const, _ in cons:
+        if const <= 0:  # variables all gone; strict inequality on a constant
+            return None
+
+    # 3) back-substitute a witness
+    values: dict[str, Fraction] = {}
+
+    def eval_affine(co: dict[str, Fraction], const: Fraction) -> Fraction:
+        return const + sum((c * values[k] for k, c in co.items()), Fraction(0))
+
+    for kind, var, data in reversed(order):
+        if kind == "fm":
+            lowers, uppers = data
+            los = [
+                -eval_affine({k: v for k, v in co.items() if k != var}, const)
+                / co[var]
+                for co, const in lowers
+            ]
+            ups = [
+                -eval_affine({k: v for k, v in co.items() if k != var}, const)
+                / co[var]
+                for co, const in uppers
+            ]
+            if los and ups:
+                values[var] = (max(los) + min(ups)) / 2
+            elif los:
+                values[var] = max(los) + 1
+            elif ups:
+                values[var] = min(ups) - 1
+            else:
+                values[var] = Fraction(1)
+        else:
+            expr, expr_const = data
+            values[var] = eval_affine(expr, expr_const)
+    for v in variables:
+        values.setdefault(v, Fraction(1))
+        if values[v] <= 0:
+            return None
+    for eq in equations:
+        if eval_affine({k: v for k, v in eq.items() if v}, Fraction(0)) != 0:
+            return None
+    return values
+
+
 def product_strata(track, height_bound):
     """The former enumerator, kept as the oracle: walk the whole product of
     per-segment options and drop the patterns that are not proximal."""
@@ -303,7 +421,7 @@ def product_strata(track, height_bound):
             out.append(Stratum(pattern, False))
             continue
         fin_vars = [s for s in track.segments if shape_of[s] and shape_of[s][1] == FIN]
-        solution = tracks._fm_feasible(fin_vars, equations)
+        solution = oracle_fm_feasible(fin_vars, equations)
         if solution is None:
             out.append(Stratum(pattern, False))
             continue
@@ -321,6 +439,40 @@ def product_strata(track, height_bound):
             )
         out.append(Stratum(pattern, True, witness))
     return out
+
+
+def random_system(rng):
+    """0-6 variables in a shuffled order and 0-4 homogeneous equations over
+    them with coefficients in -2..2, some rows empty or all zero and some
+    a combination of the rows before them."""
+    variables = [f"v{i}" for i in range(rng.randint(0, 6))]
+    rng.shuffle(variables)
+    equations = []
+    for _ in range(rng.randint(0, 4)):
+        roll = rng.random()
+        if roll < 0.1:
+            equations.append({})
+        elif roll < 0.3 and equations:
+            a, b = rng.choice(equations), rng.choice(equations)
+            ka, kb = rng.randint(-2, 2), rng.randint(-2, 2)
+            equations.append({
+                v: ka * a.get(v, 0) + kb * b.get(v, 0) for v in a.keys() | b.keys()
+            })
+        else:
+            chosen = rng.sample(variables, rng.randint(0, len(variables)))
+            equations.append({v: Fraction(rng.randint(-2, 2)) for v in chosen})
+    return variables, equations
+
+
+def test_fm_agrees_with_the_affine_oracle():
+    rng = Random(9)
+    verdicts = []
+    for _ in range(5000):
+        variables, equations = random_system(rng)
+        got = tracks._fm_feasible(variables, equations)
+        assert got == oracle_fm_feasible(variables, equations), (variables, equations)
+        verdicts.append(got is not None)
+    assert 500 < sum(verdicts) < 4500  # both verdicts are well exercised
 
 
 def random_track(rng, n):
