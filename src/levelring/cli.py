@@ -69,11 +69,11 @@ def _eval_expr(doc: Any, where: str, height: int) -> Any:
         raise CommandError(f"{where}: {op} wants an \"args\" array")
     try:
         if op == "add":
-            return jsonio.svalue_to_json(values.total([jsonio.svalue_from_json(a, where) for a in args]))
+            return jsonio.svalue_to_json(values.total(jsonio.vector_from_json(args, f"{where}.args")))
         if op == "mul":
             out = values.LevelValue(0, values.XRat(1))
-            for a in args:
-                out = out * jsonio.svalue_from_json(a, where)
+            for a in jsonio.vector_from_json(args, f"{where}.args"):
+                out = out * a
             return jsonio.svalue_to_json(out)
         if op == "scale":
             scalar = jsonio.rat_from_str(doc.get("scalar"), f"{where}.scalar")
@@ -82,8 +82,7 @@ def _eval_expr(doc: Any, where: str, height: int) -> Any:
         if op == "compare":
             if len(args) != 2:
                 raise CommandError(f"{where}: compare wants exactly two arguments")
-            a = jsonio.svalue_from_json(args[0], where)
-            b = jsonio.svalue_from_json(args[1], where)
+            a, b = jsonio.vector_from_json(args, f"{where}.args")
             return {-1: "LT", 0: "EQ", 1: "GT"}[values.compare(a, b)]
         if op == "psi":
             value = jsonio.svalue_from_json(doc.get("value"), f"{where}.value")

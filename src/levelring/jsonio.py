@@ -352,27 +352,31 @@ def _component(obj: Any):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise FormatError("", "expected an object with a \"kind\" tag")
     kind = obj["kind"]
-    if kind == "atom":
-        doc = _expect_obj(obj, _ATOM, "")
-        make, fields = Atom, (
-            _expect_str(doc["interval"], ".interval"),
-            _finite_from_str(doc["position"], ".position"),
-            _expect_int(doc["level"], ".level"),
-            rat_from_str(doc["mass"], ".mass"),
-        )
-    elif kind == "density":
-        doc = _expect_obj(obj, _DENSITY, "")
-        make, fields = Density, (
-            _expect_str(doc["interval"], ".interval"),
-            _finite_from_str(doc["lo"], ".lo"),
-            _finite_from_str(doc["hi"], ".hi"),
-            _expect_int(doc["level"], ".level"),
-            rat_from_str(doc["rate"], ".rate"),
-        )
-    else:
-        raise FormatError("", f"unknown component kind {_ECHO.repr(kind)}")
+    # A rational too long for int() raises a bare ValueError while the
+    # fields decode; it is located at the component like a constructor's.
     try:
+        if kind == "atom":
+            doc = _expect_obj(obj, _ATOM, "")
+            make, fields = Atom, (
+                _expect_str(doc["interval"], ".interval"),
+                _finite_from_str(doc["position"], ".position"),
+                _expect_int(doc["level"], ".level"),
+                rat_from_str(doc["mass"], ".mass"),
+            )
+        elif kind == "density":
+            doc = _expect_obj(obj, _DENSITY, "")
+            make, fields = Density, (
+                _expect_str(doc["interval"], ".interval"),
+                _finite_from_str(doc["lo"], ".lo"),
+                _finite_from_str(doc["hi"], ".hi"),
+                _expect_int(doc["level"], ".level"),
+                rat_from_str(doc["rate"], ".rate"),
+            )
+        else:
+            raise FormatError("", f"unknown component kind {_ECHO.repr(kind)}")
         return make(*fields)
+    except FormatError:
+        raise
     except (ValueError, KeyError) as exc:
         raise FormatError("", exc.args[0] if exc.args else str(exc)) from None
 

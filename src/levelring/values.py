@@ -11,6 +11,12 @@ level >= 0 and a strictly positive magnitude.  The operations are
 * scaling by a positive extended rational: magnitude scales, level is kept,
 * order: lexicographic in (level, magnitude), with zero least.
 
+``LevelValue`` is an immutable slotted class: assigning or deleting an
+attribute raises ``AttributeError``, and equality and hashing go by
+``(level, magnitude)``.  Two ``XRat`` compare by exact integers (the
+reduced numerators and denominators, cross-multiplied for order), never
+through ``Fraction``'s generic comparison and never through floats.
+
 Levels are unbounded in the algebra itself; the sequence embedding
 ``to_sequence``/``from_sequence`` works at an explicit height bound
 (default ``DEFAULT_HEIGHT_BOUND``), mapping a value of level k to the
@@ -23,9 +29,7 @@ faithfully ordered chunk of a countable product of extended half-lines.
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
 from typing import Iterable, Optional, Sequence, Union
 
 __all__ = [
@@ -59,7 +63,11 @@ MAX_SEQUENCE_HEIGHT = 2**16
 RatLike = Union["XRat", Fraction, int, str]
 
 
-@total_ordering
+def _is_number(x: object) -> bool:
+    """An int or Fraction operand of a mixed comparison; bools are not."""
+    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
 class XRat:
     """A nonnegative rational or infinity, exact.
 
@@ -67,13 +75,24 @@ class XRat:
     ("p/q", "p", or "inf").  Floats are rejected: everything in this
     library is exact.  Infinity absorbs under addition and multiplication;
     0 * inf is a logic error and raises.
+
+    Two ``XRat`` compare by exact integers: equal numerators and
+    denominators (a ``Fraction`` is always reduced), and ``<`` by cross
+    multiplication.  Against an int or ``Fraction`` (never a bool) the
+    comparison is the rational one, so every ``XRat``, infinity included,
+    orders above every negative number and equals none.
     """
 
     __slots__ = ("_frac",)
 
     def __init__(self, value: RatLike = 0):
+        if type(value) is Fraction:
+            if value.numerator < 0:
+                raise ValueError(f"negative value not allowed: {value!r}")
+            self._frac: Optional[Fraction] = value
+            return
         if isinstance(value, XRat):
-            self._frac: Optional[Fraction] = value._frac
+            self._frac = value._frac
             return
         if isinstance(value, str):
             text = value.strip()
@@ -99,31 +118,77 @@ class XRat:
         return self._frac
 
     def __bool__(self) -> bool:
-        return self._frac is None or self._frac != 0
+        return self._frac is None or self._frac.numerator != 0
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = XRat(other)
-        if not isinstance(other, XRat):
+        a = self._frac
+        if isinstance(other, XRat):
+            b = other._frac
+            if a is None or b is None:
+                return a is b
+            return a.numerator == b.numerator and a.denominator == b.denominator
+        if not _is_number(other):
             return NotImplemented
-        return self._frac == other._frac
+        return a is not None and a == other
 
     def __lt__(self, other: "XRat | int | Fraction") -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = XRat(other)
-        if not isinstance(other, XRat):
+        a = self._frac
+        if isinstance(other, XRat):
+            b = other._frac
+            if a is None:
+                return False
+            if b is None:
+                return True
+            return a.numerator * b.denominator < b.numerator * a.denominator
+        if not _is_number(other):
             return NotImplemented
-        if self._frac is None:
-            return False
-        if other._frac is None:
-            return True
-        return self._frac < other._frac
+        return a is not None and a < other
+
+    def __le__(self, other: "XRat | int | Fraction") -> bool:
+        a = self._frac
+        if isinstance(other, XRat):
+            b = other._frac
+            if a is None:
+                return b is None
+            if b is None:
+                return True
+            return a.numerator * b.denominator <= b.numerator * a.denominator
+        if not _is_number(other):
+            return NotImplemented
+        return a is not None and a <= other
+
+    def __gt__(self, other: "XRat | int | Fraction") -> bool:
+        a = self._frac
+        if isinstance(other, XRat):
+            b = other._frac
+            if a is None:
+                return b is not None
+            if b is None:
+                return False
+            return a.numerator * b.denominator > b.numerator * a.denominator
+        if not _is_number(other):
+            return NotImplemented
+        return a is None or a > other
+
+    def __ge__(self, other: "XRat | int | Fraction") -> bool:
+        a = self._frac
+        if isinstance(other, XRat):
+            b = other._frac
+            if a is None:
+                return True
+            if b is None:
+                return False
+            return a.numerator * b.denominator >= b.numerator * a.denominator
+        if not _is_number(other):
+            return NotImplemented
+        return a is None or a >= other
 
     def __hash__(self) -> int:
         return hash(("XRat", self._frac))
 
     def __add__(self, other: RatLike) -> "XRat":
-        other = XRat(other)
+        if not isinstance(other, XRat):
+            other = XRat(other)
         if self._frac is None or other._frac is None:
             return INF
         return XRat(self._frac + other._frac)
@@ -131,7 +196,8 @@ class XRat:
     __radd__ = __add__
 
     def __mul__(self, other: RatLike) -> "XRat":
-        other = XRat(other)
+        if not isinstance(other, XRat):
+            other = XRat(other)
         if self._frac is None or other._frac is None:
             if not self or not other:
                 raise ValueError("0 * inf is undefined")
@@ -169,9 +235,10 @@ class XRat:
 
 INF = XRat("inf")
 
+# The order key of the zero element: below every level.
+_ZERO_KEY = (-1, XRat(0))
 
-@total_ordering
-@dataclass(frozen=True)
+
 class LevelValue:
     """Zero, or a (level, magnitude) pair of the leveled semiring.
 
@@ -179,45 +246,83 @@ class LevelValue:
     magnitude 0; everything else has an integer level >= 0 and a strictly
     positive magnitude (possibly infinite).  Use the module constant
     ``ZERO`` and the factory ``pair`` rather than the raw constructor.
+
+    Values are immutable: assigning or deleting an attribute raises
+    ``AttributeError``.  Equality and hashing go by ``(level, magnitude)``.
     """
+
+    __slots__ = ("level", "magnitude")
 
     level: Optional[int]
     magnitude: XRat
 
-    def __post_init__(self) -> None:
-        if self.level is None:
-            if self.magnitude:
+    def __init__(self, level: Optional[int], magnitude: XRat):
+        if level is None:
+            if magnitude:
                 raise ValueError("zero element must have magnitude 0")
-            return
-        if not isinstance(self.level, int) or self.level < 0:
-            raise ValueError(f"level must be a nonnegative int: {self.level!r}")
-        if not self.magnitude:
+        elif not isinstance(level, int) or level < 0:
+            raise ValueError(f"level must be a nonnegative int: {level!r}")
+        elif not magnitude:
             raise ValueError("nonzero value needs a positive magnitude; use ZERO")
+        _set_level(self, level)
+        _set_magnitude(self, magnitude)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # The default slot restore assigns through __setattr__, which refuses.
+        return (LevelValue, (self.level, self.magnitude))
 
     @property
     def is_zero(self) -> bool:
         return self.level is None
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.level == other.level and self.magnitude == other.magnitude
+
+    def __hash__(self) -> int:
+        return hash((self.level, self.magnitude))
+
     def _key(self) -> tuple:
-        if self.level is None:
-            return (-1, XRat(0))
-        return (self.level, self.magnitude)
+        return _ZERO_KEY if self.level is None else (self.level, self.magnitude)
 
     def __lt__(self, other: "LevelValue") -> bool:
         if not isinstance(other, LevelValue):
             return NotImplemented
         return self._key() < other._key()
 
+    def __le__(self, other: "LevelValue") -> bool:
+        if not isinstance(other, LevelValue):
+            return NotImplemented
+        return self._key() <= other._key()
+
+    def __gt__(self, other: "LevelValue") -> bool:
+        if not isinstance(other, LevelValue):
+            return NotImplemented
+        return self._key() > other._key()
+
+    def __ge__(self, other: "LevelValue") -> bool:
+        if not isinstance(other, LevelValue):
+            return NotImplemented
+        return self._key() >= other._key()
+
     def __add__(self, other: "LevelValue") -> "LevelValue":
         if not isinstance(other, LevelValue):
             return NotImplemented
-        if self.is_zero:
+        a, b = self.level, other.level
+        if a is None:
             return other
-        if other.is_zero:
+        if b is None:
             return self
-        if self.level == other.level:
-            return LevelValue(self.level, self.magnitude + other.magnitude)
-        return self if self.level > other.level else other
+        if a == b:
+            return LevelValue(a, self.magnitude + other.magnitude)
+        return self if a > b else other
 
     def __mul__(self, other: "LevelValue") -> "LevelValue":
         if not isinstance(other, LevelValue):
@@ -243,6 +348,10 @@ class LevelValue:
     def __repr__(self) -> str:
         return "ZERO" if self.is_zero else f"pair({self.level}, {str(self.magnitude)!r})"
 
+
+# The slots' own setters, which bypass the refusing __setattr__.
+_set_level = LevelValue.level.__set__
+_set_magnitude = LevelValue.magnitude.__set__
 
 ZERO = LevelValue(None, XRat(0))
 

@@ -424,7 +424,18 @@ def test_svalue_format_error_is_located_once(tmp_path, capsys):
     code, out, err = run(capsys, "svalue", exprs)
     assert code == 1
     assert json.loads(out)["result"] is None
-    assert err == "error: exprs[0].real: zero denominator: '1/0'\n"
+    assert err == "error: exprs[0].args[0].real: zero denominator: '1/0'\n"
+
+
+@pytest.mark.parametrize("op", ["add", "mul", "compare"])
+def test_svalue_bad_argument_is_located_by_its_index(tmp_path, capsys, op):
+    bad = {"level": "0", "real": "1"}
+    args = [None, bad] if op == "compare" else [None, None, bad]
+    exprs = write(tmp_path, "exprs.json", [{"op": "add", "args": [None]}, {"op": op, "args": args}])
+    code, out, err = run(capsys, "svalue", exprs)
+    assert code == 1
+    assert json.loads(out)["result"] is None
+    assert err == f"error: exprs[1].args[{len(args) - 1}].level: expected an integer, got '0'\n"
 
 
 def test_tree_insert_attach_must_name_nodes(tmp_path, capsys):

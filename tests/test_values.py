@@ -1,9 +1,14 @@
 """Tests for the core value arithmetic, order, and sequence embedding."""
 
+import copy
+import pickle
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
+from typing import Optional
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from levelring.values import (
     DEFAULT_HEIGHT_BOUND,
@@ -311,3 +316,296 @@ def test_value_constructor_guards():
         LevelValue(2, XRat(0))  # nonzero level with zero magnitude
     with pytest.raises(ValueError):
         LevelValue(-1, XRat(1))
+
+
+def test_xrat_orders_above_negative_numbers():
+    for x in [XRat(0), XRat(Fraction(1, 2)), INF]:
+        for n in [-1, Fraction(-1, 2), -(10**30)]:
+            assert (x == n) is False and x != n
+            assert x > n and x >= n and not x < n and not x <= n
+            assert n < x and n <= x and not n > x and not n >= x
+    assert XRat(1) in [-1, 1]
+    assert XRat(0) not in [-1, Fraction(-1, 3)]
+    assert not XRat(0) < Fraction(-1, 2)
+
+
+def test_xrat_does_not_compare_with_bools():
+    assert (XRat(1) == True) is False
+    assert (XRat(0) == False) is False
+    assert XRat(1).__eq__(True) is NotImplemented
+    with pytest.raises(TypeError):
+        XRat(1) < True
+    with pytest.raises(TypeError):
+        False >= XRat(0)
+
+
+def test_level_value_is_immutable_and_slotted():
+    v = pair(2, 3)
+    for name in ["level", "magnitude", "other"]:
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(v, name, 1)
+    with pytest.raises(AttributeError, match="cannot delete field 'level'"):
+        del v.level
+    assert not hasattr(v, "__dict__")
+    assert v == pair(2, 3) and v.level == 2
+
+
+# ---------------------------------------------------------------------------
+# differential test: the kernel as it was before it was slotted, kept as
+# the oracle (XRat with total_ordering, LevelValue a frozen dataclass)
+
+@total_ordering
+class OracleXRat:
+    __slots__ = ("_frac",)
+
+    def __init__(self, value=0):
+        if isinstance(value, OracleXRat):
+            self._frac: Optional[Fraction] = value._frac
+            return
+        if isinstance(value, str):
+            text = value.strip()
+            if text == "inf":
+                self._frac = None
+                return
+            value = Fraction(text)
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            raise TypeError(f"not an exact rational: {value!r}")
+        frac = value if isinstance(value, Fraction) else Fraction(value)
+        if frac.numerator < 0:
+            raise ValueError(f"negative value not allowed: {value!r}")
+        self._frac = frac
+
+    def __bool__(self):
+        return self._frac is None or self._frac != 0
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = OracleXRat(other)
+        if not isinstance(other, OracleXRat):
+            return NotImplemented
+        return self._frac == other._frac
+
+    def __lt__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = OracleXRat(other)
+        if not isinstance(other, OracleXRat):
+            return NotImplemented
+        if self._frac is None:
+            return False
+        if other._frac is None:
+            return True
+        return self._frac < other._frac
+
+    def __hash__(self):
+        return hash(("XRat", self._frac))
+
+    def __add__(self, other):
+        other = OracleXRat(other)
+        if self._frac is None or other._frac is None:
+            return ORACLE_INF
+        return OracleXRat(self._frac + other._frac)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        other = OracleXRat(other)
+        if self._frac is None or other._frac is None:
+            if not self or not other:
+                raise ValueError("0 * inf is undefined")
+            return ORACLE_INF
+        return OracleXRat(self._frac * other._frac)
+
+    __rmul__ = __mul__
+
+    def __str__(self):
+        return "inf" if self._frac is None else str(self._frac)
+
+    def __repr__(self):
+        return f"XRat({str(self)!r})"
+
+
+ORACLE_INF = OracleXRat("inf")
+
+
+@total_ordering
+@dataclass(frozen=True)
+class OracleLevelValue:
+    level: Optional[int]
+    magnitude: OracleXRat
+
+    def __post_init__(self):
+        if self.level is None:
+            if self.magnitude:
+                raise ValueError("zero element must have magnitude 0")
+            return
+        if not isinstance(self.level, int) or self.level < 0:
+            raise ValueError(f"level must be a nonnegative int: {self.level!r}")
+        if not self.magnitude:
+            raise ValueError("nonzero value needs a positive magnitude; use ZERO")
+
+    @property
+    def is_zero(self):
+        return self.level is None
+
+    def _key(self):
+        if self.level is None:
+            return (-1, OracleXRat(0))
+        return (self.level, self.magnitude)
+
+    def __lt__(self, other):
+        if not isinstance(other, OracleLevelValue):
+            return NotImplemented
+        return self._key() < other._key()
+
+    def __add__(self, other):
+        if not isinstance(other, OracleLevelValue):
+            return NotImplemented
+        if self.is_zero:
+            return other
+        if other.is_zero:
+            return self
+        if self.level == other.level:
+            return OracleLevelValue(self.level, self.magnitude + other.magnitude)
+        return self if self.level > other.level else other
+
+    def __mul__(self, other):
+        if not isinstance(other, OracleLevelValue):
+            return NotImplemented
+        if self.is_zero or other.is_zero:
+            return ORACLE_ZERO
+        return OracleLevelValue(self.level + other.level, self.magnitude * other.magnitude)
+
+    def scale(self, scalar):
+        scalar = OracleXRat(scalar)
+        if not scalar:
+            raise ValueError("scalar must be positive")
+        if self.is_zero:
+            return ORACLE_ZERO
+        return OracleLevelValue(self.level, self.magnitude * scalar)
+
+    def __str__(self):
+        if self.is_zero:
+            return "0"
+        return f"({self.level},{self.magnitude})"
+
+    def __repr__(self):
+        return "ZERO" if self.is_zero else f"pair({self.level}, {str(self.magnitude)!r})"
+
+
+ORACLE_ZERO = OracleLevelValue(None, OracleXRat(0))
+
+
+def outcome(f, *args):
+    """What f(*args) gives, with the kernel's and the oracle's classes
+    identified: a value's class and repr, or the exception's type and text."""
+    try:
+        got = f(*args)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(got, (XRat, OracleXRat)):
+        return "XRat", repr(got)
+    if isinstance(got, (LevelValue, OracleLevelValue)):
+        return "LevelValue", repr(got)
+    return type(got).__name__, got
+
+
+# Scalars: 0, small fractions (num/den with num 0..12, den 1..6) or "inf".
+scalar_specs = st.one_of(
+    st.just(0),
+    st.builds(Fraction, st.integers(0, 12), st.integers(1, 6)),
+    st.just("inf"),
+)
+level_specs = st.one_of(st.none(), st.integers(0, 4))
+value_specs = st.tuples(level_specs, scalar_specs)  # includes invalid pairs
+
+
+def both_values(spec):
+    """The kernel's and the oracle's LevelValue for spec, or None for a
+    spec the constructors reject (checked in its own test)."""
+    level, mag = spec
+    try:
+        return LevelValue(level, XRat(mag)), OracleLevelValue(level, OracleXRat(mag))
+    except ValueError:
+        return None
+
+
+COMPARISONS = [
+    lambda a, b: a == b,
+    lambda a, b: a != b,
+    lambda a, b: a < b,
+    lambda a, b: a <= b,
+    lambda a, b: a > b,
+    lambda a, b: a >= b,
+]
+
+
+@settings(max_examples=400)
+@given(scalar_specs, st.one_of(scalar_specs, st.integers(0, 5)))
+def test_xrat_agrees_with_the_oracle(p, q):
+    x, ox = XRat(p), OracleXRat(p)
+    ops = COMPARISONS + [lambda a, b: a + b, lambda a, b: a * b]
+    if isinstance(q, (int, Fraction)):  # an XRat against a plain number, both ways round
+        for op in ops:
+            assert outcome(op, x, q) == outcome(op, ox, q)
+            assert outcome(op, q, x) == outcome(op, q, ox)
+    y, oy = XRat(q), OracleXRat(q)
+    for op in ops:
+        assert outcome(op, x, y) == outcome(op, ox, oy)
+    for f in (str, repr, bool, hash):
+        assert outcome(f, x) == outcome(f, ox)
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+@settings(max_examples=600)
+@given(value_specs, value_specs, scalar_specs)
+def test_level_value_agrees_with_the_oracle(p, q, s):
+    pa, pb = both_values(p), both_values(q)
+    if pa is None or pb is None:
+        return
+    (a, oa), (b, ob) = pa, pb
+    ops = COMPARISONS + [lambda u, v: u + v, lambda u, v: u * v, compare]
+    for op in ops:
+        assert outcome(op, a, b) == outcome(op, oa, ob)
+    for f in (str, repr, bool, hash):
+        assert outcome(f, a) == outcome(f, oa)
+    assert outcome(a.scale, s) == outcome(oa.scale, s)
+    assert outcome(a.scale, XRat(s)) == outcome(oa.scale, OracleXRat(s))
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+XRAT_ARGS = st.one_of(
+    st.integers(-3, 12),
+    st.builds(Fraction, st.integers(-6, 12), st.integers(1, 6)),
+    st.sampled_from(["inf", " inf ", "3/4", " 2 ", "-1/2", "x", "1/0", "1.5", "", "-0"]),
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.none(),
+)
+
+
+@settings(max_examples=300)
+@given(XRAT_ARGS, st.one_of(st.none(), st.integers(-2, 4), st.booleans(), st.sampled_from(["1", 1.0])))
+def test_constructors_fail_as_the_oracle_does(arg, level):
+    assert outcome(XRat, arg) == outcome(OracleXRat, arg)
+    if outcome(XRat, arg)[0] == "XRat":
+        assert outcome(XRat, XRat(arg)) == outcome(OracleXRat, OracleXRat(arg))
+        assert outcome(LevelValue, level, XRat(arg)) == outcome(OracleLevelValue, level, OracleXRat(arg))
+
+
+@settings(max_examples=200)
+@given(value_specs)
+def test_copies_and_pickles_round_trip(spec):
+    pa = both_values(spec)
+    if pa is None:
+        return
+    v, ov = pa
+    for x in (v, v.magnitude):
+        for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(twin) is type(x)
+            assert twin == x and repr(twin) == repr(x) and hash(twin) == hash(x)
+    for name in ("level", "magnitude"):
+        for target in (v, ov):
+            with pytest.raises(AttributeError):
+                setattr(target, name, getattr(target, name))
