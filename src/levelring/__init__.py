@@ -1,152 +1,14 @@
 """Exact arithmetic for leveled values, weight vectors, interval measures,
-weighted branched graphs, and edge-weighted trees, plus a JSON CLI."""
+weighted branched graphs, and edge-weighted trees, plus a JSON CLI.
 
-from levelring.values import (
-    DEFAULT_HEIGHT_BOUND,
-    INF,
-    LevelValue,
-    XRat,
-    ZERO,
-    compare,
-    from_sequence,
-    level_of,
-    pair,
-    real_part,
-    to_sequence,
-    total,
-)
-from levelring.vectors import (
-    Monomial,
-    MonomialFamily,
-    ProjClass,
-    Vector,
-    is_cone_closed,
-    is_lattice_point,
-    level_pattern,
-    limit_points,
-    monomial,
-    normalized_limit,
-    proj_canonical,
-    scale_vec,
-    value_at,
-)
-from levelring.measures import (
-    Atom,
-    Density,
-    Domain,
-    FHMeasure,
-    Region,
-    align,
-    evaluate,
-    grid_sets,
-    interval,
-    is_locally_finite,
-    is_open_graded,
-    nu_hat,
-    nu_k,
-    points,
-    recover,
-    recover_check,
-    support,
-)
-from levelring.tracks import (
-    Stratum,
-    TrainTrack,
-    Violation,
-    adjustments,
-    align_weights,
-    enumerate_strata,
-    height_filtration,
-    is_contiguous,
-    is_proximal,
-    raise_levels,
-    validate,
-)
-from levelring.trees import (
-    ChordFamily,
-    STree,
-    boundary_points,
-    canonical_form,
-    collapse,
-    distance,
-    dual_tree,
-    infinite_points,
-    insert,
-    isomorphic,
-    path,
-    tree_is_locally_finite,
-    verify_metric,
-)
+The package exports exactly the names each library module lists in its
+own ``__all__``."""
 
-__all__ = [
-    "DEFAULT_HEIGHT_BOUND",
-    "INF",
-    "LevelValue",
-    "XRat",
-    "ZERO",
-    "compare",
-    "from_sequence",
-    "level_of",
-    "pair",
-    "real_part",
-    "to_sequence",
-    "total",
-    # weight vectors and limits
-    "Monomial",
-    "MonomialFamily",
-    "ProjClass",
-    "Vector",
-    "is_cone_closed",
-    "is_lattice_point",
-    "level_pattern",
-    "limit_points",
-    "monomial",
-    "normalized_limit",
-    "proj_canonical",
-    "scale_vec",
-    "value_at",
-    # interval measures
-    "Atom",
-    "Density",
-    "Domain",
-    "FHMeasure",
-    "Region",
-    "align",
-    "evaluate",
-    "grid_sets",
-    "interval",
-    "is_locally_finite",
-    "is_open_graded",
-    "nu_hat",
-    "nu_k",
-    "points",
-    "recover",
-    "recover_check",
-    "support",
-    # train tracks
-    "Stratum",
-    "TrainTrack",
-    "Violation",
-    "adjustments",
-    "align_weights",
-    "enumerate_strata",
-    "height_filtration",
-    "is_contiguous",
-    "is_proximal",
-    "raise_levels",
-    "validate",
-    # trees
-    "ChordFamily",
-    "STree",
-    "boundary_points",
-    "canonical_form",
-    "collapse",
-    "distance",
-    "dual_tree",
-    "infinite_points",
-    "insert",
-    "isomorphic",
-    "path",
-    "tree_is_locally_finite",
-    "verify_metric",
-]
+from levelring import measures, tracks, trees, values, vectors
+from levelring.values import *
+from levelring.vectors import *
+from levelring.measures import *
+from levelring.tracks import *
+from levelring.trees import *
+
+__all__ = [*values.__all__, *vectors.__all__, *measures.__all__, *tracks.__all__, *trees.__all__]

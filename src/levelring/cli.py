@@ -22,8 +22,7 @@ diagnostic with exit 1, never as a traceback.
 ``{"family": [...], "reference": j}`` with ``0 <= j < len(family)``.  Each
 command is one entry of ``COMMANDS``.
 
-Shared flags: --height-bound (default 16), --max-segments (strata cap,
-default 10), --format json|text.
+Shared flags: --height-bound (default 16), --format json|text.
 """
 
 from __future__ import annotations
@@ -128,7 +127,7 @@ def _track_validate(args, diagnostics: list, track, weights) -> Any:
 
 
 def _track_strata(args, diagnostics: list, track) -> Any:
-    strata = tracks.enumerate_strata(track, args.height_bound, max_segments=args.max_segments)
+    strata = tracks.enumerate_strata(track, args.height_bound)
     # One dict per distinct shape, so the report writer renders each once.
     shapes: dict = {None: None}
     for stratum in strata:
@@ -346,12 +345,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="level cap for sequence embeddings and strata enumeration",
     )
     shared.add_argument(
-        "--max-segments",
-        type=int,
-        default=10,
-        help="refuse strata enumeration on tracks with more segments",
-    )
-    shared.add_argument(
         "--format",
         choices=("json", "text"),
         default="json",
@@ -478,7 +471,6 @@ def main(argv: Optional[list] = None) -> int:
             "options": {
                 "format": args.format,
                 "height_bound": args.height_bound,
-                "max_segments": args.max_segments,
             },
         },
         "inputs": inputs,

@@ -39,6 +39,7 @@ from levelring.vectors import Monomial, MonomialFamily, Vector
 
 __all__ = [
     "FormatError",
+    "MAX_RATIONAL_DIGITS",
     "chords_from_json",
     "chords_to_json",
     "family_from_json",
@@ -150,7 +151,13 @@ def rat_to_str(x) -> str:
     return str(Fraction(x))
 
 
-_RATIONAL = re.compile(r"^([0-9]+)(?:/([0-9]+))?$")
+# The most digits a numerator or denominator may have: the interpreter's
+# default limit on int() of a decimal string, refused here with a location.
+MAX_RATIONAL_DIGITS = 4300
+
+_DIGITS = f"([0-9]{{1,{MAX_RATIONAL_DIGITS}}})"
+_RATIONAL = re.compile(f"^{_DIGITS}(?:/{_DIGITS})?$")
+_ANY_RATIONAL = re.compile(r"^[0-9]+(?:/[0-9]+)?$")
 
 
 def _fraction(s: Any, where: str) -> Optional[Fraction]:
@@ -161,6 +168,8 @@ def _fraction(s: Any, where: str) -> Optional[Fraction]:
         return None
     match = _RATIONAL.match(s)
     if not match:
+        if _ANY_RATIONAL.match(s):
+            raise FormatError(where, f"more than {MAX_RATIONAL_DIGITS} digits: {_ECHO.repr(s)}")
         raise FormatError(where, f'not a "p/q" rational or "inf": {_ECHO.repr(s)}')
     num, den = match.groups()
     if den is None:
@@ -352,31 +361,27 @@ def _component(obj: Any):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise FormatError("", "expected an object with a \"kind\" tag")
     kind = obj["kind"]
-    # A rational too long for int() raises a bare ValueError while the
-    # fields decode; it is located at the component like a constructor's.
+    if kind == "atom":
+        doc = _expect_obj(obj, _ATOM, "")
+        make, fields = Atom, (
+            _expect_str(doc["interval"], ".interval"),
+            _finite_from_str(doc["position"], ".position"),
+            _expect_int(doc["level"], ".level"),
+            rat_from_str(doc["mass"], ".mass"),
+        )
+    elif kind == "density":
+        doc = _expect_obj(obj, _DENSITY, "")
+        make, fields = Density, (
+            _expect_str(doc["interval"], ".interval"),
+            _finite_from_str(doc["lo"], ".lo"),
+            _finite_from_str(doc["hi"], ".hi"),
+            _expect_int(doc["level"], ".level"),
+            rat_from_str(doc["rate"], ".rate"),
+        )
+    else:
+        raise FormatError("", f"unknown component kind {_ECHO.repr(kind)}")
     try:
-        if kind == "atom":
-            doc = _expect_obj(obj, _ATOM, "")
-            make, fields = Atom, (
-                _expect_str(doc["interval"], ".interval"),
-                _finite_from_str(doc["position"], ".position"),
-                _expect_int(doc["level"], ".level"),
-                rat_from_str(doc["mass"], ".mass"),
-            )
-        elif kind == "density":
-            doc = _expect_obj(obj, _DENSITY, "")
-            make, fields = Density, (
-                _expect_str(doc["interval"], ".interval"),
-                _finite_from_str(doc["lo"], ".lo"),
-                _finite_from_str(doc["hi"], ".hi"),
-                _expect_int(doc["level"], ".level"),
-                rat_from_str(doc["rate"], ".rate"),
-            )
-        else:
-            raise FormatError("", f"unknown component kind {_ECHO.repr(kind)}")
         return make(*fields)
-    except FormatError:
-        raise
     except (ValueError, KeyError) as exc:
         raise FormatError("", exc.args[0] if exc.args else str(exc)) from None
 

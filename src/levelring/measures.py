@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
@@ -52,10 +52,12 @@ __all__ = [
     "align",
     "evaluate",
     "grid_sets",
+    "interval",
     "is_locally_finite",
     "is_open_graded",
     "nu_hat",
     "nu_k",
+    "points",
     "recover",
     "recover_check",
     "support",
@@ -460,10 +462,6 @@ class FHMeasure:
     domain: Domain
     components: tuple[Component, ...]
     height_bound: int = DEFAULT_HEIGHT_BOUND
-    # the level index, built on first use by _index_of
-    _index: Optional[_LevelIndex] = field(
-        default=None, init=False, compare=False, repr=False
-    )
 
     def __init__(
         self,
@@ -495,7 +493,11 @@ class FHMeasure:
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "height_bound", int(height_bound))
-        object.__setattr__(self, "_index", None)
+
+    @cached_property
+    def _index(self) -> _LevelIndex:
+        # not a field: equality, hash and repr see only the measure
+        return _LevelIndex(self)
 
     @property
     def height(self) -> Optional[int]:
@@ -504,7 +506,7 @@ class FHMeasure:
         return levels[-1] if levels else None
 
     def levels(self) -> tuple[int, ...]:
-        return _index_of(self).levels
+        return self._index.levels
 
 
 def _ends(c: Component) -> tuple[Fraction, Fraction]:
@@ -645,16 +647,10 @@ class _LevelIndex:
         return out
 
 
-def _index_of(mu: FHMeasure) -> _LevelIndex:
-    if mu._index is None:
-        object.__setattr__(mu, "_index", _LevelIndex(mu))
-    return mu._index
-
-
 def _level_mass(mu: FHMeasure, k: int, region: Region) -> XRat:
     """Total level-k mass of the region: atom masses plus rate x length."""
     out = XRat(0)
-    for c in _index_of(mu).by_level.get(k, ()):
+    for c in mu._index.by_level.get(k, ()):
         if isinstance(c, Atom):
             if region.contains(c.interval, c.position):
                 out = out + c.mass
@@ -692,13 +688,13 @@ def nu_k(mu: FHMeasure, k: int, region: Region) -> XRat:
 
 def support(mu: FHMeasure, k: int) -> Region:
     """Closed region carrying components of level >= k."""
-    return _index_of(mu).support(k)
+    return mu._index.support(k)
 
 
 def nu_hat(mu: FHMeasure, k: int, region: Region) -> XRat:
     """Level-k mass of the part of the region in support(k) and clear of
     support(k+1) — the level-k slice used by the recovery formula."""
-    return _level_mass(mu, k, region.intersect(_index_of(mu).stratum(k)))
+    return _level_mass(mu, k, region.intersect(mu._index.stratum(k)))
 
 
 def recover(mu: FHMeasure) -> FHMeasure:
@@ -709,7 +705,7 @@ def recover(mu: FHMeasure) -> FHMeasure:
     are clipped to what survives (up to endpoints, which carry no density
     mass).  For gradable measures this evaluates identically to mu.
     """
-    index = _index_of(mu)
+    index = mu._index
     comps: list[Component] = []
     for k in index.levels:
         for c in index.by_level[k]:
@@ -738,7 +734,7 @@ def recover_check(
         regions = grid_sets(mu)
     if slice_mass is None:
         slice_mass = lambda k, region: nu_hat(mu, k, region)
-    index = _index_of(mu)
+    index = mu._index
     for region in regions:
         best: LevelValue = ZERO
         for k in index.levels:
@@ -765,7 +761,7 @@ def is_open_graded(mu: FHMeasure) -> bool:
     representation the predicate is exactly equivalent to the recovery
     formula reproducing evaluation on every region.
     """
-    index = _index_of(mu)
+    index = mu._index
     for c in mu.components:
         if (
             isinstance(c, Atom)
@@ -783,7 +779,7 @@ def is_locally_finite(mu: FHMeasure) -> bool:
     support: an infinite atom clear of the higher support fails, and an
     infinite density whose closed carrier misses the higher support fails.
     """
-    index = _index_of(mu)
+    index = mu._index
     for c in mu.components:
         weight = c.mass if isinstance(c, Atom) else c.rate
         if weight.is_infinite and index.peak(c) == c.level:
@@ -813,7 +809,7 @@ def grid_sets(mu: FHMeasure, midpoints: bool = True) -> list[Region]:
     four open/closed shapes, together with grid singletons, the empty
     region, and the whole domain."""
     out: list[Region] = [Region.empty(mu.domain), Region.whole(mu.domain)]
-    for iid, (grid, _, _) in _index_of(mu).sweep.items():
+    for iid, (grid, _, _) in mu._index.sweep.items():
         if midpoints:
             grid = sorted(
                 set(grid)

@@ -101,9 +101,6 @@ class TrainTrack:
             self, "free_ends", tuple((s, declared[s]) for s in segs)
         )
 
-    def index(self, segment: str) -> int:
-        return self.segments.index(segment)
-
     @property
     def free_end_map(self) -> dict[str, int]:
         return dict(self.free_ends)
@@ -427,9 +424,7 @@ def _proximal_patterns(n: int, height_bound: int) -> Iterator[tuple[Shape, ...]]
         top[k], used[k] = t, u
 
 
-def enumerate_strata(
-    track: TrainTrack, height_bound: int, max_segments: int = 10
-) -> list[Stratum]:
+def enumerate_strata(track: TrainTrack, height_bound: int) -> list[Stratum]:
     """All proximal shape patterns with levels below the height bound,
     each decided for feasibility.
 
@@ -445,15 +440,14 @@ def enumerate_strata(
     min(height_bound, number of segments), and every height bound at or
     above the number of segments gives the same list.
 
-    Raises ValueError for a height bound below 1, for more than
-    `max_segments` segments, and when `strata_count` exceeds
-    `MAX_STRATA`, before any pattern is generated.
+    Raises ValueError for a height bound below 1 and when `strata_count`
+    exceeds `MAX_STRATA`, before any pattern is generated.  That count is
+    the only size limit: 12 segments pass at height bound 1 (531,441
+    strata), 13 segments never do.
     """
     n = len(track.segments)
     if height_bound < 1:
         raise ValueError("height bound must be at least 1")
-    if n > max_segments:
-        raise ValueError(f"{n} segments exceeds the enumeration cap {max_segments}")
     # Patterns of ZERO and level-0 shapes alone number 3**n, so that cheap
     # bound refuses long tracks before the exact count is worked out.
     if 3**n > MAX_STRATA or strata_count(n, height_bound) > MAX_STRATA:

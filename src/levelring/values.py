@@ -29,6 +29,7 @@ faithfully ordered chunk of a countable product of extended half-lines.
 from __future__ import annotations
 
 import reprlib
+import sys
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -184,7 +185,9 @@ class XRat:
         return a is None or a >= other
 
     def __hash__(self) -> int:
-        return hash(("XRat", self._frac))
+        # Equal to the hash of the equal int or Fraction; infinity equals
+        # neither, and hashes as the float infinity does.
+        return sys.hash_info.inf if self._frac is None else hash(self._frac)
 
     def __add__(self, other: RatLike) -> "XRat":
         if not isinstance(other, XRat):

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levelring import cli, tracks
+from levelring import cli, tracks, values
 from levelring.cli import COMMANDS, main
+from levelring.jsonio import MAX_RATIONAL_DIGITS
 from levelring.tracks import MAX_STRATA
 from levelring.values import MAX_SEQUENCE_HEIGHT
 
@@ -593,6 +594,51 @@ def test_oversized_strata_are_refused_up_front(tmp_path, capsys, monkeypatch):
         f"error: 7 segments at height bound 16 give more than {MAX_STRATA} strata; "
         "refusing to enumerate them\n"
     )
+
+
+def test_thirteen_segments_are_refused_at_any_height(tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(tracks, "_proximal_patterns", never)
+    thirteen = write(tmp_path, "thirteen.json", {
+        "segments": [f"s{i}" for i in range(13)],
+        "switches": [{"a": ["s0", "s1"], "b": ["s2"]}],
+    })
+    code, out, err = run(capsys, "track", "strata", thirteen, "--height-bound", "1")
+    assert code == 1
+    assert json.loads(out)["result"] is None
+    assert err == (
+        f"error: 13 segments at height bound 1 give more than {MAX_STRATA} strata; "
+        "refusing to enumerate them\n"
+    )
+
+
+def test_max_segments_is_not_a_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["track", "strata", "track.json", "--max-segments", "12"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-segments 12" in capsys.readouterr().err
+
+
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize("words, doc, where, text", [
+    (["tree", "metric"],
+     {"nodes": ["a", "b"], "edges": [{"a": "a", "b": "b", "len": {"level": 0, "real": LONG}}]},
+     "tree.edges[0].len.real", LONG),
+    (["svalue"], [{"op": "scale", "scalar": "1/" + LONG, "value": None}], "exprs[0].scalar", "1/" + LONG),
+    (["measure", "eval"],
+     {"domain": {"intervals": [{"id": "I", "length": "1"}]},
+      "components": [{"kind": "atom", "interval": "I", "position": "1/2", "level": 0, "mass": LONG}]},
+     "measure.components[0].mass", LONG),
+])
+def test_overlong_rational_is_located(tmp_path, capsys, words, doc, where, text):
+    code, out, err = run(capsys, *words, write(tmp_path, "input.json", doc))
+    assert code == 1
+    assert json.loads(out)["result"] is None
+    assert err == f"error: {where}: more than {MAX_RATIONAL_DIGITS} digits: {values._ECHO.repr(text)}\n"
 
 
 def test_one_parser_serves_every_call(monkeypatch):

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from levelring.jsonio import (
     FormatError,
+    MAX_RATIONAL_DIGITS,
     chords_from_json,
     chords_to_json,
     family_from_json,
@@ -65,6 +66,13 @@ def test_rational_strings():
         rat_from_str("1/0")
     with pytest.raises(FormatError):
         rat_from_str(7)  # numbers travel as strings
+    # digit runs stop at MAX_RATIONAL_DIGITS, short of int()'s own limit
+    most = "7" * MAX_RATIONAL_DIGITS
+    assert rat_from_str(f"{most}/{most}") == XRat(1)
+    for s in (most + "7", f"1/{most}7", f"{most}7/{most}7"):
+        with pytest.raises(FormatError) as exc:
+            rat_from_str(s, "x")
+        assert str(exc.value) == f"x: more than {MAX_RATIONAL_DIGITS} digits: {_ECHO.repr(s)}"
 
 
 def test_svalue_encoding():
@@ -227,6 +235,9 @@ def oracle_rat(s: Any, where: str = "rational"):
     match = _O_RATIONAL.match(text)
     if not match:
         raise _o_fail(where, f'not a "p/q" rational or "inf": {_ECHO.repr(text)}')
+    # refused before int() would raise the interpreter's own bare ValueError
+    if max(len(match[1]), len(match[2] or "")) > MAX_RATIONAL_DIGITS:
+        raise _o_fail(where, f"more than {MAX_RATIONAL_DIGITS} digits: {_ECHO.repr(text)}")
     try:
         return XRat(Fraction(int(match[1]), int(match[2] or 1)))
     except ZeroDivisionError:

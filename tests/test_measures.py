@@ -13,7 +13,6 @@ from helpers import random_components, random_domain, random_measure, random_ope
 from levelring.cli import main
 from levelring.measures import (
     _complement,
-    _index_of,
     _norm,
     _piece_contains,
     Atom,
@@ -599,7 +598,7 @@ def _assert_index_agrees(mu):
     """The slot sweep against the union-built index and the per-call
     oracles, at every level from -1 to two above the top; returns the
     (open-graded, locally-finite) verdicts."""
-    index, old = _index_of(mu), OracleLevelIndex(mu)
+    index, old = mu._index, OracleLevelIndex(mu)
     top = mu.height if mu.height is not None else 0
     for k in range(-1, top + 3):
         assert support(mu, k) == old.support(k) == oracle_support(mu, k)
@@ -673,7 +672,7 @@ def test_level_index_agrees_with_the_oracle_on_dense_ends():
         assert 40 <= len(mu.components) <= 200
         seen.add(_assert_index_agrees(mu))
         assert support(mu, 0)._pieces("E") == ()
-        assert _index_of(mu).outside(0)._pieces("E") == ((Fraction(0), Fraction(1), True, True),)
+        assert mu._index.outside(0)._pieces("E") == ((Fraction(0), Fraction(1), True, True),)
     assert len(seen) >= 3
 
 
@@ -681,14 +680,15 @@ def test_measure_identity_ignores_index():
     comps = [Atom("I", Fraction(1, 2), 3, 1), Density("I", 0, 1, 1, 2)]
     warm, cold = FHMeasure(UNIT, comps), FHMeasure(UNIT, comps)
     assert nu_hat(warm, 1, Region.whole(UNIT)) == XRat(2)
-    assert warm._index is not None and cold._index is None
+    # the index is cached in the instance dict on first use
+    assert "_index" in vars(warm) and "_index" not in vars(cold)
     assert warm == cold
     assert hash(warm) == hash(cold)
     assert repr(warm) == repr(cold)
     assert warm in {cold}
     # derived measures start with an index of their own
     aligned, rebuilt = align(warm), recover(warm)
-    assert aligned._index is None and rebuilt._index is None
+    assert "_index" not in vars(aligned) and "_index" not in vars(rebuilt)
     assert support(aligned, 1) == points(UNIT, ("I", Fraction(1, 2)))
     assert support(aligned, 1) == oracle_support(aligned, 1)
     assert aligned._index is not warm._index

@@ -255,8 +255,9 @@ def test_unconstrained_track_has_all_patterns_feasible():
 
 
 def test_strata_cap():
-    big = TrainTrack([f"s{i}" for i in range(11)], [], free_ends=None)
-    with pytest.raises(ValueError):
+    # 13 segments give 3**13 > MAX_STRATA strata even at height bound 1
+    big = TrainTrack([f"s{i}" for i in range(13)], [], free_ends=None)
+    with pytest.raises(ValueError, match=f"more than {MAX_STRATA} strata"):
         enumerate_strata(big, 1)
     small = TrainTrack(["a", "b", "c", "d"], [], free_ends=None)
     assert len(enumerate_strata(small, 1)) == 3**4
@@ -530,7 +531,23 @@ def test_oversized_strata_are_refused_before_enumerating(monkeypatch):
     monkeypatch.setattr(tracks, "strata_count", never)
     long = TrainTrack([f"s{i}" for i in range(5000)], [])
     with pytest.raises(ValueError, match=f"more than {MAX_STRATA} strata"):
-        enumerate_strata(long, 16, max_segments=10**4)
+        enumerate_strata(long, 16)
+
+
+def test_twelve_segments_at_height_one_pass_every_refusal(monkeypatch):
+    # 3**12 = 531,441 strata is within MAX_STRATA, so the count alone lets
+    # it through; stop at the first pattern rather than enumerate them all
+    class Started(Exception):
+        pass
+
+    def started(*args):
+        raise Started
+
+    monkeypatch.setattr(tracks, "_proximal_patterns", started)
+    twelve = TrainTrack([f"s{i}" for i in range(12)], [(["s0"], ["s1"])])
+    assert strata_count(12, 1) == 3**12 <= MAX_STRATA < 3**13
+    with pytest.raises(Started):
+        enumerate_strata(twelve, 1)
 
 
 # ---------------------------------------------------------------------------

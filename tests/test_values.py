@@ -8,7 +8,7 @@ from functools import total_ordering
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from levelring.values import (
     DEFAULT_HEIGHT_BOUND,
@@ -551,7 +551,9 @@ def test_xrat_agrees_with_the_oracle(p, q):
     y, oy = XRat(q), OracleXRat(q)
     for op in ops:
         assert outcome(op, x, y) == outcome(op, ox, oy)
-    for f in (str, repr, bool, hash):
+    # hash is not compared: the oracle's hash(("XRat", frac)) disagrees
+    # with == across types, which the kernel's does not
+    for f in (str, repr, bool):
         assert outcome(f, x) == outcome(f, ox)
     if x == y:
         assert hash(x) == hash(y)
@@ -567,12 +569,30 @@ def test_level_value_agrees_with_the_oracle(p, q, s):
     ops = COMPARISONS + [lambda u, v: u + v, lambda u, v: u * v, compare]
     for op in ops:
         assert outcome(op, a, b) == outcome(op, oa, ob)
-    for f in (str, repr, bool, hash):
+    for f in (str, repr, bool):  # hash: see test_xrat_agrees_with_the_oracle
         assert outcome(f, a) == outcome(f, oa)
     assert outcome(a.scale, s) == outcome(oa.scale, s)
     assert outcome(a.scale, XRat(s)) == outcome(oa.scale, OracleXRat(s))
     if a == b:
         assert hash(a) == hash(b)
+
+
+small_numbers = st.one_of(st.integers(-2, 6), st.builds(Fraction, st.integers(-2, 6), st.integers(1, 3)))
+hashables = st.one_of(small_numbers, small_numbers.filter(lambda x: x >= 0).map(XRat), st.just(INF))
+
+
+@settings(max_examples=400)
+@given(hashables, hashables)
+@example(XRat(1), 1)
+@example(XRat(Fraction(1, 2)), Fraction(1, 2))
+@example(INF, XRat("inf"))
+def test_equal_values_hash_equal_across_types(a, b):
+    """== implies equal hashes among XRat, int and Fraction, so an XRat
+    finds its equal number in a set or dict key, and the other way round."""
+    if a == b:
+        assert hash(a) == hash(b)
+        assert a in {b} and b in {a}
+        assert {a: "x"}.get(b) == "x"
 
 
 XRAT_ARGS = st.one_of(
