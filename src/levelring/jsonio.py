@@ -144,20 +144,27 @@ def _strings(obj: Any, where: str) -> list:
 
 # --- scalars -------------------------------------------------------------------
 
-def rat_to_str(x) -> str:
-    """Reduced rational (or "inf") as a string."""
-    if isinstance(x, XRat):
-        return "inf" if x.is_infinite else str(x.as_fraction)
-    return str(Fraction(x))
-
-
 # The most digits a numerator or denominator may have: the interpreter's
-# default limit on int() of a decimal string, refused here with a location.
+# default limit on int() of a decimal string and on str() of an int, refused
+# here with a location on the way in and by rat_to_str on the way out.
 MAX_RATIONAL_DIGITS = 4300
 
+
+def rat_to_str(x) -> str:
+    """Reduced rational (or "inf") as a string."""
+    if isinstance(x, XRat) and x.is_infinite:
+        return "inf"
+    frac = x.as_fraction if isinstance(x, XRat) else Fraction(x)
+    try:
+        return str(frac)
+    except ValueError:  # the interpreter's own limit on str() of an int
+        raise ValueError(f"result has more than {MAX_RATIONAL_DIGITS} digits") from None
+
+
+# \Z, not $: a final newline is not part of a rational
 _DIGITS = f"([0-9]{{1,{MAX_RATIONAL_DIGITS}}})"
-_RATIONAL = re.compile(f"^{_DIGITS}(?:/{_DIGITS})?$")
-_ANY_RATIONAL = re.compile(r"^[0-9]+(?:/[0-9]+)?$")
+_RATIONAL = re.compile(rf"^{_DIGITS}(?:/{_DIGITS})?\Z")
+_ANY_RATIONAL = re.compile(r"^[0-9]+(?:/[0-9]+)?\Z")
 
 
 def _fraction(s: Any, where: str) -> Optional[Fraction]:

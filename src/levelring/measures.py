@@ -21,14 +21,16 @@ empty levels.
 Each measure keeps a level index, built on first use.  It groups the
 components by level and sweeps each interval once.  The marks of an
 interval (0, its length, every atom position and density end), sorted as
-x_0 < ... < x_m, cut it into slots: slot 2i is the point x_i and slot 2i+1
-the open gap (x_i, x_i+1).  Painting the components from the highest level
-down, each slot written once, gives top[slot], the highest level covering
-it.  A maximal run of slots is one normalized piece, so support(k) is the
-runs with top >= k, its complement the runs with top < k, and every
-stratum (top == k) comes out of one pass.  Point queries read top
-directly.  Region operations are linear merges over sorted, disjoint piece
-lists.
+x_0 < ... < x_m by exact integer cross-multiplication, cut it into slots:
+slot 2i is the point x_i and slot 2i+1 the open gap (x_i, x_i+1).  Painting
+the components from the highest level down, each slot written once, gives
+top[slot], the highest level covering it.  A maximal run of slots is one
+normalized piece, so support(k) is the runs with top >= k and its
+complement the runs with top < k.  The level-k slice is read off the same
+slots: the level-k atoms whose slot has top == k and the runs of each
+level-k density with top == k, kept as components, so slice masses and
+recovery never build a region.  Point queries read top directly.  Region
+operations are linear merges over sorted, disjoint piece lists.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -201,21 +203,10 @@ def _norm(pieces: Iterable[Piece]) -> tuple[Piece, ...]:
         # contact with an earlier one — so keep folding backwards.
         while out and _touches(out[-1], p):
             a = out.pop()
-            lo, cl = (
-                (a[0], a[2])
-                if a[0] < p[0]
-                else (p[0], p[2])
-                if p[0] < a[0]
-                else (a[0], a[2] or p[2])
-            )
-            hi, cr = (
-                (a[1], a[3])
-                if a[1] > p[1]
-                else (p[1], p[3])
-                if p[1] > a[1]
-                else (a[1], a[3] or p[3])
-            )
-            p = (lo, hi, cl, cr)
+            # the lower start and the higher end; on a tie, closed wins
+            lo, open_lo = min((a[0], not a[2]), (p[0], not p[2]))
+            hi, cr = max((a[1], a[3]), (p[1], p[3]))
+            p = (lo, hi, not open_lo, cr)
         out.append(p)
     return tuple(out)
 
@@ -514,8 +505,13 @@ def _ends(c: Component) -> tuple[Fraction, Fraction]:
     return (c.position, c.position) if isinstance(c, Atom) else (c.lo, c.hi)
 
 
+# Sorts Fractions by the sign of an exact integer cross product, which is
+# cheaper than Fraction.__lt__ and never rounds.
+_BY_VALUE = cmp_to_key(lambda p, q: p.numerator * q.denominator - q.numerator * p.denominator)
+
+
 def _runs(
-    x: Sequence[Fraction], top: Sequence[int], key: Optional[Callable[[int], object]] = None
+    x: Sequence[Fraction], top: Sequence[int], key: Callable[[int], object]
 ) -> Iterator[tuple[object, Piece]]:
     """Each maximal run of slots over which key(top) keeps one value, as
     (value, piece).  Slot 2i is the mark x[i] and slot 2i+1 the open gap
@@ -535,8 +531,9 @@ class _LevelIndex:
     The components by level are sorted out at once.  On first use each
     interval is swept: its marks (0, the length, every atom position and
     density end) cut it into slots, and top[slot] is the highest level
-    covering the slot, or -1.  The supports, their complements and the
-    strata are runs of slots; each is built on first use and then kept.
+    covering the slot, or -1.  The supports and their complements are runs
+    of slots, and the slices are the components cut to the slots whose top
+    is their own level; each is built on first use and then kept.
     """
 
     def __init__(self, mu: FHMeasure):
@@ -561,7 +558,7 @@ class _LevelIndex:
             marks = {Fraction(0), length}
             for c in comps[iid]:
                 marks.update(_ends(c))
-            x = sorted(marks)
+            x = sorted(marks, key=_BY_VALUE)
             at = {v: i for i, v in enumerate(x)}
             top = [-1] * (2 * len(x) - 1)
             # skip[s] leads to the first unpainted slot at or after s, so
@@ -583,25 +580,20 @@ class _LevelIndex:
             out[iid] = (x, at, top)
         return out
 
-    def _regions(self, key: Optional[Callable[[int], object]] = None) -> dict[object, Region]:
-        """The slots grouped by key(top level), one region per value."""
-        parts: dict[object, list] = {}
-        for iid, (x, _, top) in self.sweep.items():
-            pieces: dict[object, list[Piece]] = {}
-            for value, p in _runs(x, top, key):
-                pieces.setdefault(value, []).append(p)
-            for value, ps in pieces.items():
-                parts.setdefault(value, []).append((iid, tuple(ps)))
-        return {value: Region(self.domain, tuple(ps)) for value, ps in parts.items()}
-
     def _cut(self, k: int) -> tuple[Region, Region]:
         """support(k), the slots covered at level k or higher (at least 0),
         and its complement, kept per distinct support."""
         i = bisect_left(self.levels, k)
         if i not in self._cuts:
-            sides = self._regions(lambda t: t >= max(k, 0))
-            empty = Region.empty(self.domain)
-            self._cuts[i] = (sides.get(True, empty), sides.get(False, empty))
+            sides: tuple[list, list] = ([], [])  # the parts of (support, complement)
+            for iid, (x, _, top) in self.sweep.items():
+                pieces: tuple[list[Piece], list[Piece]] = ([], [])
+                for below, p in _runs(x, top, lambda t: t < max(k, 0)):
+                    pieces[below].append(p)
+                for side, ps in zip(sides, pieces):
+                    if ps:
+                        side.append((iid, tuple(ps)))
+            self._cuts[i] = tuple(Region(self.domain, tuple(side)) for side in sides)
         return self._cuts[i]
 
     def support(self, k: int) -> Region:
@@ -610,31 +602,32 @@ class _LevelIndex:
     def outside(self, k: int) -> Region:
         return self._cut(k)[1]
 
-    @cached_property
-    def strata(self) -> dict[int, Region]:
-        """The slots whose top level is k, for every k at once: each slot
-        lies in exactly one stratum (-1 holds the uncovered slots)."""
-        return self._regions()
-
-    def stratum(self, k: int) -> Region:
-        """support(k) clear of support(k+1); empty at unoccupied levels."""
-        if k < 0 or k not in self.strata:
-            return Region.empty(self.domain)
-        return self.strata[k]
-
     def peak(self, c: Component) -> int:
         """The highest level covering any point of c's carrier."""
         _, at, top = self.sweep[c.interval]
         lo, hi = _ends(c)
         return max(top[2 * at[lo] : 2 * at[hi] + 1])
 
-    def clear(self, c: Density) -> list[tuple[Fraction, Fraction]]:
-        """The runs of a density's carrier that no higher level covers.  No
-        run is a lone point: a carrier covering a gap covers its ends."""
-        x, at, top = self.sweep[c.interval]
-        a, b = at[c.lo], at[c.hi]
-        runs = _runs(x[a : b + 1], top[2 * a : 2 * b + 1], lambda t: t == c.level)
-        return [(lo, hi) for bare, (lo, hi, _, _) in runs if bare]
+    @cached_property
+    def slices(self) -> dict[int, list[Component]]:
+        """Per occupied level k, in level order, its components cut down to
+        stratum k (the slots whose top level is k): the atoms k peaks at,
+        and the runs of each density that no higher level covers.  No run
+        is a lone point: a carrier covering a gap covers its ends."""
+        out: dict[int, list[Component]] = {}
+        for k in self.levels:
+            cut = out[k] = []
+            for c in self.by_level[k]:
+                if isinstance(c, Atom):
+                    if self.peak(c) == k:
+                        cut.append(c)
+                    continue
+                x, at, top = self.sweep[c.interval]
+                a, b = at[c.lo], at[c.hi]
+                for bare, (lo, hi, _, _) in _runs(x[a : b + 1], top[2 * a : 2 * b + 1], k.__eq__):
+                    if bare:
+                        cut.append(Density(c.interval, lo, hi, k, c.rate))
+        return out
 
     @cached_property
     def top_atom(self) -> dict[tuple[str, Fraction], int]:
@@ -647,10 +640,11 @@ class _LevelIndex:
         return out
 
 
-def _level_mass(mu: FHMeasure, k: int, region: Region) -> XRat:
-    """Total level-k mass of the region: atom masses plus rate x length."""
+def _mass(comps: Iterable[Component], region: Region) -> XRat:
+    """Total mass of the components on the region: atom masses plus rate x
+    length."""
     out = XRat(0)
-    for c in mu._index.by_level.get(k, ()):
+    for c in comps:
         if isinstance(c, Atom):
             if region.contains(c.interval, c.position):
                 out = out + c.mass
@@ -667,7 +661,7 @@ def evaluate(mu: FHMeasure, region: Region) -> LevelValue:
     if region.domain != mu.domain:
         raise ValueError("region is not on this measure's domain")
     for k in reversed(mu.levels()):
-        m = _level_mass(mu, k, region)
+        m = _mass(mu._index.by_level[k], region)
         if m:
             return pair(k, m)
     return ZERO
@@ -693,8 +687,11 @@ def support(mu: FHMeasure, k: int) -> Region:
 
 def nu_hat(mu: FHMeasure, k: int, region: Region) -> XRat:
     """Level-k mass of the part of the region in support(k) and clear of
-    support(k+1) — the level-k slice used by the recovery formula."""
-    return _level_mass(mu, k, region.intersect(mu._index.stratum(k)))
+    support(k+1): the mass of the level-k slice, the one the recovery
+    formula reads."""
+    if region.domain != mu.domain:
+        raise ValueError("regions live on different domains")
+    return _mass(mu._index.slices.get(k, ()), region)
 
 
 def recover(mu: FHMeasure) -> FHMeasure:
@@ -705,17 +702,8 @@ def recover(mu: FHMeasure) -> FHMeasure:
     are clipped to what survives (up to endpoints, which carry no density
     mass).  For gradable measures this evaluates identically to mu.
     """
-    index = mu._index
-    comps: list[Component] = []
-    for k in index.levels:
-        for c in index.by_level[k]:
-            if isinstance(c, Atom):
-                if index.peak(c) == k:
-                    comps.append(c)
-            else:
-                for lo, hi in index.clear(c):
-                    comps.append(Density(c.interval, lo, hi, k, c.rate))
-    return FHMeasure(mu.domain, comps, mu.height_bound)
+    slices = mu._index.slices.values()
+    return FHMeasure(mu.domain, itertools.chain.from_iterable(slices), mu.height_bound)
 
 
 def recover_check(

@@ -641,6 +641,32 @@ def test_overlong_rational_is_located(tmp_path, capsys, words, doc, where, text)
     assert err == f"error: {where}: more than {MAX_RATIONAL_DIGITS} digits: {values._ECHO.repr(text)}\n"
 
 
+HALF = "9" * 3000
+
+
+@pytest.mark.parametrize("words, doc, where", [
+    (["svalue"], [{"op": "mul", "args": [{"level": 0, "real": HALF}, {"level": 0, "real": HALF}]}], "exprs[0]: "),
+    (["measure", "eval"],
+     {"domain": {"intervals": [{"id": "I", "length": HALF}]},
+      "components": [{"kind": "density", "interval": "I", "lo": "0", "hi": HALF, "level": 0, "rate": HALF}]},
+     ""),
+])
+def test_overlong_result_is_refused(tmp_path, capsys, words, doc, where):
+    # each input is within the digit bound, but the product is not
+    code, out, err = run(capsys, *words, write(tmp_path, "input.json", doc))
+    assert code == 1
+    assert json.loads(out)["result"] is None
+    assert err == f"error: {where}result has more than {MAX_RATIONAL_DIGITS} digits\n"
+
+
+def test_trailing_newline_is_not_a_rational(tmp_path, capsys):
+    exprs = write(tmp_path, "exprs.json", [{"op": "add", "args": [{"level": 0, "real": "1\n"}]}])
+    code, out, err = run(capsys, "svalue", exprs)
+    assert code == 1
+    assert json.loads(out)["result"] is None
+    assert err == "error: exprs[0].args[0].real: not a \"p/q\" rational or \"inf\": '1\\n'\n"
+
+
 def test_one_parser_serves_every_call(monkeypatch):
     monkeypatch.chdir(GOLDEN / "inputs")
     monkeypatch.setenv("COLUMNS", "80")
@@ -666,12 +692,25 @@ def test_family_limit_reference_out_of_range(tmp_path, capsys, reference):
 
 
 def test_deeply_nested_file_is_not_json(tmp_path, capsys):
+    # deep enough to exhaust the JSON parser's recursion on every supported
+    # interpreter (3.13 parses 3000 levels)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 10**5 + "]" * 10**5)
+    code, out, err = run(capsys, "svalue", str(deep))
+    assert code == 1
+    assert json.loads(out)["result"] is None
+    assert err.startswith("error: exprs file is not JSON: maximum recursion depth exceeded")
+
+
+def test_nested_file_fails_cleanly_at_any_parser_depth(tmp_path, capsys):
+    # 3000 levels: not JSON to 3.10-3.12, a non-expression to 3.13
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 3000 + "]" * 3000)
     code, out, err = run(capsys, "svalue", str(deep))
     assert code == 1
     assert json.loads(out)["result"] is None
-    assert err.startswith("error: exprs file is not JSON: maximum recursion depth exceeded")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 # --- no input escapes as a traceback ----------------------------------------------

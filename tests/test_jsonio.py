@@ -66,6 +66,10 @@ def test_rational_strings():
         rat_from_str("1/0")
     with pytest.raises(FormatError):
         rat_from_str(7)  # numbers travel as strings
+    for s in ("12\n", "3/4\n", "\n", "inf\n", "9" * MAX_RATIONAL_DIGITS + "7\n"):
+        with pytest.raises(FormatError) as exc:
+            rat_from_str(s, "x")
+        assert str(exc.value) == f'x: not a "p/q" rational or "inf": {_ECHO.repr(s)}'
     # digit runs stop at MAX_RATIONAL_DIGITS, short of int()'s own limit
     most = "7" * MAX_RATIONAL_DIGITS
     assert rat_from_str(f"{most}/{most}") == XRat(1)
@@ -73,6 +77,13 @@ def test_rational_strings():
         with pytest.raises(FormatError) as exc:
             rat_from_str(s, "x")
         assert str(exc.value) == f"x: more than {MAX_RATIONAL_DIGITS} digits: {_ECHO.repr(s)}"
+    # a result past the bound is refused on the way out, not by the interpreter
+    huge = Fraction(10**MAX_RATIONAL_DIGITS, 3)
+    for x in (huge, 1 / huge, XRat(huge)):
+        with pytest.raises(ValueError) as exc:
+            rat_to_str(x)
+        assert str(exc.value) == f"result has more than {MAX_RATIONAL_DIGITS} digits"
+    assert rat_to_str(Fraction(10**MAX_RATIONAL_DIGITS - 1, 3)) == f"{'3' * MAX_RATIONAL_DIGITS}"
 
 
 def test_svalue_encoding():
@@ -225,7 +236,7 @@ def _o_obj(obj, keys, where):
     return obj
 
 
-_O_RATIONAL = re.compile(r"^([0-9]+)(?:/([0-9]+))?$")
+_O_RATIONAL = re.compile(r"^([0-9]+)(?:/([0-9]+))?\Z")
 
 
 def oracle_rat(s: Any, where: str = "rational"):

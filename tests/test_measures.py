@@ -4,6 +4,7 @@ import itertools
 import json
 from bisect import bisect_left
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -15,6 +16,7 @@ from levelring.measures import (
     _complement,
     _norm,
     _piece_contains,
+    _touches,
     Atom,
     Density,
     Domain,
@@ -84,6 +86,22 @@ def oracle_intersect(a, b):
             for i in a.domain.ids
         }
     )
+
+
+def oracle_norm(pieces):
+    """_norm as it was before it merged by min/max: each end chosen by
+    explicit three-way comparison."""
+    out = []
+    for p in sorted(pieces, key=lambda p: (p[0], p[1])):
+        if p[0] == p[1] and not (p[2] and p[3]):
+            continue
+        while out and _touches(out[-1], p):
+            a = out.pop()
+            lo, cl = (a[0], a[2]) if a[0] < p[0] else (p[0], p[2]) if p[0] < a[0] else (a[0], a[2] or p[2])
+            hi, cr = (a[1], a[3]) if a[1] > p[1] else (p[1], p[3]) if p[1] > a[1] else (a[1], a[3] or p[3])
+            p = (lo, hi, cl, cr)
+        out.append(p)
+    return tuple(out)
 
 
 def oracle_complement(a):
@@ -191,7 +209,7 @@ def oracle_is_locally_finite(mu):
 class OracleLevelIndex:
     """The level index as it was before the slot sweep: each occupied
     level's support joined to the one above it with Region.union, top
-    down, and the complements and strata taken by region algebra."""
+    down, and the complements taken by region algebra."""
 
     def __init__(self, mu):
         self.domain = mu.domain
@@ -216,11 +234,6 @@ class OracleLevelIndex:
 
     def outside(self, k):
         return self.support(k).complement()
-
-    def stratum(self, k):
-        if k not in self.levels:
-            return Region.empty(self.domain)
-        return self.support(k).intersect(self.outside(k + 1))
 
 
 def oracle_grid_sets(mu, midpoints=True):
@@ -374,6 +387,20 @@ def test_region_ops_agree_with_the_all_pairs_oracle(a, b):
         for n in range(13):
             x = length * n / 12
             assert a.contains(iid, x) == oracle_contains(a, iid, x)
+
+
+raw_pieces = st.lists(
+    st.tuples(coords, coords, st.booleans(), st.booleans()).map(
+        lambda t: (min(t[0], t[1]), max(t[0], t[1]), t[2], t[3])
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=500)
+@given(raw_pieces)
+def test_norm_agrees_with_the_three_way_oracle(pieces):
+    assert _norm(pieces) == oracle_norm(pieces)
 
 
 def test_region_echoes_are_bounded():
@@ -598,13 +625,14 @@ def _assert_index_agrees(mu):
     """The slot sweep against the union-built index and the per-call
     oracles, at every level from -1 to two above the top; returns the
     (open-graded, locally-finite) verdicts."""
-    index, old = mu._index, OracleLevelIndex(mu)
+    index, old, rebuilt = mu._index, OracleLevelIndex(mu), oracle_recover(mu)
     top = mu.height if mu.height is not None else 0
     for k in range(-1, top + 3):
         assert support(mu, k) == old.support(k) == oracle_support(mu, k)
         assert index.outside(k) == old.outside(k)
-        assert index.stratum(k) == old.stratum(k)
-    assert recover(mu) == oracle_recover(mu)
+        assert index.slices.get(k, []) == [c for c in rebuilt.components if c.level == k]
+    assert tuple(index.slices) == index.levels
+    assert recover(mu) == rebuilt
     graded, finite = is_open_graded(mu), is_locally_finite(mu)
     assert graded == oracle_is_open_graded(mu)
     assert finite == oracle_is_locally_finite(mu)
@@ -623,7 +651,7 @@ def test_level_index_agrees_with_the_oracle_supports():
         sets = grid_sets(mu, midpoints=False)
         for region in rng.sample(sets, min(len(sets), 30)):
             assert evaluate(mu, region) == oracle_evaluate(mu, region)
-            for k in range(top + 2):
+            for k in range(-1, top + 3):
                 assert nu_hat(mu, k, region) == oracle_nu_hat(mu, k, region)
     assert len(seen) == 4  # every verdict pair is exercised
 
@@ -674,6 +702,51 @@ def test_level_index_agrees_with_the_oracle_on_dense_ends():
         assert support(mu, 0)._pieces("E") == ()
         assert mu._index.outside(0)._pieces("E") == ((Fraction(0), Fraction(1), True, True),)
     assert len(seen) >= 3
+
+
+def _neighbours(q, q2):
+    """The two fractions in (0, 1) with denominators q and q2 (coprime)
+    that differ by exactly 1/(q*q2), lower first."""
+    a = pow(q2, -1, q)  # a*q2 - b*q == 1
+    return Fraction((a * q2 - 1) // q, q2), Fraction(a, q)
+
+
+def test_sweep_sorts_marks_exactly():
+    # neighbours 1/(q*q2) apart with denominators near 10**20 and 10**40,
+    # in shuffled order: no float tells them apart, so only an exact order
+    # sorts them
+    rng = Random(12)
+    for big in (10**20, 10**40):
+        pairs = []
+        while len(pairs) < 30:
+            q, q2 = rng.randrange(big, 2 * big), rng.randrange(big, 2 * big)
+            if gcd(q, q2) == 1:
+                pairs.append(_neighbours(q, q2))
+        assert all(lo < hi and hi - lo == Fraction(1, lo.denominator * hi.denominator) for lo, hi in pairs)
+        assert any(float(lo) == float(hi) for lo, hi in pairs)
+        ends = [x for pair in pairs for x in pair]
+        rng.shuffle(ends)
+        atoms = [Atom("I", x, i % 3, 1) for i, x in enumerate(ends + ends[:5])]
+        dens = [Density("J", *sorted(pair), 1 + i % 2, 2) for i, pair in enumerate(zip(ends[::2], ends[1::2]))]
+        mu = FHMeasure(DOM, atoms + dens)
+        for iid, comps in (("I", atoms), ("J", dens)):
+            x, at, _ = mu._index.sweep[iid]
+            marks = {Fraction(0), DOM.length_of(iid)}
+            marks.update(e for c in comps for e in ((c.position,) if isinstance(c, Atom) else (c.lo, c.hi)))
+            assert x == sorted(marks)
+            assert [at[v] for v in x] == list(range(len(x)))
+        whole = Region.whole(DOM)
+        assert [nu_hat(mu, k, whole) for k in range(4)] == [oracle_nu_hat(mu, k, whole) for k in range(4)]
+        assert recover(mu) == oracle_recover(mu)
+
+
+def test_nu_hat_refuses_a_region_on_another_domain():
+    mu = FHMeasure(DOM, [Atom("I", Fraction(1, 2), 1, 3), Density("J", 0, 1, 0, 2)])
+    whole = Region.whole(DOM)
+    assert [nu_hat(mu, k, whole) for k in (-1, 0, 1, 2, 5)] == [XRat(0), XRat(2), XRat(3), XRat(0), XRat(0)]
+    for k in (-1, 0, 1, 2, 5):
+        with pytest.raises(ValueError, match="regions live on different domains"):
+            nu_hat(mu, k, Region.whole(UNIT))
 
 
 def test_measure_identity_ignores_index():
