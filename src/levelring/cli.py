@@ -44,6 +44,15 @@ class CommandError(Exception):
     """Operation could not produce a result; message becomes a diagnostic."""
 
 
+def _result(where: str, encode, value) -> Any:
+    """encode(value); a value too long to write is refused at where, as
+    malformed input is located."""
+    try:
+        return encode(value)
+    except ValueError as exc:
+        raise CommandError(f"{where}: {exc}") from None
+
+
 def _load(path: str, role: str, inputs: dict) -> Any:
     try:
         with open(path, "rb") as fh:
@@ -112,7 +121,7 @@ def _svalue(args, diagnostics: list, doc: Any) -> Any:
 def _track_validate(args, diagnostics: list, track, weights) -> Any:
     violations = tracks.validate(track, weights)
     for v in violations:
-        diagnostics.append({"severity": "error", "message": f"switch {v.switch}: {v.left} != {v.right}"})
+        diagnostics.append({"severity": "error", "message": _result(f"switch {v.switch}", str, v)})
     return {
         "valid": not violations,
         "violations": [
@@ -153,8 +162,8 @@ def _measure_decompose(args, diagnostics: list, mu) -> Any:
     whole = measures.Region.whole(mu.domain)
     return {
         "table": [
-            {"level": k, "mass": jsonio.rat_to_str(measures.nu_hat(mu, k, whole))}
-            for k in mu.levels()
+            {"level": k, "mass": _result(f"table[{i}].mass", jsonio.rat_to_str, measures.nu_hat(mu, k, whole))}
+            for i, k in enumerate(mu.levels())
         ]
     }
 
@@ -197,7 +206,8 @@ def _tree_dist(args, diagnostics: list, doc: Any) -> Any:
         if not (isinstance(row, list) and len(row) == 2):
             raise CommandError(f"pairs[{i}]: expected [x, y]")
         x, y = row
-        out.append({"pair": [x, y], "value": jsonio.svalue_to_json(trees.distance(tree, x, y))})
+        value = _result(f"distances[{i}].value", jsonio.svalue_to_json, trees.distance(tree, x, y))
+        out.append({"pair": [x, y], "value": value})
     return {"distances": out}
 
 
@@ -313,7 +323,7 @@ COMMANDS = {
     ("measure", "eval"): (
         [MEASURE],
         lambda args, diagnostics, mu: {
-            "value": jsonio.svalue_to_json(measures.evaluate(mu, measures.Region.whole(mu.domain)))
+            "value": _result("value", jsonio.svalue_to_json, measures.evaluate(mu, measures.Region.whole(mu.domain)))
         },
     ),
     ("measure", "decompose"): ([MEASURE], _measure_decompose),

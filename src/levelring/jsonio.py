@@ -1,8 +1,12 @@
 """JSON encodings shared by the file formats and the command line.
 
 Leveled values travel as ``null`` (the zero element) or
-``{"level": k, "real": "p/q"}`` with ``"inf"`` as the only non-rational
-token; rationals are reduced strings.  The composite formats:
+``{"level": k, "real": "p/q"}``.  Every rational is a JSON string in the
+one grammar of ``values`` that ``XRat(str)`` also reads: ``"p"``,
+``"p/q"`` or ``"inf"``, each digit run at most ``MAX_RATIONAL_DIGITS``
+long, not necessarily reduced on the way in and always reduced on the way
+out.  A result past the digit bound is refused by ``str(XRat)``, whatever
+``PYTHONINTMAXSTRDIGITS`` says.  The composite formats:
 
 * weight vectors — arrays of value encodings;
 * monomial families — arrays of ``null`` or
@@ -22,28 +26,37 @@ Locations are formatted only when a check fails: each private decoder
 reports a fault relative to the value it was handed, every enclosing
 array or object decoder prefixes its own segment (``.edges``, ``[12]``)
 as the error passes out, and the public ``*_from_json`` prefixes its
-``where``.  The text is the same as if every spot had been named up front.
+``where``.  A library constructor's ValueError or KeyError, raised on
+fields already checked, is located the same way, at the value it would
+have built.  The text is the same as if every spot had been named up
+front.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from typing import Any, Optional
 
 from levelring.measures import Atom, Density, Domain, FHMeasure
 from levelring.tracks import TrainTrack
 from levelring.trees import ChordFamily, STree
-from levelring.values import _ECHO, DEFAULT_HEIGHT_BOUND, INF, LevelValue, XRat, ZERO
+from levelring.values import (
+    _ECHO,
+    DEFAULT_HEIGHT_BOUND,
+    INF,
+    MAX_RATIONAL_DIGITS,
+    LevelValue,
+    XRat,
+    ZERO,
+    _parse_rational,
+)
 from levelring.vectors import Monomial, MonomialFamily, Vector
 
 __all__ = [
     "FormatError",
     "MAX_RATIONAL_DIGITS",
     "chords_from_json",
-    "chords_to_json",
     "family_from_json",
-    "family_to_json",
     "measure_from_json",
     "measure_to_json",
     "rat_from_str",
@@ -51,7 +64,6 @@ __all__ = [
     "svalue_from_json",
     "svalue_to_json",
     "track_from_json",
-    "track_to_json",
     "tree_from_json",
     "tree_to_json",
     "vector_from_json",
@@ -97,7 +109,11 @@ def _expect_list(obj: Any, where: str) -> list:
     return obj
 
 
-def _expect_obj(obj: Any, keys: "set | frozenset", where: str) -> dict:
+def _expect_obj(
+    obj: Any, keys: "set | frozenset", where: str, optional: "set | frozenset" = frozenset()
+) -> dict:
+    """An object with every one of keys, and no others but the optional
+    ones and "comment"."""
     if not isinstance(obj, dict):
         raise _wrong(obj, "an object", where)
     if obj.keys() == keys:
@@ -105,18 +121,28 @@ def _expect_obj(obj: Any, keys: "set | frozenset", where: str) -> dict:
     missing = keys - obj.keys()
     if missing:
         raise FormatError(where, f"missing keys {sorted(missing)}")
-    stray = obj.keys() - keys - {"comment"}
+    stray = obj.keys() - keys - optional - {"comment"}
     if stray:
         raise FormatError(where, f"unknown keys {_ECHO.repr(sorted(stray))}")
     return obj
 
 
+def _relocated(exc: Exception, where: str) -> FormatError:
+    """A fault raised while decoding the value at where, located there: a
+    FormatError gets where as a prefix, and a library constructor's
+    ValueError or KeyError (the decoders call constructors last, on
+    checked fields) becomes a FormatError at where."""
+    if isinstance(exc, FormatError):
+        return exc.within(where)
+    return FormatError(where, exc.args[0] if exc.args else str(exc))
+
+
 def _located(decode, obj: Any, where: str):
-    """decode(obj), with any fault's location prefixed by where."""
+    """decode(obj), with any fault located at where."""
     try:
         return decode(obj)
-    except FormatError as exc:
-        raise exc.within(where) from None
+    except (ValueError, KeyError) as exc:
+        raise _relocated(exc, where) from None
 
 
 def _each(decode, obj: Any, where: str) -> list:
@@ -126,8 +152,8 @@ def _each(decode, obj: Any, where: str) -> list:
     for i, entry in enumerate(_expect_list(obj, where)):
         try:
             out.append(decode(entry))
-        except FormatError as exc:
-            raise exc.within(f"{where}[{i}]") from None
+        except (ValueError, KeyError) as exc:
+            raise _relocated(exc, f"{where}[{i}]") from None
     return out
 
 
@@ -144,47 +170,20 @@ def _strings(obj: Any, where: str) -> list:
 
 # --- scalars -------------------------------------------------------------------
 
-# The most digits a numerator or denominator may have: the interpreter's
-# default limit on int() of a decimal string and on str() of an int, refused
-# here with a location on the way in and by rat_to_str on the way out.
-MAX_RATIONAL_DIGITS = 4300
-
-
 def rat_to_str(x) -> str:
-    """Reduced rational (or "inf") as a string."""
-    if isinstance(x, XRat) and x.is_infinite:
-        return "inf"
-    frac = x.as_fraction if isinstance(x, XRat) else Fraction(x)
-    try:
-        return str(frac)
-    except ValueError:  # the interpreter's own limit on str() of an int
-        raise ValueError(f"result has more than {MAX_RATIONAL_DIGITS} digits") from None
-
-
-# \Z, not $: a final newline is not part of a rational
-_DIGITS = f"([0-9]{{1,{MAX_RATIONAL_DIGITS}}})"
-_RATIONAL = re.compile(rf"^{_DIGITS}(?:/{_DIGITS})?\Z")
-_ANY_RATIONAL = re.compile(r"^[0-9]+(?:/[0-9]+)?\Z")
+    """A nonnegative rational, or "inf", in the text form ``XRat`` reads;
+    ValueError past ``MAX_RATIONAL_DIGITS``."""
+    return str(x if isinstance(x, XRat) else XRat(x))
 
 
 def _fraction(s: Any, where: str) -> Optional[Fraction]:
-    """A "p/q" or "p" string as a Fraction; None for "inf"."""
+    """A rational string as a Fraction; None for "inf"."""
     if not isinstance(s, str):
         raise _wrong(s, "a string", where)
-    if s == "inf":
-        return None
-    match = _RATIONAL.match(s)
-    if not match:
-        if _ANY_RATIONAL.match(s):
-            raise FormatError(where, f"more than {MAX_RATIONAL_DIGITS} digits: {_ECHO.repr(s)}")
-        raise FormatError(where, f'not a "p/q" rational or "inf": {_ECHO.repr(s)}')
-    num, den = match.groups()
-    if den is None:
-        return Fraction(int(num))
     try:
-        return Fraction(int(num), int(den))
-    except ZeroDivisionError:
-        raise FormatError(where, f"zero denominator: {_ECHO.repr(s)}") from None
+        return _parse_rational(s)
+    except ValueError as exc:
+        raise FormatError(where, str(exc)) from None
 
 
 def rat_from_str(s: Any, where: str = "rational") -> XRat:
@@ -216,10 +215,7 @@ def _svalue(obj: Any) -> LevelValue:
     doc = _expect_obj(obj, _VALUE, "")
     level = _expect_int(doc["level"], ".level")
     frac = _fraction(doc["real"], ".real")
-    try:
-        return LevelValue(level, INF if frac is None else XRat(frac))
-    except ValueError as exc:
-        raise FormatError("", str(exc)) from None
+    return LevelValue(level, INF if frac is None else XRat(frac))
 
 
 def svalue_from_json(obj: Any, where: str = "value") -> LevelValue:
@@ -236,15 +232,6 @@ def vector_from_json(obj: Any, where: str = "vector") -> Vector:
 
 # --- monomial families ------------------------------------------------------------
 
-def family_to_json(family: MonomialFamily) -> list:
-    return [
-        None
-        if m is None
-        else {"level": m.level, "coeff": rat_to_str(m.coeff), "degree": m.degree}
-        for m in family
-    ]
-
-
 _MONOMIAL = frozenset({"level", "coeff", "degree"})
 
 
@@ -255,10 +242,7 @@ def _monomial(obj: Any) -> Optional[Monomial]:
     coeff = _finite_from_str(doc["coeff"], ".coeff")
     level = _expect_int(doc["level"], ".level")
     degree = _expect_int(doc["degree"], ".degree")
-    try:
-        return Monomial(level, coeff, degree)
-    except ValueError as exc:
-        raise FormatError("", str(exc)) from None
+    return Monomial(level, coeff, degree)
 
 
 def family_from_json(obj: Any, where: str = "family") -> MonomialFamily:
@@ -267,36 +251,20 @@ def family_from_json(obj: Any, where: str = "family") -> MonomialFamily:
 
 # --- train tracks -------------------------------------------------------------------
 
-def track_to_json(track: TrainTrack) -> dict:
-    return {
-        "segments": list(track.segments),
-        "switches": [{"a": list(a), "b": list(b)} for a, b in track.switches],
-        "free_ends": {seg: count for seg, count in track.free_ends if count},
-    }
-
-
 _SWITCH = frozenset({"a", "b"})
-
-
-def _side(obj: Any, where: str) -> list:
-    items = _expect_list(obj, where)
-    for s in items:
-        _expect_str(s, where)
-    return items
 
 
 def _switch(obj: Any) -> tuple[list, list]:
     doc = _expect_obj(obj, _SWITCH, "")
-    return _side(doc["a"], ".a"), _side(doc["b"], ".b")
+    return _strings(doc["a"], ".a"), _strings(doc["b"], ".b")
 
 
 def _track(obj: Any) -> TrainTrack:
-    has_free = isinstance(obj, dict) and "free_ends" in obj
-    doc = _expect_obj(obj, {"segments", "switches"} | ({"free_ends"} if has_free else set()), "")
+    doc = _expect_obj(obj, {"segments", "switches"}, "", {"free_ends"})
     segments = _strings(doc["segments"], ".segments")
     switches = _each(_switch, doc["switches"], ".switches")
     free_ends = None
-    if has_free:
+    if "free_ends" in doc:
         raw = doc["free_ends"]
         if not isinstance(raw, dict):
             raise _wrong(raw, "an object", ".free_ends")
@@ -306,10 +274,7 @@ def _track(obj: Any) -> TrainTrack:
                 free_ends[seg] = _expect_int(count, "")
             except FormatError as exc:
                 raise exc.within(f".free_ends[{_ECHO.repr(seg)}]") from None
-    try:
-        return TrainTrack(segments, switches, free_ends)
-    except ValueError as exc:
-        raise FormatError("", str(exc)) from None
+    return TrainTrack(segments, switches, free_ends)
 
 
 def track_from_json(obj: Any, where: str = "track") -> TrainTrack:
@@ -370,47 +335,34 @@ def _component(obj: Any):
     kind = obj["kind"]
     if kind == "atom":
         doc = _expect_obj(obj, _ATOM, "")
-        make, fields = Atom, (
+        return Atom(
             _expect_str(doc["interval"], ".interval"),
             _finite_from_str(doc["position"], ".position"),
             _expect_int(doc["level"], ".level"),
             rat_from_str(doc["mass"], ".mass"),
         )
-    elif kind == "density":
+    if kind == "density":
         doc = _expect_obj(obj, _DENSITY, "")
-        make, fields = Density, (
+        return Density(
             _expect_str(doc["interval"], ".interval"),
             _finite_from_str(doc["lo"], ".lo"),
             _finite_from_str(doc["hi"], ".hi"),
             _expect_int(doc["level"], ".level"),
             rat_from_str(doc["rate"], ".rate"),
         )
-    else:
-        raise FormatError("", f"unknown component kind {_ECHO.repr(kind)}")
-    try:
-        return make(*fields)
-    except (ValueError, KeyError) as exc:
-        raise FormatError("", exc.args[0] if exc.args else str(exc)) from None
+    raise FormatError("", f"unknown component kind {_ECHO.repr(kind)}")
 
 
 def _measure(obj: Any) -> FHMeasure:
-    has_bound = isinstance(obj, dict) and "height_bound" in obj
-    doc = _expect_obj(obj, {"domain", "components"} | ({"height_bound"} if has_bound else set()), "")
+    doc = _expect_obj(obj, {"domain", "components"}, "", {"height_bound"})
     dom_doc = _expect_obj(doc["domain"], {"intervals"}, ".domain")
     intervals = _each(_interval, dom_doc["intervals"], ".domain.intervals")
-    try:
-        domain = Domain(intervals)
-    except ValueError as exc:
-        raise FormatError(".domain", str(exc)) from None
-
+    domain = _located(Domain, intervals, ".domain")
     components = _each(_component, doc["components"], ".components")
     height_bound = DEFAULT_HEIGHT_BOUND
-    if has_bound:
+    if "height_bound" in doc:
         height_bound = _expect_int(doc["height_bound"], ".height_bound")
-    try:
-        return FHMeasure(domain, components, height_bound)
-    except (ValueError, KeyError) as exc:
-        raise FormatError("", exc.args[0] if exc.args else str(exc)) from None
+    return FHMeasure(domain, components, height_bound)
 
 
 def measure_from_json(obj: Any, where: str = "measure") -> FHMeasure:
@@ -443,24 +395,11 @@ def _tree(obj: Any) -> STree:
     doc = _expect_obj(obj, {"nodes", "edges"}, "")
     nodes = _strings(doc["nodes"], ".nodes")
     edges = _each(_edge, doc["edges"], ".edges")
-    try:
-        return STree(nodes, edges)
-    except ValueError as exc:
-        raise FormatError("", str(exc)) from None
+    return STree(nodes, edges)
 
 
 def tree_from_json(obj: Any, where: str = "tree") -> STree:
     return _located(_tree, obj, where)
-
-
-def chords_to_json(family: ChordFamily) -> dict:
-    return {
-        "marks": family.marks,
-        "chords": [
-            {"ends": [i, j], "weight": svalue_to_json(w)}
-            for i, j, w in family.chords
-        ],
-    }
 
 
 _CHORD = frozenset({"ends", "weight"})
@@ -480,10 +419,7 @@ def _chords(obj: Any) -> ChordFamily:
     doc = _expect_obj(obj, {"marks", "chords"}, "")
     marks = _expect_int(doc["marks"], ".marks")
     chords = _each(_chord, doc["chords"], ".chords")
-    try:
-        return ChordFamily(marks, chords)
-    except ValueError as exc:
-        raise FormatError("", str(exc)) from None
+    return ChordFamily(marks, chords)
 
 
 def chords_from_json(obj: Any, where: str = "chords") -> ChordFamily:

@@ -69,7 +69,7 @@ Rat = Union[Fraction, int, str]
 
 
 def _frac(x: Rat) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    return x if isinstance(x, Fraction) else XRat(x).as_fraction
 
 
 # ---------------------------------------------------------------------------

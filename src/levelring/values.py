@@ -17,6 +17,18 @@ attribute raises ``AttributeError``, and equality and hashing go by
 reduced numerators and denominators, cross-multiplied for order), never
 through ``Fraction``'s generic comparison and never through floats.
 
+A rational has one text form, read by ``XRat(str)`` and by every JSON decoder,
+and written by ``str(XRat)``: ``"p"``, ``"p/q"`` or ``"inf"``,
+where p and q are runs of ASCII digits 0-9, with no sign, space, point,
+exponent or underscore.  Reading does not require lowest terms
+(``"006/08"`` is 3/4), and writing gives them.  Each run has at most
+``MAX_RATIONAL_DIGITS`` digits on the way in, and a reduced numerator or
+denominator past that bound is refused on the way out.  Both checks are
+made here by comparison, so the bound does not depend on
+``PYTHONINTMAXSTRDIGITS``: lifting the interpreter's own limit (0) lets
+no longer rational in or out.  (A limit set below the bound still
+refuses shorter runs, with the interpreter's own text.)
+
 Levels are unbounded in the algebra itself; the sequence embedding
 ``to_sequence``/``from_sequence`` works at an explicit height bound
 (default ``DEFAULT_HEIGHT_BOUND``), mapping a value of level k to the
@@ -28,6 +40,7 @@ faithfully ordered chunk of a countable product of extended half-lines.
 
 from __future__ import annotations
 
+import re
 import reprlib
 import sys
 from fractions import Fraction
@@ -37,6 +50,7 @@ __all__ = [
     "DEFAULT_HEIGHT_BOUND",
     "INF",
     "LevelValue",
+    "MAX_RATIONAL_DIGITS",
     "MAX_SEQUENCE_HEIGHT",
     "RatLike",
     "XRat",
@@ -58,6 +72,33 @@ DEFAULT_HEIGHT_BOUND = 16
 _ECHO = reprlib.Repr()
 _ECHO.maxlevel = 1
 
+# The most digits a numerator or denominator may have as text, read or
+# written: the interpreter's default limit on int() of a decimal string and
+# on str() of an int.
+MAX_RATIONAL_DIGITS = 4300
+_TOO_LONG = 10**MAX_RATIONAL_DIGITS
+_RATIONAL = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+
+
+def _parse_rational(text: str) -> Optional[Fraction]:
+    """The rational that text spells in the one grammar (see the module
+    docstring), or None for "inf"; ValueError says why text is not one."""
+    if text == "inf":
+        return None
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError(f'not a "p/q" rational or "inf": {_ECHO.repr(text)}')
+    num, den = match.groups()
+    if len(text) > MAX_RATIONAL_DIGITS and max(len(num), len(den or "")) > MAX_RATIONAL_DIGITS:
+        raise ValueError(f"more than {MAX_RATIONAL_DIGITS} digits: {_ECHO.repr(text)}")
+    if den is None:
+        return Fraction(int(num))
+    try:
+        return Fraction(int(num), int(den))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {_ECHO.repr(text)}") from None
+
+
 # `to_sequence` allocates its whole output, so it refuses heights above this.
 MAX_SEQUENCE_HEIGHT = 2**16
 
@@ -73,9 +114,12 @@ class XRat:
     """A nonnegative rational or infinity, exact.
 
     Construct from an int, a ``Fraction``, another ``XRat``, or a string
-    ("p/q", "p", or "inf").  Floats are rejected: everything in this
-    library is exact.  Infinity absorbs under addition and multiplication;
-    0 * inf is a logic error and raises.
+    in the module's one rational grammar ("p", "p/q" or "inf").  Floats
+    are rejected: everything in this library is exact.  ``str`` writes the
+    same grammar, reduced, and refuses a value whose numerator or
+    denominator has more than ``MAX_RATIONAL_DIGITS`` digits.  Infinity
+    absorbs under addition and multiplication; 0 * inf is a logic error
+    and raises.
 
     Two ``XRat`` compare by exact integers: equal numerators and
     denominators (a ``Fraction`` is always reduced), and ``<`` by cross
@@ -96,11 +140,8 @@ class XRat:
             self._frac = value._frac
             return
         if isinstance(value, str):
-            text = value.strip()
-            if text == "inf":
-                self._frac = None
-                return
-            value = Fraction(text)
+            self._frac = _parse_rational(value)
+            return
         if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
             raise TypeError(f"not an exact rational: {value!r}")
         frac = value if isinstance(value, Fraction) else Fraction(value)
@@ -230,7 +271,13 @@ class XRat:
         return XRat(self._frac / other._frac)
 
     def __str__(self) -> str:
-        return "inf" if self._frac is None else str(self._frac)
+        frac = self._frac
+        if frac is None:
+            return "inf"
+        num, den = frac.as_integer_ratio()
+        if num >= _TOO_LONG or den >= _TOO_LONG:
+            raise ValueError(f"result has more than {MAX_RATIONAL_DIGITS} digits")
+        return str(num) if den == 1 else f"{num}/{den}"
 
     def __repr__(self) -> str:
         return f"XRat({str(self)!r})"

@@ -642,21 +642,40 @@ def test_overlong_rational_is_located(tmp_path, capsys, words, doc, where, text)
 
 
 HALF = "9" * 3000
+# 1/(10^4000 + 1) and 1/(10^4000 - 1) each have 4001 digits; their sum's
+# denominator, 10^8000 - 1, has 8000
+NEAR = [f"1/{10**4000 + 1}", f"1/{10**4000 - 1}"]
+ONE_AND_ONE = {"domain": {"intervals": [{"id": "I", "length": "1"}]}, "components": [
+    {"kind": "atom", "interval": "I", "position": f"{k}/3", "level": 0, "mass": mass}
+    for k, mass in ((1, NEAR[0]), (2, NEAR[1]))
+]}
 
 
-@pytest.mark.parametrize("words, doc, where", [
-    (["svalue"], [{"op": "mul", "args": [{"level": 0, "real": HALF}, {"level": 0, "real": HALF}]}], "exprs[0]: "),
+@pytest.mark.parametrize("words, docs, where", [
+    (["svalue"], [[{"op": "mul", "args": [{"level": 0, "real": HALF}, {"level": 0, "real": HALF}]}]], "exprs[0]"),
     (["measure", "eval"],
-     {"domain": {"intervals": [{"id": "I", "length": HALF}]},
-      "components": [{"kind": "density", "interval": "I", "lo": "0", "hi": HALF, "level": 0, "rate": HALF}]},
-     ""),
-])
-def test_overlong_result_is_refused(tmp_path, capsys, words, doc, where):
-    # each input is within the digit bound, but the product is not
-    code, out, err = run(capsys, *words, write(tmp_path, "input.json", doc))
+     [{"domain": {"intervals": [{"id": "I", "length": HALF}]},
+       "components": [{"kind": "density", "interval": "I", "lo": "0", "hi": HALF, "level": 0, "rate": HALF}]}],
+     "value"),
+    (["measure", "decompose"], [ONE_AND_ONE], "table[0].mass"),
+    (["tree", "dist"],
+     [{"tree": {"nodes": ["a", "b", "c"], "edges": [
+         {"a": "a", "b": "b", "len": {"level": 0, "real": NEAR[0]}},
+         {"a": "b", "b": "c", "len": {"level": 0, "real": NEAR[1]}},
+     ]}, "pairs": [["a", "b"], ["a", "c"]]}],
+     "distances[1].value"),
+    (["track", "validate"],
+     [{"segments": ["x", "y", "z"], "switches": [{"a": ["x", "y"], "b": ["z"]}]},
+      [{"level": 0, "real": NEAR[0]}, {"level": 0, "real": NEAR[1]}, {"level": 0, "real": "1"}]],
+     "switch 0"),
+], ids=["svalue", "measure-eval", "measure-decompose", "tree-dist", "track-validate"])
+def test_overlong_result_is_refused(tmp_path, capsys, words, docs, where):
+    # each input is within the digit bound, but the product or sum is not
+    files = [write(tmp_path, f"input{k}.json", doc) for k, doc in enumerate(docs)]
+    code, out, err = run(capsys, *words, *files)
     assert code == 1
     assert json.loads(out)["result"] is None
-    assert err == f"error: {where}result has more than {MAX_RATIONAL_DIGITS} digits\n"
+    assert err == f"error: {where}: result has more than {MAX_RATIONAL_DIGITS} digits\n"
 
 
 def test_trailing_newline_is_not_a_rational(tmp_path, capsys):

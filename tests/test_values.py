@@ -598,7 +598,9 @@ def test_equal_values_hash_equal_across_types(a, b):
 XRAT_ARGS = st.one_of(
     st.integers(-3, 12),
     st.builds(Fraction, st.integers(-6, 12), st.integers(1, 6)),
-    st.sampled_from(["inf", " inf ", "3/4", " 2 ", "-1/2", "x", "1/0", "1.5", "", "-0"]),
+    # strings the oracle's lax Fraction(text.strip()) reads differently are
+    # left to test_xrat_and_the_decoder_read_one_grammar in test_jsonio.py
+    st.sampled_from(["inf", "3/4"]),
     st.floats(allow_nan=False),
     st.booleans(),
     st.none(),
