@@ -53,6 +53,11 @@ def _result(where: str, encode, value) -> Any:
         raise CommandError(f"{where}: {exc}") from None
 
 
+def _vector(where: str, vec) -> list:
+    """vector_to_json(vec), an entry too long to write refused at where[j]."""
+    return [_result(f"{where}[{j}]", jsonio.svalue_to_json, v) for j, v in enumerate(vec)]
+
+
 def _load(path: str, role: str, inputs: dict) -> Any:
     try:
         with open(path, "rb") as fh:
@@ -121,7 +126,7 @@ def _svalue(args, diagnostics: list, doc: Any) -> Any:
 def _track_validate(args, diagnostics: list, track, weights) -> Any:
     violations = tracks.validate(track, weights)
     for v in violations:
-        diagnostics.append({"severity": "error", "message": _result(f"switch {v.switch}", str, v)})
+        diagnostics.append({"severity": "error", "message": str(v)})
     return {
         "valid": not violations,
         "violations": [
@@ -246,7 +251,7 @@ def _family_limits(args, diagnostics: list, doc: Any) -> Any:
     if isinstance(doc, dict) and "family" in doc:
         doc = doc["family"]
     classes = vectors.limit_points(jsonio.family_from_json(doc))
-    return {"classes": [jsonio.vector_to_json(c.canon) for c in classes]}
+    return {"classes": [_vector(f"classes[{i}]", c.canon) for i, c in enumerate(classes)]}
 
 
 def _family_limit(args, diagnostics: list, doc: Any) -> Any:
@@ -256,7 +261,7 @@ def _family_limit(args, diagnostics: list, doc: Any) -> Any:
     reference = doc["reference"]
     if isinstance(reference, bool) or not isinstance(reference, int):
         raise CommandError("family limit \"reference\" must be an entry index")
-    return {"vector": jsonio.vector_to_json(vectors.normalized_limit(family, reference))}
+    return {"vector": _vector("vector", vectors.normalized_limit(family, reference))}
 
 
 # --- the command table -------------------------------------------------------------

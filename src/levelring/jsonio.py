@@ -30,6 +30,14 @@ as the error passes out, and the public ``*_from_json`` prefixes its
 fields already checked, is located the same way, at the value it would
 have built.  The text is the same as if every spot had been named up
 front.
+
+A public decoder (each ``*_from_json``, and ``rat_from_str``) parses each
+distinct rational text, and builds each distinct ``(level, text)`` value,
+once: equal values in one decoded document may be one shared immutable
+``Fraction`` or ``LevelValue``.  The table that holds them lives for one
+public call and is emptied as it returns or raises, so two calls share
+nothing.  A faulty value is refused where it first occurs and never
+stored.
 """
 
 from __future__ import annotations
@@ -86,6 +94,9 @@ class FormatError(ValueError):
     def within(self, prefix: str) -> "FormatError":
         return FormatError(prefix + self.where, self.why)
 
+
+# The decoders run per value (_svalue, _edge, _component) test shapes inline
+# with ``type(...) is`` and call the _expect_* helpers only to word a fault.
 
 def _wrong(obj: Any, what: str, where: str) -> FormatError:
     return FormatError(where, f"expected {what}, got {_ECHO.repr(obj)}")
@@ -145,6 +156,27 @@ def _located(decode, obj: Any, where: str):
         raise _relocated(exc, where) from None
 
 
+# The values built so far by the running public decoder: a rational text
+# maps to its Fraction (None for "inf"), and a (level, text) pair to its
+# LevelValue.  A lookup follows the type checks, so a key is a checked str or
+# (int, str), never a bool level (True == 1), and a faulty value raises before
+# it is stored.  Every public decoder empties the table on the way out
+# (``_decode``) and no private decoder calls a public one, so no entry
+# outlives one call.  A value depends on its key alone, so a decode on
+# another thread can cost hits but never change a result.
+_TABLE: dict = {}
+_MISS = object()
+
+
+def _decode(decode, obj: Any, where: str):
+    """A public decoder: decode(obj), with any fault located at where and
+    the value table emptied whatever the outcome."""
+    try:
+        return _located(decode, obj, where)
+    finally:
+        _TABLE.clear()
+
+
 def _each(decode, obj: Any, where: str) -> list:
     """decode each entry of the array obj; a fault in entry i is located
     at where[i]."""
@@ -177,18 +209,28 @@ def rat_to_str(x) -> str:
 
 
 def _fraction(s: Any, where: str) -> Optional[Fraction]:
-    """A rational string as a Fraction; None for "inf"."""
-    if not isinstance(s, str):
+    """A rational string as a Fraction; None for "inf".  Each distinct text
+    is parsed once per public decode."""
+    if type(s) is str:
+        frac = _TABLE.get(s, _MISS)
+        if frac is not _MISS:
+            return frac
+    elif not isinstance(s, str):
         raise _wrong(s, "a string", where)
     try:
-        return _parse_rational(s)
+        frac = _TABLE[s] = _parse_rational(s)
     except ValueError as exc:
         raise FormatError(where, str(exc)) from None
+    return frac
+
+
+def _xrat(s: Any, where: str = "") -> XRat:
+    frac = _fraction(s, where)
+    return INF if frac is None else XRat(frac)
 
 
 def rat_from_str(s: Any, where: str = "rational") -> XRat:
-    frac = _fraction(s, where)
-    return INF if frac is None else XRat(frac)
+    return _decode(_xrat, s, where)
 
 
 def _finite_from_str(s: Any, where: str) -> Fraction:
@@ -210,24 +252,38 @@ _VALUE = frozenset({"level", "real"})
 
 
 def _svalue(obj: Any) -> LevelValue:
+    """A value encoding, built once per distinct (level, text) in a public
+    decode."""
     if obj is None:
         return ZERO
-    doc = _expect_obj(obj, _VALUE, "")
-    level = _expect_int(doc["level"], ".level")
-    frac = _fraction(doc["real"], ".real")
-    return LevelValue(level, INF if frac is None else XRat(frac))
+    if type(obj) is not dict or obj.keys() != _VALUE:
+        _expect_obj(obj, _VALUE, "")
+    level, real = obj["level"], obj["real"]
+    if type(level) is not int:
+        _expect_int(level, ".level")
+    if type(real) is str:
+        value = _TABLE.get((level, real))
+        if value is not None:
+            return value
+    frac = _fraction(real, ".real")
+    value = _TABLE[level, real] = LevelValue(level, INF if frac is None else XRat(frac))
+    return value
 
 
 def svalue_from_json(obj: Any, where: str = "value") -> LevelValue:
-    return _located(_svalue, obj, where)
+    return _decode(_svalue, obj, where)
 
 
 def vector_to_json(vec) -> list:
     return [svalue_to_json(v) for v in vec]
 
 
+def _vector(obj: Any) -> Vector:
+    return tuple(_each(_svalue, obj, ""))
+
+
 def vector_from_json(obj: Any, where: str = "vector") -> Vector:
-    return tuple(_each(_svalue, obj, where))
+    return _decode(_vector, obj, where)
 
 
 # --- monomial families ------------------------------------------------------------
@@ -245,8 +301,12 @@ def _monomial(obj: Any) -> Optional[Monomial]:
     return Monomial(level, coeff, degree)
 
 
+def _family(obj: Any) -> MonomialFamily:
+    return tuple(_each(_monomial, obj, ""))
+
+
 def family_from_json(obj: Any, where: str = "family") -> MonomialFamily:
-    return tuple(_each(_monomial, obj, where))
+    return _decode(_family, obj, where)
 
 
 # --- train tracks -------------------------------------------------------------------
@@ -278,7 +338,7 @@ def _track(obj: Any) -> TrainTrack:
 
 
 def track_from_json(obj: Any, where: str = "track") -> TrainTrack:
-    return _located(_track, obj, where)
+    return _decode(_track, obj, where)
 
 
 # --- measures -------------------------------------------------------------------------
@@ -334,22 +394,26 @@ def _component(obj: Any):
         raise FormatError("", "expected an object with a \"kind\" tag")
     kind = obj["kind"]
     if kind == "atom":
-        doc = _expect_obj(obj, _ATOM, "")
-        return Atom(
-            _expect_str(doc["interval"], ".interval"),
-            _finite_from_str(doc["position"], ".position"),
-            _expect_int(doc["level"], ".level"),
-            rat_from_str(doc["mass"], ".mass"),
-        )
+        if obj.keys() != _ATOM:
+            _expect_obj(obj, _ATOM, "")
+        interval, level = obj["interval"], obj["level"]
+        if type(interval) is not str:
+            _expect_str(interval, ".interval")
+        position = _finite_from_str(obj["position"], ".position")
+        if type(level) is not int:
+            _expect_int(level, ".level")
+        return Atom(interval, position, level, _xrat(obj["mass"], ".mass"))
     if kind == "density":
-        doc = _expect_obj(obj, _DENSITY, "")
-        return Density(
-            _expect_str(doc["interval"], ".interval"),
-            _finite_from_str(doc["lo"], ".lo"),
-            _finite_from_str(doc["hi"], ".hi"),
-            _expect_int(doc["level"], ".level"),
-            rat_from_str(doc["rate"], ".rate"),
-        )
+        if obj.keys() != _DENSITY:
+            _expect_obj(obj, _DENSITY, "")
+        interval, level = obj["interval"], obj["level"]
+        if type(interval) is not str:
+            _expect_str(interval, ".interval")
+        lo = _finite_from_str(obj["lo"], ".lo")
+        hi = _finite_from_str(obj["hi"], ".hi")
+        if type(level) is not int:
+            _expect_int(level, ".level")
+        return Density(interval, lo, hi, level, _xrat(obj["rate"], ".rate"))
     raise FormatError("", f"unknown component kind {_ECHO.repr(kind)}")
 
 
@@ -366,7 +430,7 @@ def _measure(obj: Any) -> FHMeasure:
 
 
 def measure_from_json(obj: Any, where: str = "measure") -> FHMeasure:
-    return _located(_measure, obj, where)
+    return _decode(_measure, obj, where)
 
 
 # --- trees and chords --------------------------------------------------------------------
@@ -385,10 +449,14 @@ _EDGE = frozenset({"a", "b", "len"})
 
 
 def _edge(obj: Any) -> tuple[str, str, LevelValue]:
-    doc = _expect_obj(obj, _EDGE, "")
-    a = _expect_str(doc["a"], ".a")
-    b = _expect_str(doc["b"], ".b")
-    return a, b, _located(_svalue, doc["len"], ".len")
+    if type(obj) is not dict or obj.keys() != _EDGE:
+        _expect_obj(obj, _EDGE, "")
+    a, b = obj["a"], obj["b"]
+    if type(a) is not str:
+        _expect_str(a, ".a")
+    if type(b) is not str:
+        _expect_str(b, ".b")
+    return a, b, _located(_svalue, obj["len"], ".len")
 
 
 def _tree(obj: Any) -> STree:
@@ -399,7 +467,7 @@ def _tree(obj: Any) -> STree:
 
 
 def tree_from_json(obj: Any, where: str = "tree") -> STree:
-    return _located(_tree, obj, where)
+    return _decode(_tree, obj, where)
 
 
 _CHORD = frozenset({"ends", "weight"})
@@ -423,4 +491,4 @@ def _chords(obj: Any) -> ChordFamily:
 
 
 def chords_from_json(obj: Any, where: str = "chords") -> ChordFamily:
-    return _located(_chords, obj, where)
+    return _decode(_chords, obj, where)

@@ -56,8 +56,9 @@ __all__ = [
 @dataclass(frozen=True)
 class TrainTrack:
     """Segments plus switches; each switch side is a multiset of segment
-    ends.  `free_ends` counts ends not incident to any switch; omitted, it
-    is inferred so that every segment has exactly two ends in total."""
+    ends.  `free_ends` counts ends not incident to any switch, and names
+    segments only; omitted, it is inferred so that every segment has
+    exactly two ends in total."""
 
     segments: tuple[str, ...]
     switches: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
@@ -88,6 +89,9 @@ class TrainTrack:
                 worst = [s for s in segs if declared[s] < 0]
                 raise ValueError(f"segments with more than two ends: {_ECHO.repr(worst)}")
         else:
+            unknown = set(free_ends) - set(segs)
+            if unknown:
+                raise ValueError(f"free_ends mention unknown segments: {_ECHO.repr(sorted(unknown, key=str))}")
             declared = {s: int(free_ends.get(s, 0)) for s in segs}
         for s in segs:
             if ends[s] + declared[s] != 2:
@@ -115,7 +119,10 @@ class Violation(NamedTuple):
     right: LevelValue
 
     def __str__(self) -> str:
-        return f"switch {self.switch}: {self.left} != {self.right}"
+        try:
+            return f"switch {self.switch}: {self.left} != {self.right}"
+        except ValueError as exc:  # a side too long to write
+            raise ValueError(f"switch {self.switch}: {exc}") from None
 
 
 def _as_weights(track: TrainTrack, w: Sequence[LevelValue]) -> Weights:

@@ -40,7 +40,6 @@ faithfully ordered chunk of a countable product of extended half-lines.
 
 from __future__ import annotations
 
-import re
 import reprlib
 import sys
 from fractions import Fraction
@@ -77,7 +76,6 @@ _ECHO.maxlevel = 1
 # on str() of an int.
 MAX_RATIONAL_DIGITS = 4300
 _TOO_LONG = 10**MAX_RATIONAL_DIGITS
-_RATIONAL = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 
 
 def _parse_rational(text: str) -> Optional[Fraction]:
@@ -85,13 +83,13 @@ def _parse_rational(text: str) -> Optional[Fraction]:
     docstring), or None for "inf"; ValueError says why text is not one."""
     if text == "inf":
         return None
-    match = _RATIONAL.fullmatch(text)
-    if match is None:
+    num, slash, den = text.partition("/")
+    # an ASCII text's digits are exactly 0-9; isdigit() alone takes "٣"
+    if not (text.isascii() and num.isdigit() and (den.isdigit() or not slash)):
         raise ValueError(f'not a "p/q" rational or "inf": {_ECHO.repr(text)}')
-    num, den = match.groups()
-    if len(text) > MAX_RATIONAL_DIGITS and max(len(num), len(den or "")) > MAX_RATIONAL_DIGITS:
+    if len(text) > MAX_RATIONAL_DIGITS and max(len(num), len(den)) > MAX_RATIONAL_DIGITS:
         raise ValueError(f"more than {MAX_RATIONAL_DIGITS} digits: {_ECHO.repr(text)}")
-    if den is None:
+    if not slash:
         return Fraction(int(num))
     try:
         return Fraction(int(num), int(den))

@@ -529,6 +529,12 @@ HUGE_ECHOES = {
         lambda doc: dict(doc, free_ends={BIG: "1"}),
         "error: track.free_ends['ggg",
     ),
+    "track strata unknown free end": (
+        "track strata",
+        "spiral_track.json",
+        lambda doc: dict(doc, free_ends={"x": 1, "z": 1, BIG: 1}),
+        "error: track: free_ends mention unknown segments: ['ggg",
+    ),
     "track strata free ends": (
         "track strata",
         "spiral_track.json",
@@ -645,6 +651,10 @@ HALF = "9" * 3000
 # 1/(10^4000 + 1) and 1/(10^4000 - 1) each have 4001 digits; their sum's
 # denominator, 10^8000 - 1, has 8000
 NEAR = [f"1/{10**4000 + 1}", f"1/{10**4000 - 1}"]
+# (10^4000 + 1)/(10^4000 - 1) and its inverse: normalized by the first, the
+# second entry is the square of the inverse, with 8000 digits a side
+WIDE = [f"{10**4000 + 1}/{10**4000 - 1}", f"{10**4000 - 1}/{10**4000 + 1}"]
+WIDE_FAMILY = [{"level": 0, "coeff": coeff, "degree": 1} for coeff in WIDE]
 ONE_AND_ONE = {"domain": {"intervals": [{"id": "I", "length": "1"}]}, "components": [
     {"kind": "atom", "interval": "I", "position": f"{k}/3", "level": 0, "mass": mass}
     for k, mass in ((1, NEAR[0]), (2, NEAR[1]))
@@ -668,7 +678,14 @@ ONE_AND_ONE = {"domain": {"intervals": [{"id": "I", "length": "1"}]}, "component
      [{"segments": ["x", "y", "z"], "switches": [{"a": ["x", "y"], "b": ["z"]}]},
       [{"level": 0, "real": NEAR[0]}, {"level": 0, "real": NEAR[1]}, {"level": 0, "real": "1"}]],
      "switch 0"),
-], ids=["svalue", "measure-eval", "measure-decompose", "tree-dist", "track-validate"])
+    (["track", "adjust"],
+     [{"segments": ["x", "y", "z"], "switches": [{"a": ["x", "y"], "b": ["z"]}]},
+      [{"level": 0, "real": NEAR[0]}, {"level": 0, "real": NEAR[1]}, {"level": 0, "real": "1"}]],
+     "switch 0"),
+    (["family", "limit"], [{"family": WIDE_FAMILY, "reference": 0}], "vector[1]"),
+    (["family", "limits"], [{"family": WIDE_FAMILY}], "classes[0][1]"),
+], ids=["svalue", "measure-eval", "measure-decompose", "tree-dist", "track-validate",
+        "track-adjust", "family-limit", "family-limits"])
 def test_overlong_result_is_refused(tmp_path, capsys, words, docs, where):
     # each input is within the digit bound, but the product or sum is not
     files = [write(tmp_path, f"input{k}.json", doc) for k, doc in enumerate(docs)]
@@ -676,6 +693,15 @@ def test_overlong_result_is_refused(tmp_path, capsys, words, docs, where):
     assert code == 1
     assert json.loads(out)["result"] is None
     assert err == f"error: {where}: result has more than {MAX_RATIONAL_DIGITS} digits\n"
+
+
+def test_free_ends_of_an_unknown_segment_are_refused(tmp_path, capsys):
+    track = write(tmp_path, "track.json", {"segments": ["x"], "switches": [], "free_ends": {"x": 2, "ghost": 5}})
+    weights = write(tmp_path, "weights.json", [{"level": 0, "real": "1"}])
+    code, out, err = run(capsys, "track", "validate", track, weights)
+    assert code == 1
+    assert json.loads(out)["result"] is None
+    assert err == "error: track: free_ends mention unknown segments: ['ghost']\n"
 
 
 def test_trailing_newline_is_not_a_rational(tmp_path, capsys):

@@ -11,6 +11,7 @@ from typing import Any
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from levelring import jsonio
 from levelring.jsonio import (
     FormatError,
     MAX_RATIONAL_DIGITS,
@@ -253,6 +254,118 @@ def test_tree_and_chords_rejections():
         )
     with pytest.raises(FormatError):
         chords_from_json({"marks": 2, "chords": [{"ends": [1], "weight": None}]})
+
+
+# --- the value table ---------------------------------------------------------------
+# Each public decode parses each distinct rational text, and builds each
+# distinct (level, text) value, once; the table is emptied as the call ends.
+
+
+def _path(texts, levels=None):
+    """A path tree whose edge i has length (levels[i], texts[i])."""
+    levels = levels or [0] * len(texts)
+    return {
+        "nodes": [f"n{i}" for i in range(len(texts) + 1)],
+        "edges": [
+            {"a": f"n{i}", "b": f"n{i + 1}", "len": {"level": level, "real": text}}
+            for i, (level, text) in enumerate(zip(levels, texts))
+        ],
+    }
+
+
+def test_table_refuses_a_bool_level_after_an_equal_int():
+    # True == 1 and hash(True) == hash(1), so a lookup before the type check
+    # would return the cached (1, "1/2")
+    with pytest.raises(FormatError) as exc:
+        vector_from_json([{"level": 1, "real": "1/2"}, {"level": True, "real": "1/2"}])
+    assert str(exc.value) == "vector[1].level: expected an integer, got True"
+
+
+def test_table_reports_a_repeated_bad_text_at_its_first_spot():
+    texts = ["1"] * 9
+    texts[3] = texts[7] = "1/0"
+    with pytest.raises(FormatError) as exc:
+        tree_from_json(_path(texts))
+    assert str(exc.value) == "tree.edges[3].len.real: zero denominator: '1/0'"
+
+
+def test_table_refuses_a_negative_level_after_a_cached_text():
+    with pytest.raises(FormatError) as exc:
+        vector_from_json([{"level": 0, "real": "1/2"}, {"level": -1, "real": "1/2"}])
+    assert str(exc.value) == "vector[1]: level must be a nonnegative int: -1"
+
+
+def test_table_shares_values_within_one_decode_only():
+    doc = _path(["1/2", "3", "1/2", "06/4", "3"], [0, 1, 0, 0, 2])
+    first, second = tree_from_json(doc), tree_from_json(doc)
+    lengths = [length for _, _, length in first.edges]
+    assert lengths[0] is lengths[2]
+    assert lengths[1].magnitude.as_fraction is lengths[4].magnitude.as_fraction
+    assert lengths[3] == pair(0, "3/2")
+
+    def objects(tree):
+        return {id(obj) for _, _, v in tree.edges for obj in (v, v.magnitude, v.magnitude.as_fraction)}
+
+    assert not objects(first) & objects(second)
+
+
+@pytest.mark.parametrize("decode, doc", [
+    (svalue_from_json, {"level": 0, "real": "1/2"}),
+    (svalue_from_json, {"level": 0, "real": "1/0"}),
+    (rat_from_str, "1/2"),
+    (rat_from_str, "x"),
+    (vector_from_json, [{"level": 0, "real": "1/2"}, {"level": 0, "real": "1/2"}]),
+    (vector_from_json, [{"level": 0, "real": "1/2"}, {"level": 0, "real": "0"}]),
+    (family_from_json, [{"level": 0, "coeff": "1/2", "degree": 1}]),
+    (family_from_json, [{"level": 0, "coeff": "1/2", "degree": 1}, {"level": 0, "coeff": "inf", "degree": 1}]),
+    (measure_from_json, {"domain": {"intervals": [{"id": "I", "length": "1"}]}, "components": [
+        {"kind": "atom", "interval": "I", "position": "1/2", "level": 0, "mass": "1/2"}]}),
+    (measure_from_json, {"domain": {"intervals": [{"id": "I", "length": "1"}]}, "components": [
+        {"kind": "atom", "interval": "I", "position": "2", "level": 0, "mass": "1/2"}]}),
+    (tree_from_json, _path(["1/2", "1/2"])),
+    (tree_from_json, _path(["1/2", "1/2/"])),
+    (chords_from_json, {"marks": 2, "chords": [{"ends": [1, 2], "weight": {"level": 0, "real": "1"}}]}),
+    (chords_from_json, {"marks": 2, "chords": [{"ends": [1, 3], "weight": {"level": 0, "real": "1"}}]}),
+])
+def test_table_is_empty_after_each_public_decode(decode, doc):
+    try:
+        decode(doc)
+    except FormatError:
+        pass
+    assert jsonio._TABLE == {}
+
+
+def test_table_parses_each_distinct_text_once(monkeypatch):
+    calls = []
+    parse = jsonio._parse_rational
+    monkeypatch.setattr(jsonio, "_parse_rational", lambda text: calls.append(text) or parse(text))
+    rng = Random(7)
+    reals = [f"{p}/{q}" for p in range(1, 10) for q in range(1, 5)]  # 36 texts
+    texts = [rng.choice(reals) for _ in range(1200)]
+    tree = tree_from_json(_path(texts, [rng.randrange(3) for _ in texts]))
+    assert len(tree.edges) == 1200
+    assert sorted(calls) == sorted(set(texts))
+    # a measure's lengths, positions, masses and rates share one table
+    calls.clear()
+    atoms = [
+        {"kind": "atom", "interval": "I", "position": f"{rng.randrange(9)}/8", "level": rng.randrange(3),
+         "mass": rng.choice(reals)}
+        for _ in range(300)
+    ]
+    density = {"kind": "density", "interval": "I", "lo": "0", "hi": "1/8", "level": 0, "rate": "1/8"}
+    measure_from_json({"domain": {"intervals": [{"id": "I", "length": "1"}]}, "components": atoms + [density]})
+    texts = {"1", "0", "1/8"} | {a["position"] for a in atoms} | {a["mass"] for a in atoms}
+    assert sorted(calls) == sorted(texts)
+
+
+def test_table_refuses_a_repeated_overlong_text():
+    # the digit bound holds on a hit too, whatever PYTHONINTMAXSTRDIGITS says
+    most, over = "7" * MAX_RATIONAL_DIGITS, "7" * (MAX_RATIONAL_DIGITS + 1)
+    tree = tree_from_json(_path([most, "1", most]))
+    assert tree.edges[0][2] is tree.edges[2][2]
+    with pytest.raises(FormatError) as exc:
+        tree_from_json(_path(["1", over, over]))
+    assert str(exc.value) == f"tree.edges[1].len.real: more than {MAX_RATIONAL_DIGITS} digits: {_ECHO.repr(over)}"
 
 
 # --- differential tests ----------------------------------------------------------
@@ -503,6 +616,24 @@ def _measure_doc(rng):
     return doc
 
 
+# The rationals that any positive value may fill, so that a valid document
+# stays valid with each drawn from a pool.
+FREE_RATIONALS = {"real", "coeff", "mass", "rate"}
+POOL = ("1/2", "3", "06/4")
+
+
+def pooled(make):
+    """make, with every free rational but "inf" drawn from three texts: most
+    values of the document are then table hits."""
+    def make_pooled(rng):
+        doc = make(rng)
+        for container, key in spots(doc):
+            if key in FREE_RATIONALS and isinstance(container[key], str) and container[key] != "inf":
+                container[key] = rng.choice(POOL)
+        return doc
+    return make_pooled
+
+
 # kind -> (new decoder, oracle decoder, a seeded valid document)
 KINDS = {
     "value": (svalue_from_json, oracle_svalue, _value_doc),
@@ -513,6 +644,11 @@ KINDS = {
     "tree": (tree_from_json, oracle_tree, lambda rng: tree_to_json(random_tree(rng))),
     "chords": (chords_from_json, oracle_chords, lambda rng: chords_doc(random_chords(rng))),
 }
+KINDS.update({
+    f"pooled {kind}": (decode, oracle, pooled(make))
+    for kind, (decode, oracle, make) in list(KINDS.items())
+    if kind in ("vector", "family", "measure", "tree", "chords")
+})
 
 
 def outcome(decode, doc, format_error):

@@ -66,6 +66,16 @@ def test_structure_guards():
         TrainTrack([], [])
 
 
+def test_free_ends_name_only_segments():
+    with pytest.raises(ValueError) as exc:
+        TrainTrack(["x"], [], free_ends={"x": 2, "ghost": 5})
+    assert str(exc.value) == "free_ends mention unknown segments: ['ghost']"
+    # a zero count names no end, but a misspelt id is refused all the same
+    with pytest.raises(ValueError) as exc:
+        TrainTrack(["x", "y"], [(["x"], ["y"])], free_ends={"x": 1, "y": 1, "z": 0})
+    assert str(exc.value) == "free_ends mention unknown segments: ['z']"
+
+
 def test_weight_length_checked():
     with pytest.raises(ValueError):
         validate(XY, (pair(0, 1),))
