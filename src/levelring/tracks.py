@@ -13,7 +13,8 @@ equal weight sums.  On top of validation this module provides:
 * ``align_weights`` — close gaps in the set of levels used (the canonical
   downward normalization; fixed points are called proximal),
 * ``adjustments`` — all subsets of segments whose level-raise-by-one keeps
-  the vector invariant,
+  the vector invariant (tracks with more than ``MAX_ADJUST_SUBSETS``
+  nonempty subsets are refused),
 * ``is_contiguous`` — proximal vectors that no height-preserving
   adjustment can move to a genuinely different vector,
 * ``enumerate_strata`` — exhaustive enumeration of the proximal
@@ -37,6 +38,7 @@ from levelring.values import _ECHO, INF, LevelValue, XRat, ZERO, pair, total
 from levelring.vectors import Monomial
 
 __all__ = [
+    "MAX_ADJUST_SUBSETS",
     "MAX_STRATA",
     "Stratum",
     "TrainTrack",
@@ -186,24 +188,42 @@ def raise_levels(
     )
 
 
+# `adjustments` refuses a track whose 2**n - 1 nonempty segment subsets
+# number more than this: 16 segments pass, 17 do not.
+MAX_ADJUST_SUBSETS = 2**16
+
+
+def _adjustments(
+    track: TrainTrack, vec: Weights
+) -> Iterator[tuple[tuple[str, ...], Weights]]:
+    """The valid adjustments of an invariant vector, smallest subsets
+    first, in segment order; the checks run on the first `next`."""
+    n = len(track.segments)
+    if 2**n - 1 > MAX_ADJUST_SUBSETS:
+        raise ValueError(
+            f"{n} segments give more than {MAX_ADJUST_SUBSETS} subsets to "
+            "adjust; refusing to try them"
+        )
+    bad = validate(track, vec)
+    if bad:
+        raise ValueError(f"weights are not invariant: {[str(v) for v in bad]}")
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(track.segments, size):
+            raised = raise_levels(track, vec, subset)
+            if not validate(track, raised):
+                yield subset, raised
+
+
 def adjustments(
     track: TrainTrack, w: Sequence[LevelValue]
 ) -> list[tuple[tuple[str, ...], Weights]]:
     """All nonempty segment subsets whose raise-by-one stays invariant,
     each with the raised vector.  Subsets are emitted smallest-first, in
-    segment order, so output order is deterministic.  Exponential in the
-    number of segments.  Requires an invariant input."""
-    vec = _as_weights(track, w)
-    bad = validate(track, vec)
-    if bad:
-        raise ValueError(f"weights are not invariant: {[str(v) for v in bad]}")
-    out = []
-    for size in range(1, len(track.segments) + 1):
-        for subset in itertools.combinations(track.segments, size):
-            raised = raise_levels(track, vec, subset)
-            if not validate(track, raised):
-                out.append((subset, raised))
-    return out
+    segment order, so output order is deterministic.  Requires an
+    invariant input.  Every one of the 2**n - 1 subsets is tried, so a
+    track whose subsets exceed `MAX_ADJUST_SUBSETS` is refused with a
+    ValueError before any is tried."""
+    return list(_adjustments(track, _as_weights(track, w)))
 
 
 def _max_level(w: Sequence[LevelValue]) -> Optional[int]:
@@ -219,13 +239,16 @@ def is_contiguous(track: TrainTrack, w: Sequence[LevelValue]) -> bool:
     current level range rather than reshuffling it — the uniform
     all-segments raise always exists and must not disqualify anything) or
     come back to w after alignment.  A valid adjustment that keeps the
-    height yet aligns to a different vector disqualifies w.
+    height yet aligns to a different vector disqualifies w, and the search
+    stops there.  A proximal vector is searched as in `adjustments`, under
+    the same `MAX_ADJUST_SUBSETS` refusal; a vector that is not proximal
+    is answered without a search.
     """
     vec = _as_weights(track, w)
     if not is_proximal(vec):
         return False
     h = _max_level(vec)
-    for _, raised in adjustments(track, vec):
+    for _, raised in _adjustments(track, vec):
         if _max_level(raised) == h and align_weights(raised) != vec:
             return False
     return True

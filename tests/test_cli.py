@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from levelring import cli, tracks, values
 from levelring.cli import COMMANDS, main
 from levelring.jsonio import MAX_RATIONAL_DIGITS
-from levelring.tracks import MAX_STRATA
+from levelring.tracks import MAX_ADJUST_SUBSETS, MAX_STRATA
 from levelring.values import MAX_SEQUENCE_HEIGHT
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -617,6 +617,26 @@ def test_thirteen_segments_are_refused_at_any_height(tmp_path, capsys, monkeypat
     assert err == (
         f"error: 13 segments at height bound 1 give more than {MAX_STRATA} strata; "
         "refusing to enumerate them\n"
+    )
+
+
+@pytest.mark.parametrize("sub", ["adjust", "contiguous"])
+def test_oversized_adjustments_are_refused_up_front(tmp_path, capsys, monkeypatch, sub):
+    def never(*args):
+        raise AssertionError("a subset was tried")
+
+    monkeypatch.setattr(tracks, "raise_levels", never)
+    seventeen = write(tmp_path, "seventeen.json", {
+        "segments": [f"s{i}" for i in range(17)],
+        "switches": [{"a": ["s0"], "b": ["s1"]}],
+    })
+    weights = write(tmp_path, "weights.json", [{"level": 0, "real": "1"}] * 17)
+    code, out, err = run(capsys, "track", sub, seventeen, weights)
+    assert code == 1
+    assert json.loads(out)["result"] is None
+    assert err == (
+        f"error: 17 segments give more than {MAX_ADJUST_SUBSETS} subsets to adjust; "
+        "refusing to try them\n"
     )
 
 

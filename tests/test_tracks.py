@@ -2,6 +2,7 @@
 contiguity, strata, and the degree filtration."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from random import Random
 from typing import Optional, Sequence
@@ -14,6 +15,7 @@ from levelring import tracks
 from levelring.tracks import (
     FIN,
     INFINITE,
+    MAX_ADJUST_SUBSETS,
     MAX_STRATA,
     Stratum,
     TrainTrack,
@@ -215,6 +217,84 @@ def test_contiguity_rejects_non_proximal():
 
 def test_spiral_weights_are_contiguous():
     assert is_contiguous(SPIRAL, SPIRAL_W)
+
+
+def oracle_adjustments(track, w):
+    """Every nonempty subset tried in turn, the valid ones collected."""
+    bad = validate(track, w)
+    if bad:
+        raise ValueError(f"weights are not invariant: {[str(v) for v in bad]}")
+    out = []
+    for size in range(1, len(track.segments) + 1):
+        for subset in itertools.combinations(track.segments, size):
+            raised = raise_levels(track, w, subset)
+            if not validate(track, raised):
+                out.append((subset, raised))
+    return out
+
+
+def oracle_is_contiguous(track, w):
+    if not is_proximal(w):
+        return False
+    h = max((e.level for e in w if not e.is_zero), default=None)
+    for _, raised in oracle_adjustments(track, w):
+        top = max((e.level for e in raised if not e.is_zero), default=None)
+        if top == h and align_weights(raised) != tuple(w):
+            return False
+    return True
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return ("refused", str(exc))
+
+
+def test_adjustments_and_contiguity_agree_with_the_oracle():
+    options = [ZERO, pair(0, 1), pair(0, 2), pair(0, "inf"), pair(1, 1), pair(1, 2), pair(1, "inf")]
+    answers = Counter()
+    for track in (XY, SPIRAL):
+        for w in itertools.product(options, repeat=len(track.segments)):
+            got = outcome(adjustments, track, w)
+            assert got == outcome(oracle_adjustments, track, w), (track, w)
+            contiguous = outcome(is_contiguous, track, w)
+            assert contiguous == outcome(oracle_is_contiguous, track, w), (track, w)
+            answers[type(got) is list, contiguous is True] += 1
+    # invariant vectors, contiguous and not, are all well represented
+    assert min(answers[True, True], answers[True, False]) > 20, answers
+
+
+def test_contiguity_stops_at_the_first_disqualifying_adjustment(monkeypatch):
+    tried = []
+
+    def counted(track, w, subset):
+        tried.append(subset)
+        return raise_levels(track, w, subset)
+
+    monkeypatch.setattr(tracks, "raise_levels", counted)
+    # raising x alone keeps x + y = y with y infinite and disqualifies
+    assert not is_contiguous(XY, (pair(0, 1), pair(1, "inf")))
+    assert tried == [("x",)]
+
+
+def test_oversized_adjustments_are_refused_before_any_subset(monkeypatch):
+    def never(*args):
+        raise AssertionError("a subset was tried")
+
+    monkeypatch.setattr(tracks, "raise_levels", never)
+    assert 2**16 - 1 <= MAX_ADJUST_SUBSETS < 2**17 - 1
+    seventeen = TrainTrack([f"s{i}" for i in range(17)], [(["s0"], ["s1"])])
+    w = (pair(0, 1),) * 17
+    refusal = f"17 segments give more than {MAX_ADJUST_SUBSETS} subsets to adjust"
+    with pytest.raises(ValueError, match=refusal):
+        adjustments(seventeen, w)
+    with pytest.raises(ValueError, match=refusal):
+        is_contiguous(seventeen, w)
+    # sixteen segments pass the bound and start trying subsets
+    sixteen = TrainTrack([f"s{i}" for i in range(16)], [(["s0"], ["s1"])])
+    with pytest.raises(AssertionError, match="a subset was tried"):
+        adjustments(sixteen, (pair(0, 1),) * 16)
 
 
 # ---------------------------------------------------------------------------

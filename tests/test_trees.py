@@ -2,12 +2,14 @@
 families."""
 
 import itertools
+import json
 import sys
 from fractions import Fraction
 from random import Random
 
 import pytest
 
+from levelring import cli, trees
 from levelring.trees import (
     ChordFamily,
     STree,
@@ -23,7 +25,7 @@ from levelring.trees import (
     tree_is_locally_finite,
     verify_metric,
 )
-from levelring.values import INF, ZERO, pair, total
+from levelring.values import INF, ZERO, LevelValue, pair, total
 
 from helpers import random_chords, random_flat_tree, random_insertion, random_tree
 
@@ -44,6 +46,22 @@ def all_simple_paths(tree, x, y):
 
     walk(x, {x}, [])
     return found
+
+
+def oracle_verify_metric(tree, table=None):
+    """The all-triples audit: symmetry and definiteness on every pair, the
+    triangle inequality on every triple, of the given table or else of
+    the path distances."""
+    if table is None:
+        table = {(x, y): distance(tree, x, y) for x in tree.nodes for y in tree.nodes}
+    d = lambda x, y: table[(x, y)]
+    for x, y in itertools.product(tree.nodes, repeat=2):
+        if d(x, y) != d(y, x) or (d(x, y) == ZERO) != (x == y):
+            return False
+    for x, y, z in itertools.product(tree.nodes, repeat=3):
+        if not (d(y, z) <= d(y, x) + d(x, z)):
+            return False
+    return True
 
 
 def separating_distance(family, regions, r1, r2):
@@ -172,6 +190,82 @@ def test_metric_battery():
     rng = Random(23)
     for _ in range(100):
         assert verify_metric(random_tree(rng))
+
+
+_SUM = LevelValue.__add__
+
+
+def _first_term(a, b):
+    """Not commutative: a nonzero sum keeps its first term."""
+    return b if a.is_zero else a
+
+
+def _smaller_term(a, b):
+    """Not monotone: terms of one level sum to the smaller of the two."""
+    if a.is_zero or b.is_zero or a.level != b.level:
+        return _SUM(a, b)
+    return min(a, b)
+
+
+@pytest.mark.parametrize(
+    "add", [_SUM, _first_term, _smaller_term], ids=["leveled", "first_term", "smaller_term"]
+)
+def test_metric_audit_agrees_with_the_oracle(monkeypatch, add):
+    monkeypatch.setattr(LevelValue, "__add__", add)
+    rng = Random(29)
+    verdicts, sizes = set(), set()
+    for _ in range(300):
+        t = random_tree(rng, max_nodes=12)
+        verdict = verify_metric(t)
+        assert verdict == oracle_verify_metric(t), t
+        verdicts.add(verdict)
+        sizes.add(len(t.nodes))
+    assert sizes == set(range(1, 13))
+    assert verdicts == ({True} if add is _SUM else {True, False})
+
+
+@pytest.mark.parametrize("add", [_first_term, _smaller_term])
+def test_metric_audit_fails_under_a_broken_sum(monkeypatch, add):
+    # a-b-c with lengths 2 then 1 at one level: under _first_term the
+    # distances are asymmetric; under _smaller_term they are symmetric and
+    # definite, and only the monotone step check (or a triangle) sees it
+    line = STree(["a", "b", "c"], [("a", "b", pair(0, 2)), ("b", "c", pair(0, 1))])
+    assert verify_metric(line) and oracle_verify_metric(line)
+    monkeypatch.setattr(LevelValue, "__add__", add)
+    assert not verify_metric(line)
+    assert not oracle_verify_metric(line)
+
+
+class _NoTriples:
+    """Stands in for `itertools` in `trees`: refuses the triple loop."""
+
+    def __getattr__(self, name):
+        return getattr(itertools, name)
+
+    @staticmethod
+    def product(*iterables, repeat=1):
+        if repeat == 3:
+            raise AssertionError("the triangle loop ran")
+        return itertools.product(*iterables, repeat=repeat)
+
+
+def test_tree_metric_visits_no_triple(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(trees, "itertools", _NoTriples())
+    rng = Random(31)
+    nodes = [f"n{i}" for i in range(200)]
+    edges = [
+        {"a": nodes[rng.randrange(i)], "b": nodes[i],
+         "len": {"level": rng.randint(0, 2), "real": rng.choice(["1", "3/2", "inf"])}}
+        for i in range(1, 200)
+    ]
+    doc = tmp_path / "tree.json"
+    doc.write_text(json.dumps({"nodes": nodes, "edges": edges}))
+    assert cli.main(["tree", "metric", str(doc)]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == {"metric": True}
+    # a caller's table still gets every triangle checked
+    honest = {(x, y): distance(ABC, x, y) for x in ABC.nodes for y in ABC.nodes}
+    with pytest.raises(AssertionError, match="triangle loop"):
+        verify_metric(ABC, honest)
 
 
 def test_corrupted_distance_table_is_rejected():
