@@ -141,23 +141,21 @@ def _track_validate(args, diagnostics: list, track, weights) -> Any:
 
 
 def _track_strata(args, diagnostics: list, track) -> Any:
-    strata = tracks.enumerate_strata(track, args.height_bound)
-    # One dict per distinct shape, so the report writer renders each once.
-    shapes: dict = {None: None}
-    for stratum in strata:
-        for shape in stratum.pattern:
-            if shape not in shapes:
-                shapes[shape] = {"level": shape[0], "kind": shape[1]}
+    return {"height_bound": args.height_bound, "strata": tracks.enumerate_strata(track, args.height_bound)}
+
+
+def _shape(shape: tracks.Shape) -> Optional[dict]:
+    return None if shape is None else {"level": shape[0], "kind": shape[1]}
+
+
+def _plain(obj: Any) -> dict:
+    """The dict form of a report object `json` cannot write: a stratum."""
+    if not isinstance(obj, tracks.Stratum):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     return {
-        "height_bound": args.height_bound,
-        "strata": [
-            {
-                "pattern": [shapes[shape] for shape in stratum.pattern],
-                "feasible": stratum.feasible,
-                "witness": None if stratum.witness is None else jsonio.vector_to_json(stratum.witness),
-            }
-            for stratum in strata
-        ],
+        "pattern": [_shape(shape) for shape in obj.pattern],
+        "feasible": obj.feasible,
+        "witness": None if obj.witness is None else jsonio.vector_to_json(obj.witness),
     }
 
 
@@ -391,7 +389,7 @@ def _render_text(report: dict) -> str:
         lines.append(f"input {role}: sha256={report['inputs'][role]}")
     lines.append(
         "result: "
-        + json.dumps(report["result"], sort_keys=True, separators=(",", ":"))
+        + json.dumps(report["result"], sort_keys=True, separators=(",", ":"), default=_plain)
     )
     for d in report["diagnostics"]:
         lines.append(f"{d['severity']}: {d['message']}")
@@ -399,18 +397,42 @@ def _render_text(report: dict) -> str:
 
 
 def _render_json(report: dict) -> str:
-    """``json.dumps(report, indent=2, sort_keys=True)``, byte for byte, for
-    the types a report holds: dicts with str keys, lists, tuples, str, int,
-    bool and None; any other type raises TypeError.  A container of scalars
-    met again at the same depth reuses the text written for it the first
-    time.  Only those are kept: keeping the text of every container would
-    hold a large report in memory once per level of nesting."""
+    """``json.dumps(report, indent=2, sort_keys=True, default=_plain)``,
+    byte for byte, for the types a report holds: dicts with str keys,
+    lists, tuples, str, int, bool, None and `tracks.Stratum`; any other
+    type raises TypeError.  A plain walk writes each value in turn, except
+    that a stratum's entries come from per-report texts, one per distinct
+    shape and one per distinct witness value at the depth they sit at."""
     parts: list[str] = []
-    written: dict[tuple[int, int], str] = {}  # (id, depth) -> text
+    texts: dict = {}  # (shape or witness value, depth) -> text
 
-    def write(obj: Any, depth: int) -> bool:
-        """Append the text of obj; True when obj is a nonempty container."""
-        if isinstance(obj, str):
+    def entries(items: tuple, plain, depth: int) -> None:
+        """Append the text of a nonempty list of shapes or witness values."""
+        indent = "\n" + "  " * (depth + 1)
+        parts.append("[")
+        for item in items:
+            text = texts.get((item, depth))
+            if text is None:
+                start = len(parts)
+                write(plain(item), depth + 1)
+                text = texts[item, depth] = "".join(parts[start:])
+                del parts[start:]
+            parts.extend((indent, text, ","))
+        parts[-1] = "\n" + "  " * depth + "]"
+
+    def write(obj: Any, depth: int) -> None:
+        if isinstance(obj, tracks.Stratum):  # keys in sorted order, as _plain's
+            indent = "\n" + "  " * (depth + 1)
+            parts.extend(("{", indent, '"feasible": ', "true" if obj.feasible else "false",
+                          ",", indent, '"pattern": '))
+            entries(obj.pattern, _shape, depth + 1)
+            parts.extend((",", indent, '"witness": '))
+            if obj.witness is None:
+                parts.append("null")
+            else:
+                entries(obj.witness, jsonio.svalue_to_json, depth + 1)
+            parts.append("\n" + "  " * depth + "}")
+        elif isinstance(obj, str):
             parts.append(encode_basestring_ascii(obj))
         elif obj is None:
             parts.append("null")
@@ -423,13 +445,7 @@ def _render_json(report: dict) -> str:
         elif isinstance(obj, (dict, list, tuple)):
             if not obj:
                 parts.append("{}" if isinstance(obj, dict) else "[]")
-                return False
-            text = written.get((id(obj), depth))
-            if text is not None:
-                parts.append(text)
-                return True
-            start = len(parts)
-            nested = False
+                return
             indent = "\n" + "  " * (depth + 1)
             if isinstance(obj, dict):
                 parts.append("{")
@@ -437,24 +453,18 @@ def _render_json(report: dict) -> str:
                     if not isinstance(key, str):
                         raise TypeError(f"keys must be str, not {type(key).__name__}")
                     parts.extend((indent, encode_basestring_ascii(key), ": "))
-                    nested |= write(value, depth + 1)
+                    write(value, depth + 1)
                     parts.append(",")
                 parts[-1] = "\n" + "  " * depth + "}"
             else:
                 parts.append("[")
                 for value in obj:
                     parts.append(indent)
-                    nested |= write(value, depth + 1)
+                    write(value, depth + 1)
                     parts.append(",")
                 parts[-1] = "\n" + "  " * depth + "]"
-            if not nested:
-                text = written[id(obj), depth] = "".join(parts[start:])
-                del parts[start:]
-                parts.append(text)
-            return True
         else:
             raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-        return False
 
     write(report, 0)
     return "".join(parts)
@@ -477,7 +487,8 @@ def main(argv: Optional[list] = None) -> int:
             doc = _load(path, role, inputs)
             docs.append(doc if decoder is None else getattr(jsonio, f"{decoder}_from_json")(doc))
         result = handler(args, diagnostics, *docs)
-    except (CommandError, ValueError, KeyError, ZeroDivisionError) as exc:
+    # RuntimeError: a library self-check (a strata witness) failed
+    except (CommandError, ValueError, KeyError, ZeroDivisionError, RuntimeError) as exc:
         diagnostics.append({"severity": "error", "message": str(exc.args[0] if exc.args else exc)})
 
     report = {

@@ -193,6 +193,12 @@ def raise_levels(
 MAX_ADJUST_SUBSETS = 2**16
 
 
+def _require_invariant(track: TrainTrack, vec: Weights) -> None:
+    bad = validate(track, vec)
+    if bad:
+        raise ValueError(f"weights are not invariant: {[str(v) for v in bad]}")
+
+
 def _adjustments(
     track: TrainTrack, vec: Weights
 ) -> Iterator[tuple[tuple[str, ...], Weights]]:
@@ -204,9 +210,7 @@ def _adjustments(
             f"{n} segments give more than {MAX_ADJUST_SUBSETS} subsets to "
             "adjust; refusing to try them"
         )
-    bad = validate(track, vec)
-    if bad:
-        raise ValueError(f"weights are not invariant: {[str(v) for v in bad]}")
+    _require_invariant(track, vec)
     for size in range(1, n + 1):
         for subset in itertools.combinations(track.segments, size):
             raised = raise_levels(track, vec, subset)
@@ -240,11 +244,13 @@ def is_contiguous(track: TrainTrack, w: Sequence[LevelValue]) -> bool:
     all-segments raise always exists and must not disqualify anything) or
     come back to w after alignment.  A valid adjustment that keeps the
     height yet aligns to a different vector disqualifies w, and the search
-    stops there.  A proximal vector is searched as in `adjustments`, under
-    the same `MAX_ADJUST_SUBSETS` refusal; a vector that is not proximal
-    is answered without a search.
+    stops there.  A vector that is not invariant is refused first, as in
+    `adjustments`.  A proximal vector is then searched as in `adjustments`,
+    under the same `MAX_ADJUST_SUBSETS` refusal; a vector that is not
+    proximal is answered without a search.
     """
     vec = _as_weights(track, w)
+    _require_invariant(track, vec)
     if not is_proximal(vec):
         return False
     h = _max_level(vec)
@@ -461,7 +467,11 @@ def enumerate_strata(track: TrainTrack, height_bound: int) -> list[Stratum]:
     A pattern assigns every segment ZERO or (level, fin/inf); proximal
     means the levels used are exactly 0..m-1 for some m.  Feasibility
     asks for strictly positive finite magnitudes satisfying every switch;
-    witnesses are attached when they exist.
+    witnesses are attached when they exist.  Within one call each switch
+    is reduced once per distinct restriction of a pattern to its segments,
+    and `_fm_feasible` runs once per distinct system (finite variables,
+    equations); every witness is still checked with `validate`, and one
+    that fails raises RuntimeError.
 
     Order contract: patterns come in the lexicographic order of their
     per-segment options, first segment first, where each segment's options
@@ -485,27 +495,40 @@ def enumerate_strata(track: TrainTrack, height_bound: int) -> list[Stratum]:
             f"{n} segments at height bound {height_bound} give more than "
             f"{MAX_STRATA} strata; refusing to enumerate them"
         )
+    segments = track.segments
+    index = {s: i for i, s in enumerate(segments)}
+    # Per switch: the positions of its distinct segments, and a table from
+    # their shapes to its reduction as sorted equation items (() when no
+    # condition is left, None when the shapes contradict each other).
+    switches = [(sorted({index[s] for s in a + b}), {}, a, b) for a, b in track.switches]
+    solutions: dict = {}  # (finite variables, equations) -> _fm_feasible
     out: list[Stratum] = []
     for pattern in _proximal_patterns(n, height_bound):
-        shape_of = dict(zip(track.segments, pattern))
-        equations: list[dict[str, Fraction]] = []
-        for a, b in track.switches:
-            red = _switch_reduction(shape_of, a, b)
-            if red is None:
+        equations = []
+        for at, reductions, a, b in switches:
+            key = tuple(map(pattern.__getitem__, at))
+            if key not in reductions:
+                red = _switch_reduction(dict(zip(segments, pattern)), a, b)
+                reductions[key] = None if red is None else tuple(sorted(red.items()))
+            eq = reductions[key]
+            if eq is None:
                 break
-            if red:
-                equations.append(red)
+            if eq:
+                equations.append(eq)
         else:
-            fin_vars = [s for s in track.segments if shape_of[s] and shape_of[s][1] == FIN]
-            solution = _fm_feasible(fin_vars, equations)
+            fin_vars = tuple(s for s, sh in zip(segments, pattern) if sh and sh[1] == FIN)
+            system = fin_vars, tuple(equations)
+            if system not in solutions:
+                solutions[system] = _fm_feasible(fin_vars, [dict(eq) for eq in equations])
+            solution = solutions[system]
             if solution is not None:
                 witness = tuple(
                     ZERO
-                    if shape_of[s] is None
-                    else pair(shape_of[s][0], INF)
-                    if shape_of[s][1] == INFINITE
-                    else pair(shape_of[s][0], solution[s])
-                    for s in track.segments
+                    if sh is None
+                    else pair(sh[0], INF)
+                    if sh[1] == INFINITE
+                    else pair(sh[0], solution[s])
+                    for s, sh in zip(segments, pattern)
                 )
                 if validate(track, witness):
                     raise RuntimeError(

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levelring import cli, tracks, values
+from levelring import cli, jsonio, tracks, values
 from levelring.cli import COMMANDS, main
 from levelring.jsonio import MAX_RATIONAL_DIGITS
 from levelring.tracks import MAX_ADJUST_SUBSETS, MAX_STRATA
@@ -200,6 +200,90 @@ def test_track_strata_counts(tmp_path, capsys):
     assert len(feasible) == 9
     for s in feasible:
         assert s["witness"] is not None
+
+
+@pytest.mark.parametrize("weights, violation", [
+    ([{"level": 1, "real": "1"}, {"level": 1, "real": "1"}], "(1,2) != (1,1)"),  # not proximal
+    ([{"level": 0, "real": "1"}, {"level": 0, "real": "1"}], "(0,2) != (0,1)"),  # proximal
+])
+def test_track_contiguous_refuses_weights_that_are_not_invariant(tmp_path, capsys, weights, violation):
+    track = write(tmp_path, "track.json", XY_TRACK)
+    code, out, err = run(capsys, "track", "contiguous", track, write(tmp_path, "weights.json", weights))
+    assert code == 1
+    assert json.loads(out)["result"] is None
+    assert err == f"error: weights are not invariant: ['switch 0: {violation}']\n"
+
+
+# x + y = z and z + w = v + v: finite witnesses split z and z + w
+FIVE_TRACK = {
+    "segments": ["x", "y", "z", "w", "v"],
+    "switches": [{"a": ["x", "y"], "b": ["z"]}, {"a": ["z", "w"], "b": ["v", "v"]}],
+}
+
+
+def plain_strata(doc, height):
+    """A strata result in plain JSON values, built as the report built it
+    before strata were written from cached texts."""
+    return {
+        "height_bound": height,
+        "strata": [
+            {
+                "pattern": [None if sh is None else {"level": sh[0], "kind": sh[1]} for sh in s.pattern],
+                "feasible": s.feasible,
+                "witness": None if s.witness is None else jsonio.vector_to_json(s.witness),
+            }
+            for s in tracks.enumerate_strata(jsonio.track_from_json(doc), height)
+        ],
+    }
+
+
+@pytest.mark.parametrize("doc, height", [(MERGED_TRACK, 3), (SPIRAL_TRACK, 4), (FIVE_TRACK, 2)])
+def test_strata_reports_match_json_dumps(tmp_path, capsys, monkeypatch, doc, height):
+    reports = []
+    render = cli._render_json
+    monkeypatch.setattr(cli, "_render_json", lambda report: reports.append(report) or render(report))
+    track = write(tmp_path, "track.json", doc)
+    code, out, _ = run(capsys, "track", "strata", track, "--height-bound", str(height))
+    assert code == 0
+    (report,) = reports
+    assert out == json.dumps(report, indent=2, sort_keys=True, default=cli._plain) + "\n"
+    plain = plain_strata(doc, height)
+    assert sum(s["feasible"] for s in plain["strata"]) > 10
+    assert out == json.dumps(dict(report, result=plain), indent=2, sort_keys=True) + "\n"
+    code, out, _ = run(capsys, "track", "strata", track, "--height-bound", str(height), "--format", "text")
+    assert code == 0
+    assert "result: " + json.dumps(plain, sort_keys=True, separators=(",", ":")) in out.splitlines()
+
+
+@pytest.mark.parametrize("k", [1, 17])
+def test_failing_witness_check_is_an_error(tmp_path, capsys, monkeypatch, k):
+    # With no switch all 17 patterns at height 2 are feasible, and they
+    # share 4 systems, one per set of finite segments.
+    doc = {"segments": ["a", "b"], "switches": []}
+    strata = tracks.enumerate_strata(jsonio.track_from_json(doc), 2)
+    assert len(strata) == 17 and all(s.feasible for s in strata)
+    solved, checked = [], []
+    solve, validate = tracks._fm_feasible, tracks.validate
+
+    def counted(variables, equations):
+        solved.append((tuple(variables), repr(equations)))
+        return solve(variables, equations)
+
+    def failing(track, w):
+        checked.append(w)
+        return ["forced failure"] if len(checked) == k else validate(track, w)
+
+    monkeypatch.setattr(tracks, "_fm_feasible", counted)
+    monkeypatch.setattr(tracks, "validate", failing)
+    code, out, err = run(capsys, "track", "strata", write(tmp_path, "track.json", doc), "--height-bound", "2")
+    message = f"feasibility witness fails validation for pattern {strata[k - 1].pattern}"
+    assert code == 1
+    assert json.loads(out)["result"] is None
+    assert json.loads(out)["diagnostics"] == [{"severity": "error", "message": message}]
+    assert err == f"error: {message}\n"
+    # every witness up to the k-th was checked, though no system was solved twice
+    assert checked == [s.witness for s in strata[:k]]
+    assert len(set(solved)) == len(solved) == min(k, 4)
 
 
 def test_track_filtration_spiral(tmp_path, capsys):
