@@ -148,17 +148,6 @@ def _shape(shape: tracks.Shape) -> Optional[dict]:
     return None if shape is None else {"level": shape[0], "kind": shape[1]}
 
 
-def _plain(obj: Any) -> dict:
-    """The dict form of a report object `json` cannot write: a stratum."""
-    if not isinstance(obj, tracks.Stratum):
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    return {
-        "pattern": [_shape(shape) for shape in obj.pattern],
-        "feasible": obj.feasible,
-        "witness": None if obj.witness is None else jsonio.vector_to_json(obj.witness),
-    }
-
-
 # --- measure ----------------------------------------------------------------------
 
 def _measure_decompose(args, diagnostics: list, mu) -> Any:
@@ -231,7 +220,7 @@ def _tree_collapse(args, diagnostics: list, doc: Any) -> Any:
     group = doc.get("group")
     if not isinstance(group, list):
         raise CommandError("tree collapse input needs a \"group\" array")
-    return {"tree": jsonio.tree_to_json(trees.collapse(tree, group))}
+    return {"tree": jsonio.tree_to_json(trees.collapse(tree, jsonio._strings(group, "group")))}
 
 
 def _tree_dual(args, diagnostics: list, family) -> Any:
@@ -304,8 +293,8 @@ COMMANDS = {
         [TRACK, WEIGHTS],
         lambda args, diagnostics, track, weights: {
             "adjustments": [
-                {"segments": list(subset), "weights": jsonio.vector_to_json(vec)}
-                for subset, vec in tracks.adjustments(track, weights)
+                {"segments": list(subset), "weights": _vector(f"adjustments[{i}].weights", vec)}
+                for i, (subset, vec) in enumerate(tracks.adjustments(track, weights))
             ]
         },
     ),
@@ -387,51 +376,53 @@ def _render_text(report: dict) -> str:
         lines.append(f"option {key}: {report['command']['options'][key]}")
     for role in sorted(report["inputs"]):
         lines.append(f"input {role}: sha256={report['inputs'][role]}")
-    lines.append(
-        "result: "
-        + json.dumps(report["result"], sort_keys=True, separators=(",", ":"), default=_plain)
-    )
+    lines.append("result: " + _render_json(report["result"], indent=False))
     for d in report["diagnostics"]:
         lines.append(f"{d['severity']}: {d['message']}")
     return "\n".join(lines) + "\n"
 
 
-def _render_json(report: dict) -> str:
-    """``json.dumps(report, indent=2, sort_keys=True, default=_plain)``,
-    byte for byte, for the types a report holds: dicts with str keys,
-    lists, tuples, str, int, bool, None and `tracks.Stratum`; any other
-    type raises TypeError.  A plain walk writes each value in turn, except
-    that a stratum's entries come from per-report texts, one per distinct
-    shape and one per distinct witness value at the depth they sit at."""
+def _render_json(report: Any, indent: bool = True) -> str:
+    """``json.dumps(report, sort_keys=True)`` byte for byte, with
+    ``indent=2`` when indent and ``separators=(",", ":")`` otherwise, for
+    the types a report holds: dicts with str keys, lists, tuples, str,
+    int, bool, None and `tracks.Stratum`, written as the object with keys
+    "feasible", "pattern" (its shapes) and "witness" (its value encodings,
+    or null); any other type raises TypeError.  A plain walk writes each
+    value in turn, except that a stratum's entries come from per-report
+    texts, one per distinct shape and one per distinct witness value at
+    the depth they sit at."""
     parts: list[str] = []
-    texts: dict = {}  # (shape or witness value, depth) -> text
+    texts: dict = {}  # (shape or witness value, depth) -> margin, text and ","
+    # an entry at depth d, or a bracket closing one, starts on a new line
+    # indented by d steps
+    newline, step, colon = ("\n", "  ", ": ") if indent else ("", "", ":")
 
     def entries(items: tuple, plain, depth: int) -> None:
         """Append the text of a nonempty list of shapes or witness values."""
-        indent = "\n" + "  " * (depth + 1)
         parts.append("[")
         for item in items:
             text = texts.get((item, depth))
             if text is None:
                 start = len(parts)
                 write(plain(item), depth + 1)
-                text = texts[item, depth] = "".join(parts[start:])
+                text = texts[item, depth] = newline + step * (depth + 1) + "".join(parts[start:]) + ","
                 del parts[start:]
-            parts.extend((indent, text, ","))
-        parts[-1] = "\n" + "  " * depth + "]"
+            parts.append(text)
+        parts[-1] = parts[-1][:-1] + newline + step * depth + "]"
 
     def write(obj: Any, depth: int) -> None:
-        if isinstance(obj, tracks.Stratum):  # keys in sorted order, as _plain's
-            indent = "\n" + "  " * (depth + 1)
-            parts.extend(("{", indent, '"feasible": ', "true" if obj.feasible else "false",
-                          ",", indent, '"pattern": '))
+        if isinstance(obj, tracks.Stratum):
+            inner = newline + step * (depth + 1)
+            feasible = "true" if obj.feasible else "false"
+            parts.append(f'{{{inner}"feasible"{colon}{feasible},{inner}"pattern"{colon}')
             entries(obj.pattern, _shape, depth + 1)
-            parts.extend((",", indent, '"witness": '))
+            parts.append(f',{inner}"witness"{colon}')
             if obj.witness is None:
                 parts.append("null")
             else:
                 entries(obj.witness, jsonio.svalue_to_json, depth + 1)
-            parts.append("\n" + "  " * depth + "}")
+            parts.append(newline + step * depth + "}")
         elif isinstance(obj, str):
             parts.append(encode_basestring_ascii(obj))
         elif obj is None:
@@ -446,27 +437,30 @@ def _render_json(report: dict) -> str:
             if not obj:
                 parts.append("{}" if isinstance(obj, dict) else "[]")
                 return
-            indent = "\n" + "  " * (depth + 1)
+            inner = newline + step * (depth + 1)
             if isinstance(obj, dict):
                 parts.append("{")
                 for key, value in sorted(obj.items()):
                     if not isinstance(key, str):
                         raise TypeError(f"keys must be str, not {type(key).__name__}")
-                    parts.extend((indent, encode_basestring_ascii(key), ": "))
+                    parts.extend((inner, encode_basestring_ascii(key), colon))
                     write(value, depth + 1)
                     parts.append(",")
-                parts[-1] = "\n" + "  " * depth + "}"
+                parts[-1] = newline + step * depth + "}"
             else:
                 parts.append("[")
                 for value in obj:
-                    parts.append(indent)
+                    parts.append(inner)
                     write(value, depth + 1)
                     parts.append(",")
-                parts[-1] = "\n" + "  " * depth + "]"
+                parts[-1] = newline + step * depth + "]"
         else:
             raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
     write(report, 0)
+    # write and entries hold each other through their closures: break that
+    # cycle, so that the parts are freed now and not at some later collection
+    del write, entries
     return "".join(parts)
 
 

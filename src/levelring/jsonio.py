@@ -5,8 +5,10 @@ Leveled values travel as ``null`` (the zero element) or
 one grammar of ``values`` that ``XRat(str)`` also reads: ``"p"``,
 ``"p/q"`` or ``"inf"``, each digit run at most ``MAX_RATIONAL_DIGITS``
 long, not necessarily reduced on the way in and always reduced on the way
-out.  A result past the digit bound is refused by ``str(XRat)``, whatever
-``PYTHONINTMAXSTRDIGITS`` says.  The composite formats:
+out.  A level is an integer of at most ``MAX_RATIONAL_DIGITS`` digits, read
+and written.  A result past the digit bound is refused by ``str(XRat)``
+or, for a level, by ``svalue_to_json``, whatever ``PYTHONINTMAXSTRDIGITS``
+says.  The composite formats:
 
 * weight vectors — arrays of value encodings;
 * monomial families — arrays of ``null`` or
@@ -56,6 +58,7 @@ from levelring.values import (
     LevelValue,
     XRat,
     ZERO,
+    _TOO_LONG,
     _parse_rational,
 )
 from levelring.vectors import Monomial, MonomialFamily, Vector
@@ -243,8 +246,12 @@ def _finite_from_str(s: Any, where: str) -> Fraction:
 # --- leveled values --------------------------------------------------------------
 
 def svalue_to_json(v: LevelValue) -> Optional[dict]:
+    """A value's encoding; ValueError when its level or magnitude is past
+    ``MAX_RATIONAL_DIGITS``."""
     if v.is_zero:
         return None
+    if v.level >= _TOO_LONG:
+        raise ValueError(f"result level has more than {MAX_RATIONAL_DIGITS} digits")
     return {"level": v.level, "real": rat_to_str(v.magnitude)}
 
 
@@ -265,6 +272,8 @@ def _svalue(obj: Any) -> LevelValue:
         value = _TABLE.get((level, real))
         if value is not None:
             return value
+    if abs(level) >= _TOO_LONG:
+        raise FormatError(".level", f"more than {MAX_RATIONAL_DIGITS} digits")
     frac = _fraction(real, ".real")
     value = _TABLE[level, real] = LevelValue(level, INF if frac is None else XRat(frac))
     return value

@@ -286,18 +286,22 @@ class Stratum:
 
 
 def _fm_feasible(
-    variables: Sequence[str], equations: Sequence[dict[str, Fraction]]
+    variables: Sequence[str],
+    equations: Sequence[Mapping[str, Fraction] | Iterable[tuple[str, Fraction]]],
 ) -> Optional[dict[str, Fraction]]:
     """Strictly positive rational solution of the homogeneous equations,
-    or None.  Each equation in turn is solved for its smallest variable and
-    substituted away; Fourier-Motzkin then eliminates the other variables,
-    in sorted order, from the strict inequalities, which start as v > 0;
-    back-substitution in reverse order gives the witness.  Constraints are
-    bare coefficient dicts (equalities = 0, inequalities > 0) and stay
-    homogeneous, so the system is infeasible exactly when an inequality is
-    left with no variables, and v > 0 is a lower bound of v until v goes.
+    or None.  An equation is a coefficient dict, or its (variable,
+    coefficient) items as `_switch_reduction` gives them.  Each equation
+    in turn is solved for its smallest variable and substituted away;
+    Fourier-Motzkin then eliminates the other variables, in sorted order,
+    from the strict inequalities, which start as v > 0; back-substitution
+    in reverse order gives the witness.  Constraints are bare coefficient
+    dicts (equalities = 0, inequalities > 0) and stay homogeneous, so the
+    system is infeasible exactly when an inequality is left with no
+    variables, and v > 0 is a lower bound of v until v goes.
     """
-    eqs = [{k: c for k, c in eq.items() if c} for eq in equations]
+    given = [{k: c for k, c in dict(eq).items() if c} for eq in equations]
+    eqs = list(given)
     cons = [{v: Fraction(1)} for v in variables]
     steps: list[tuple[str, object]] = []  # (var, expr) or (var, (lowers, uppers))
 
@@ -352,50 +356,39 @@ def _fm_feasible(
         lo = max(-value(co, var) / co[var] for co in lowers)
         ups = [-value(co, var) / co[var] for co in uppers]
         values[var] = (lo + min(ups)) / 2 if ups else lo + 1
-    if any(values[v] <= 0 for v in variables) or any(value(eq) for eq in equations):
+    if any(values[v] <= 0 for v in variables) or any(value(eq) for eq in given):
         return None
     return values
-
-
-def _side_shapes(
-    side: Sequence[str], shape_of: Mapping[str, Shape]
-) -> list[tuple[str, int, str]]:
-    return [
-        (s, shape_of[s][0], shape_of[s][1]) for s in side if shape_of[s] is not None
-    ]
 
 
 def _switch_reduction(
     shape_of: Mapping[str, Shape],
     side_a: Sequence[str],
     side_b: Sequence[str],
-) -> Optional[Optional[dict[str, Fraction]]]:
+) -> Optional[tuple[tuple[str, Fraction], ...]]:
     """Reduce one switch to its stratum constraint.
 
-    Returns None when the shapes alone are contradictory; {} when the
-    switch is satisfied with no condition on magnitudes; otherwise the
-    coefficient dict of one homogeneous linear equation over the finite
-    top-level magnitudes.
+    Returns None when the shapes alone are contradictory; () when the
+    switch is satisfied with no condition on magnitudes; otherwise one
+    homogeneous linear equation over the finite top-level magnitudes, as
+    its sorted (segment, nonzero coefficient) items.
     """
-    ents_a, ents_b = _side_shapes(side_a, shape_of), _side_shapes(side_b, shape_of)
-    top_a = max((lev for _, lev, _ in ents_a), default=None)
-    top_b = max((lev for _, lev, _ in ents_b), default=None)
+    tops = []
+    for side in (side_a, side_b):
+        shapes = [shape_of[s] for s in side if shape_of[s] is not None]
+        top = max((lev for lev, _ in shapes), default=None)
+        tops.append((top, (top, INFINITE) in shapes))
+    (top_a, inf_a), (top_b, inf_b) = tops
     if top_a != top_b:
         return None
-    if top_a is None:
-        return {}
-    inf_a = any(f == INFINITE for _, lev, f in ents_a if lev == top_a)
-    inf_b = any(f == INFINITE for _, lev, f in ents_b if lev == top_b)
-    if inf_a or inf_b:
-        return {} if (inf_a and inf_b) else None
-    coeffs: dict[str, Fraction] = {}
-    for s, lev, _ in ents_a:
-        if lev == top_a:
-            coeffs[s] = coeffs.get(s, Fraction(0)) + 1
-    for s, lev, _ in ents_b:
-        if lev == top_b:
-            coeffs[s] = coeffs.get(s, Fraction(0)) - 1
-    return {k: v for k, v in coeffs.items() if v}
+    if top_a is None or inf_a or inf_b:
+        return () if inf_a == inf_b else None
+    coeffs: Counter = Counter()
+    for side, sign in ((side_a, 1), (side_b, -1)):
+        for s in side:
+            if shape_of[s] == (top_a, FIN):
+                coeffs[s] += sign
+    return tuple(sorted((s, Fraction(c)) for s, c in coeffs.items() if c))
 
 
 # `enumerate_strata` refuses a track and height bound with more proximal
@@ -418,48 +411,6 @@ def strata_count(n_segments: int, height_bound: int) -> int:
     )
 
 
-def _proximal_patterns(n: int, height_bound: int) -> Iterator[tuple[Shape, ...]]:
-    """Every proximal pattern on n segments with levels below the height
-    bound, in the lexicographic order of per-segment options ZERO, (0, fin),
-    (0, inf), (1, fin), ...  A depth-first walk over prefixes that drops an
-    option as soon as the segments left cannot fill the levels missing
-    below the prefix's highest level."""
-    levels = min(height_bound, n)  # n segments use at most n levels
-    options: list[Shape] = [None]
-    for lev in range(levels):
-        options += [(lev, FIN), (lev, INFINITE)]
-    pattern: list[Shape] = [None] * n
-    choice = [0] * n  # option index tried next at each segment
-    at_level = [0] * levels  # segments before k on each level
-    top = [-1] * n  # highest level used before segment k
-    used = [0] * n  # distinct levels used before segment k
-    k = 0
-    while k >= 0:
-        if choice[k] == len(options):
-            choice[k] = 0
-            k -= 1
-            if k >= 0 and pattern[k] is not None:
-                at_level[pattern[k][0]] -= 1
-            continue
-        shape = pattern[k] = options[choice[k]]
-        choice[k] += 1
-        t, u = top[k], used[k]
-        if shape is not None:
-            t = max(t, shape[0])
-            u += not at_level[shape[0]]
-        if t + 1 - u > n - 1 - k:  # more missing levels than segments left
-            if t > top[k]:  # every later option sits higher still
-                choice[k] = len(options)
-            continue
-        if k == n - 1:
-            yield tuple(pattern)
-            continue
-        if shape is not None:
-            at_level[shape[0]] += 1
-        k += 1
-        top[k], used[k] = t, u
-
-
 def enumerate_strata(track: TrainTrack, height_bound: int) -> list[Stratum]:
     """All proximal shape patterns with levels below the height bound,
     each decided for feasibility.
@@ -467,11 +418,16 @@ def enumerate_strata(track: TrainTrack, height_bound: int) -> list[Stratum]:
     A pattern assigns every segment ZERO or (level, fin/inf); proximal
     means the levels used are exactly 0..m-1 for some m.  Feasibility
     asks for strictly positive finite magnitudes satisfying every switch;
-    witnesses are attached when they exist.  Within one call each switch
-    is reduced once per distinct restriction of a pattern to its segments,
-    and `_fm_feasible` runs once per distinct system (finite variables,
-    equations); every witness is still checked with `validate`, and one
-    that fails raises RuntimeError.
+    witnesses are attached when they exist.  The patterns are walked
+    depth first over prefixes.  A prefix is dropped as soon as the
+    segments left cannot fill the levels missing below its highest level,
+    and each switch is decided once its last segment is set, once per
+    call for each distinct restriction of a prefix to its segments.  Every
+    proximal completion of a prefix that contradicts a switch is
+    infeasible with no further work.  `_fm_feasible` runs once per
+    distinct system (finite variables, equations in switch order); every
+    witness is still checked with `validate`, and one that fails raises
+    RuntimeError.
 
     Order contract: patterns come in the lexicographic order of their
     per-segment options, first segment first, where each segment's options
@@ -483,7 +439,7 @@ def enumerate_strata(track: TrainTrack, height_bound: int) -> list[Stratum]:
     Raises ValueError for a height bound below 1 and when `strata_count`
     exceeds `MAX_STRATA`, before any pattern is generated.  That count is
     the only size limit: 12 segments pass at height bound 1 (531,441
-    strata), 13 segments never do.
+    strata), 13 segments never do, so the walk is at most 12 deep.
     """
     n = len(track.segments)
     if height_bound < 1:
@@ -497,29 +453,41 @@ def enumerate_strata(track: TrainTrack, height_bound: int) -> list[Stratum]:
         )
     segments = track.segments
     index = {s: i for i, s in enumerate(segments)}
-    # Per switch: the positions of its distinct segments, and a table from
-    # their shapes to its reduction as sorted equation items (() when no
-    # condition is left, None when the shapes contradict each other).
-    switches = [(sorted({index[s] for s in a + b}), {}, a, b) for a, b in track.switches]
+    options: list[Shape] = [None]
+    for lev in range(min(height_bound, n)):  # n segments use at most n levels
+        options += [(lev, FIN), (lev, INFINITE)]
+    # Per position: the switches whose last segment sits there, each with
+    # its index, the positions of its distinct segments, and a table from
+    # their shapes to its reduction.
+    decided_at: list[list] = [[] for _ in segments]
+    for i, (a, b) in enumerate(track.switches):
+        at = sorted({index[s] for s in a + b})
+        if at:  # a switch with no ends is satisfied by every pattern
+            decided_at[at[-1]].append((i, at, a, b, {}))
+    pattern: list[Shape] = [None] * n
+    equations: list = [()] * len(track.switches)  # by switch, on this prefix
     solutions: dict = {}  # (finite variables, equations) -> _fm_feasible
     out: list[Stratum] = []
-    for pattern in _proximal_patterns(n, height_bound):
-        equations = []
-        for at, reductions, a, b in switches:
+
+    def decided(k: int) -> bool:
+        """Reduce the switches whose last segment is k; False when one of
+        them contradicts the prefix."""
+        for i, at, a, b, reductions in decided_at[k]:
             key = tuple(map(pattern.__getitem__, at))
             if key not in reductions:
-                red = _switch_reduction(dict(zip(segments, pattern)), a, b)
-                reductions[key] = None if red is None else tuple(sorted(red.items()))
-            eq = reductions[key]
-            if eq is None:
-                break
-            if eq:
-                equations.append(eq)
-        else:
-            fin_vars = tuple(s for s, sh in zip(segments, pattern) if sh and sh[1] == FIN)
-            system = fin_vars, tuple(equations)
+                reductions[key] = _switch_reduction(dict(zip(segments, pattern)), a, b)
+            if reductions[key] is None:
+                return False
+            equations[i] = reductions[key]
+        return True
+
+    def stratum(alive: bool) -> Stratum:
+        shapes = tuple(pattern)
+        if alive:
+            fin_vars = tuple(s for s, sh in zip(segments, shapes) if sh and sh[1] == FIN)
+            system = fin_vars, tuple(eq for eq in equations if eq)
             if system not in solutions:
-                solutions[system] = _fm_feasible(fin_vars, [dict(eq) for eq in equations])
+                solutions[system] = _fm_feasible(*system)
             solution = solutions[system]
             if solution is not None:
                 witness = tuple(
@@ -528,15 +496,37 @@ def enumerate_strata(track: TrainTrack, height_bound: int) -> list[Stratum]:
                     else pair(sh[0], INF)
                     if sh[1] == INFINITE
                     else pair(sh[0], solution[s])
-                    for s, sh in zip(segments, pattern)
+                    for s, sh in zip(segments, shapes)
                 )
                 if validate(track, witness):
                     raise RuntimeError(
-                        f"feasibility witness fails validation for pattern {pattern}"
+                        f"feasibility witness fails validation for pattern {shapes}"
                     )
-                out.append(Stratum(pattern, True, witness))
+                return Stratum(shapes, True, witness)
+        return Stratum(shapes, False)
+
+    def walk(k: int, used: int, alive: bool) -> None:
+        """Extend the prefix before k, whose levels are the set bits of
+        used; alive is False once a switch of the prefix is contradicted."""
+        for shape in options:
+            now = used if shape is None else used | 1 << shape[0]
+            # more levels missing below the highest than segments left; if
+            # this option raised the highest, every later one sits higher still
+            if now.bit_length() - now.bit_count() > n - 1 - k:
+                if now.bit_length() > used.bit_length():
+                    break
                 continue
-        out.append(Stratum(pattern, False))
+            pattern[k] = shape
+            ok = alive and decided(k)
+            if k == n - 1:
+                out.append(stratum(ok))
+            else:
+                walk(k + 1, now, ok)
+
+    walk(0, 0, True)
+    # walk holds itself through its closure: break that cycle, so that the
+    # call's tables are freed now and not at some later collection
+    del walk
     return out
 
 

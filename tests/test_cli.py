@@ -221,6 +221,18 @@ FIVE_TRACK = {
 }
 
 
+def _plain(obj):
+    """The dict form of a stratum, as `json.dumps(default=...)` reads it:
+    the oracle for the report writer's own stratum texts."""
+    if not isinstance(obj, tracks.Stratum):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return {
+        "pattern": [None if sh is None else {"level": sh[0], "kind": sh[1]} for sh in obj.pattern],
+        "feasible": obj.feasible,
+        "witness": None if obj.witness is None else jsonio.vector_to_json(obj.witness),
+    }
+
+
 def plain_strata(doc, height):
     """A strata result in plain JSON values, built as the report built it
     before strata were written from cached texts."""
@@ -241,18 +253,21 @@ def plain_strata(doc, height):
 def test_strata_reports_match_json_dumps(tmp_path, capsys, monkeypatch, doc, height):
     reports = []
     render = cli._render_json
-    monkeypatch.setattr(cli, "_render_json", lambda report: reports.append(report) or render(report))
+    monkeypatch.setattr(cli, "_render_json", lambda obj, indent=True: reports.append(obj) or render(obj, indent))
     track = write(tmp_path, "track.json", doc)
     code, out, _ = run(capsys, "track", "strata", track, "--height-bound", str(height))
     assert code == 0
     (report,) = reports
-    assert out == json.dumps(report, indent=2, sort_keys=True, default=cli._plain) + "\n"
+    assert out == json.dumps(report, indent=2, sort_keys=True, default=_plain) + "\n"
     plain = plain_strata(doc, height)
     assert sum(s["feasible"] for s in plain["strata"]) > 10
     assert out == json.dumps(dict(report, result=plain), indent=2, sort_keys=True) + "\n"
     code, out, _ = run(capsys, "track", "strata", track, "--height-bound", str(height), "--format", "text")
     assert code == 0
-    assert "result: " + json.dumps(plain, sort_keys=True, separators=(",", ":")) in out.splitlines()
+    _, result = reports
+    compact = json.dumps(plain, sort_keys=True, separators=(",", ":"))
+    assert json.dumps(result, sort_keys=True, separators=(",", ":"), default=_plain) == compact
+    assert "result: " + compact in out.splitlines()
 
 
 @pytest.mark.parametrize("k", [1, 17])
@@ -672,7 +687,8 @@ def test_oversized_strata_are_refused_up_front(tmp_path, capsys, monkeypatch):
     def never(*args):
         raise AssertionError("enumeration started")
 
-    monkeypatch.setattr(tracks, "_proximal_patterns", never)
+    # the report writer reads tracks.Stratum, so stop the walk at its first switch
+    monkeypatch.setattr(tracks, "_switch_reduction", never)
     seven = write(tmp_path, "seven.json", {
         "segments": [f"s{i}" for i in range(7)],
         "switches": [{"a": ["s0", "s1"], "b": ["s2"]}],
@@ -690,7 +706,8 @@ def test_thirteen_segments_are_refused_at_any_height(tmp_path, capsys, monkeypat
     def never(*args):
         raise AssertionError("enumeration started")
 
-    monkeypatch.setattr(tracks, "_proximal_patterns", never)
+    # the report writer reads tracks.Stratum, so stop the walk at its first switch
+    monkeypatch.setattr(tracks, "_switch_reduction", never)
     thirteen = write(tmp_path, "thirteen.json", {
         "segments": [f"s{i}" for i in range(13)],
         "switches": [{"a": ["s0", "s1"], "b": ["s2"]}],
@@ -797,6 +814,46 @@ def test_overlong_result_is_refused(tmp_path, capsys, words, docs, where):
     assert code == 1
     assert json.loads(out)["result"] is None
     assert err == f"error: {where}: result has more than {MAX_RATIONAL_DIGITS} digits\n"
+
+
+MOST = 10**MAX_RATIONAL_DIGITS - 1  # the longest level a document may hold
+
+
+@pytest.mark.parametrize("words, docs, where", [
+    (["svalue"], [[{"op": "mul", "args": [{"level": MOST, "real": "1"}, {"level": MOST, "real": "1"}]}]],
+     "exprs[0]"),
+    (["track", "adjust"], [{"segments": ["x"], "switches": []}, [{"level": MOST, "real": "1"}]],
+     "adjustments[0].weights[0]"),
+], ids=["svalue", "track-adjust"])
+def test_overlong_level_is_refused(tmp_path, capsys, words, docs, where):
+    # each input level has 4300 digits, but the product's or the raise's has 4301
+    files = [write(tmp_path, f"input{k}.json", doc) for k, doc in enumerate(docs)]
+    code, out, err = run(capsys, *words, *files)
+    assert code == 1
+    assert json.loads(out)["result"] is None
+    assert err == f"error: {where}: result level has more than {MAX_RATIONAL_DIGITS} digits\n"
+
+
+def test_overlong_level_input_is_refused(tmp_path, capsys):
+    # a 4301-digit level: the JSON reader refuses it under the interpreter's
+    # digit limit, and the value decoder where PYTHONINTMAXSTRDIGITS=0 lifts it
+    exprs = tmp_path / "exprs.json"
+    exprs.write_text('[{"op": "add", "args": [{"level": 1' + "0" * MAX_RATIONAL_DIGITS + ', "real": "1"}]}]')
+    code, out, err = run(capsys, "svalue", str(exprs))
+    assert code == 1
+    assert json.loads(out)["result"] is None
+    if getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0:  # no limit before 3.10.7
+        assert err == f"error: exprs[0].args[0].level: more than {MAX_RATIONAL_DIGITS} digits\n"
+    else:
+        assert err.startswith("error: exprs file is not JSON: ") and len(err) < 1024
+
+
+def test_collapse_group_entries_must_be_strings(tmp_path, capsys):
+    doc = dict(json.loads((GOLDEN / "inputs" / "collapse.json").read_text()), group=["b", 1])
+    code, out, err = run(capsys, "tree", "collapse", write(tmp_path, "collapse.json", doc))
+    assert code == 1
+    assert json.loads(out)["result"] is None
+    assert err == "error: group[1]: expected a string, got 1\n"
 
 
 def test_free_ends_of_an_unknown_segment_are_refused(tmp_path, capsys):
@@ -924,6 +981,7 @@ JSON_VALUES = st.recursive(
 @given(JSON_VALUES)
 def test_report_writer_matches_json_dumps(doc):
     assert cli._render_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    assert cli._render_json(doc, indent=False) == json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def test_report_writer_reuses_shared_objects():

@@ -368,6 +368,21 @@ def test_table_refuses_a_repeated_overlong_text():
     assert str(exc.value) == f"tree.edges[1].len.real: more than {MAX_RATIONAL_DIGITS} digits: {_ECHO.repr(over)}"
 
 
+@pytest.mark.parametrize("level", [10**MAX_RATIONAL_DIGITS, -(10**MAX_RATIONAL_DIGITS)], ids=["high", "negative"])
+def test_overlong_level_is_refused_on_input(level):
+    # by comparison, so whatever PYTHONINTMAXSTRDIGITS says; 4300 nines pass
+    most = 10**MAX_RATIONAL_DIGITS - 1
+    assert svalue_from_json({"level": most, "real": "1"}).level == most
+    with pytest.raises(FormatError) as exc:
+        vector_from_json([None, {"level": level, "real": "1"}])
+    assert str(exc.value) == f"vector[1].level: more than {MAX_RATIONAL_DIGITS} digits"
+
+
+def test_overlong_level_is_refused_on_output():
+    with pytest.raises(ValueError, match=f"^result level has more than {MAX_RATIONAL_DIGITS} digits$"):
+        svalue_to_json(pair(10**MAX_RATIONAL_DIGITS, 1))
+
+
 # --- differential tests ----------------------------------------------------------
 # The oracle decoders are the ones that formatted every location up front,
 # before a check failed; the decoders must keep their results and their

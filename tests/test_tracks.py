@@ -501,17 +501,24 @@ def oracle_fm_feasible(
     return values
 
 
-def product_strata(track, height_bound):
-    """The former enumerator, kept as the oracle: walk the whole product of
-    per-segment options and drop the patterns that are not proximal."""
+def product_patterns(n, height_bound):
+    """Every proximal pattern on n segments, in order: the whole product
+    of per-segment options with the patterns that are not proximal
+    dropped."""
     options = [None]
     for lev in range(height_bound):
         options += [(lev, FIN), (lev, INFINITE)]
-    out = []
-    for pattern in itertools.product(options, repeat=len(track.segments)):
+    for pattern in itertools.product(options, repeat=n):
         used = sorted({sh[0] for sh in pattern if sh is not None})
-        if used != list(range(len(used))):
-            continue  # not proximal
+        if used == list(range(len(used))):
+            yield pattern
+
+
+def product_strata(track, height_bound):
+    """The former enumerator, kept as the oracle: walk the whole product of
+    per-segment options and drop the patterns that are not proximal."""
+    out = []
+    for pattern in product_patterns(len(track.segments), height_bound):
         shape_of = dict(zip(track.segments, pattern))
         equations = []
         contradictory = False
@@ -521,7 +528,7 @@ def product_strata(track, height_bound):
                 contradictory = True
                 break
             if red:
-                equations.append(red)
+                equations.append(dict(red))
         if contradictory:
             out.append(Stratum(pattern, False))
             continue
@@ -547,10 +554,10 @@ def product_strata(track, height_bound):
 
 
 def oracle_enumerate_strata(track, height_bound):
-    """The former enumerator, kept as the oracle: every switch reduced and
-    every system solved afresh for each proximal pattern."""
+    """The per-pattern enumerator, kept as the oracle: every switch reduced
+    and every system solved afresh for each pattern of the product walk."""
     out = []
-    for pattern in tracks._proximal_patterns(len(track.segments), height_bound):
+    for pattern in product_patterns(len(track.segments), height_bound):
         shape_of = dict(zip(track.segments, pattern))
         equations = []
         for a, b in track.switches:
@@ -684,6 +691,27 @@ def test_strata_agree_with_the_per_pattern_oracle():
     assert twice > 80 and feasible > 20_000
 
 
+def test_switches_decided_at_different_depths_agree_with_both_oracles():
+    # 5-6 segments and 2-3 switches whose last segments differ, so the
+    # walk decides them at different prefix depths; heights 1 and 2, and 3
+    # on five segments (the product oracle walks up to 7**5 patterns)
+    rng = Random(17)
+    tracks_seen = feasible = 0
+    while tracks_seen < 12:
+        n = 5 + tracks_seen % 2
+        track = dealt_track(rng, n, rng.randint(2, 3))
+        position = {s: i for i, s in enumerate(track.segments)}
+        if len({max(position[s] for s in a + b) for a, b in track.switches}) < 2:
+            continue
+        tracks_seen += 1
+        for height in (1, 2) if n == 6 else (1, 2, 3):
+            got = enumerate_strata(track, height)
+            assert got == product_strata(track, height), (track, height)
+            assert got == oracle_enumerate_strata(track, height), (track, height)
+            feasible += sum(s.feasible for s in got)
+    assert feasible > 100
+
+
 def test_heights_past_the_segment_count_add_nothing():
     rng = Random(7)
     for n in range(1, 6):
@@ -704,7 +732,7 @@ def test_oversized_strata_are_refused_before_enumerating(monkeypatch):
     def never(*args):
         raise AssertionError("enumeration started")
 
-    monkeypatch.setattr(tracks, "_proximal_patterns", never)
+    monkeypatch.setattr(tracks, "Stratum", never)
     seven = TrainTrack([f"s{i}" for i in range(7)], [(["s0"], ["s1"])])
     with pytest.raises(ValueError, match=f"more than {MAX_STRATA} strata"):
         enumerate_strata(seven, 4)
@@ -724,7 +752,7 @@ def test_twelve_segments_at_height_one_pass_every_refusal(monkeypatch):
     def started(*args):
         raise Started
 
-    monkeypatch.setattr(tracks, "_proximal_patterns", started)
+    monkeypatch.setattr(tracks, "Stratum", started)
     twelve = TrainTrack([f"s{i}" for i in range(12)], [(["s0"], ["s1"])])
     assert strata_count(12, 1) == 3**12 <= MAX_STRATA < 3**13
     with pytest.raises(Started):
