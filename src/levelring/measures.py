@@ -3,7 +3,11 @@
 The domain is a finite disjoint union of closed intervals, each with an id
 and a rational length.  Measurable test sets are finite unions of
 sub-intervals (any mix of open/closed endpoints) and isolated points,
-handled exactly by the ``Region`` algebra below.
+handled exactly by the ``Region`` algebra below.  A region keeps each
+interval's part as a strictly increasing tuple of cuts (x, side), where
+(x, 0) sits just below x and (x, 1) just above it; the part is
+[c0, c1) ∪ [c2, c3) ∪ ..., and every set operation is one linear merge of
+two cut tuples.
 
 A measure is a finite list of components, each an ``Atom`` (point mass) or
 a ``Density`` (constant rate on a closed sub-interval), every component
@@ -22,25 +26,25 @@ Each measure keeps a level index, built on first use.  It groups the
 components by level and sweeps each interval once.  The marks of an
 interval (0, its length, every atom position and density end), sorted as
 x_0 < ... < x_m by exact integer cross-multiplication, cut it into slots:
-slot 2i is the point x_i and slot 2i+1 the open gap (x_i, x_i+1).  Painting
-the components from the highest level down, each slot written once, gives
-top[slot], the highest level covering it.  A maximal run of slots is one
-normalized piece, so support(k) is the runs with top >= k and its
-complement the runs with top < k.  The level-k slice is read off the same
-slots: the level-k atoms whose slot has top == k and the runs of each
-level-k density with top == k, kept as components, so slice masses and
-recovery never build a region.  Point queries read top directly.  Region
-operations are linear merges over sorted, disjoint piece lists.
+slot 2i is the point x_i and slot 2i+1 the open gap (x_i, x_i+1), so slot
+s starts exactly at the cut (x_{s//2}, s % 2).  Painting the components
+from the highest level down, each slot written once, gives top[slot], the
+highest level covering it.  The cuts where top >= k starts or stops
+holding are the cuts of support(k), and the same cuts bound its
+complement.  The level-k slice is read off the same slots: the level-k
+atoms whose slot has top == k and the runs of each level-k density with
+top == k, kept as components, so slice masses and recovery never build a
+region.  Point queries read top directly.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from levelring.values import _ECHO, DEFAULT_HEIGHT_BOUND, LevelValue, XRat, ZERO, pair
@@ -108,123 +112,61 @@ class Domain:
         return tuple(i for i, _ in self.intervals)
 
 
-# One piece: (lo, hi, closed_lo, closed_hi).  lo < hi, or lo == hi with both
-# ends closed (an isolated point).  A region keeps each interval's pieces
-# normalized (``_norm``): sorted, disjoint and not touching, so both the
-# starts and the ends increase along the list.
-Piece = tuple[Fraction, Fraction, bool, bool]
-_LO, _HI = itemgetter(0), itemgetter(1)
+# A cut (x, side) sits just below x when side is 0 and just above it when
+# side is 1, so cuts sort along the line with x between (x, 0) and (x, 1).
+# A region keeps each interval's part as one strictly increasing tuple of
+# cuts c0 < c1 < ..., standing for [c0, c1) ∪ [c2, c3) ∪ ...: a closed piece
+# [lo, hi] runs from (lo, 0) to (hi, 1), and an open end flips its side.
+# Strictly increasing makes the tuple canonical: no piece is empty, and no
+# two pieces touch.
+Cut = tuple[Fraction, int]
 
 
-def _piece_contains(p: Piece, x: Fraction) -> bool:
-    lo, hi, cl, cr = p
-    if x < lo or x > hi:
-        return False
-    if x == lo and not cl:
-        return False
-    if x == hi and not cr:
-        return False
-    return True
+def _pieces(cuts: Sequence[Cut]) -> Iterator[tuple[Cut, Cut]]:
+    """The (start, end) cut pairs of a region's part, in order."""
+    return zip(cuts[::2], cuts[1::2])
 
 
-def _piece_intersect(p: Piece, q: Piece) -> Optional[Piece]:
-    # The later start and the earlier end bound the overlap; a shared end
-    # stays closed only when both pieces close it.
-    if p[0] > q[0]:
-        lo, cl = p[0], p[2]
-    elif q[0] > p[0]:
-        lo, cl = q[0], q[2]
-    else:
-        lo, cl = p[0], p[2] and q[2]
-    if p[1] < q[1]:
-        hi, cr = p[1], p[3]
-    elif q[1] < p[1]:
-        hi, cr = q[1], q[3]
-    else:
-        hi, cr = p[1], p[3] and q[3]
-    if lo < hi:
-        return (lo, hi, cl, cr)
-    if lo == hi and cl and cr:
-        return (lo, hi, True, True)
-    return None
-
-
-def _intersect(ps: Sequence[Piece], qs: Sequence[Piece]) -> tuple[Piece, ...]:
-    """Intersection of two normalized piece lists, in one merge pass.  The
-    result is normalized already: its pieces keep the gaps of both lists."""
-    out: list[Piece] = []
-    i = j = 0
-    while i < len(ps) and j < len(qs):
-        p, q = ps[i], qs[j]
-        r = _piece_intersect(p, q)
-        if r is not None:
-            out.append(r)
-        # The piece that ends first meets nothing further along the other
-        # list; on a shared end neither does (the next pieces of both lists
-        # start at or after it, open there if they start on it).
-        if p[1] < q[1]:
-            i += 1
-        elif q[1] < p[1]:
-            j += 1
+def _fold(pairs: Iterable[tuple[Cut, Cut]]) -> tuple[Cut, ...]:
+    """The cuts of a union of nonempty [start, end) pairs sorted by start:
+    each pair that starts at or before the end so far extends it."""
+    out: list[Cut] = []
+    for start, end in pairs:
+        if out and start <= out[-1]:
+            out[-1] = max(out[-1], end)
         else:
-            i += 1
-            j += 1
+            out += (start, end)
     return tuple(out)
 
 
-def _overlap(pieces: Sequence[Piece], lo: Fraction, hi: Fraction) -> Fraction:
-    """Length of the part of the normalized pieces inside [lo, hi]."""
+def _merge(a: Sequence[Cut], b: Sequence[Cut], keep: Callable[[int, int], int]) -> tuple[Cut, ...]:
+    """The cuts of the set where keep(in a, in b) holds, in one merge pass.
+    Past i cuts of a, a point is in a when i is odd; a cut is kept where
+    the kept state flips."""
+    out: list[Cut] = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na or j < nb:
+        c = a[i] if j == nb or (i < na and a[i] < b[j]) else b[j]
+        if i < na and a[i] == c:
+            i += 1
+        if j < nb and b[j] == c:
+            j += 1
+        if keep(i & 1, j & 1) != len(out) & 1:
+            out.append(c)
+    return tuple(out)
+
+
+def _overlap(cuts: Sequence[Cut], lo: Fraction, hi: Fraction) -> Fraction:
+    """Length of the part of the region's cuts inside [lo, hi]."""
     total = Fraction(0)
-    for k in range(bisect_right(pieces, lo, key=_HI), len(pieces)):
-        a, b, _, _ = pieces[k]
+    # from the piece holding the first cut past lo
+    k = bisect_right(cuts, (lo, 1)) & ~1
+    for (a, _), (b, _) in _pieces(cuts[k:]):
         if a >= hi:
             break
         total += min(b, hi) - max(a, lo)
     return total
-
-
-def _touches(p: Piece, q: Piece) -> bool:
-    """Whether two start-sorted pieces p <= q overlap or abut with no gap."""
-    if q[0] < p[1]:
-        return True
-    if q[0] == p[1]:
-        return p[3] or q[2]
-    return False
-
-
-def _norm(pieces: Iterable[Piece]) -> tuple[Piece, ...]:
-    todo = sorted(pieces, key=lambda p: (p[0], p[1]))
-    out: list[Piece] = []
-    for p in todo:
-        if p[0] == p[1] and not (p[2] and p[3]):
-            continue  # empty
-        # Merging can close an endpoint that was open (e.g. absorbing a
-        # point at a half-open boundary), which may put the grown piece in
-        # contact with an earlier one — so keep folding backwards.
-        while out and _touches(out[-1], p):
-            a = out.pop()
-            # the lower start and the higher end; on a tie, closed wins
-            lo, open_lo = min((a[0], not a[2]), (p[0], not p[2]))
-            hi, cr = max((a[1], a[3]), (p[1], p[3]))
-            p = (lo, hi, not open_lo, cr)
-        out.append(p)
-    return tuple(out)
-
-
-def _complement(pieces: Sequence[Piece], length: Fraction) -> tuple[Piece, ...]:
-    """Complement of a normalized piece list within [0, length].  The gaps
-    come out normalized: each is nonempty, and a nonempty piece separates
-    any two of them."""
-    out: list[Piece] = []
-    pos, incl = Fraction(0), True
-    for lo, hi, cl, cr in pieces:
-        gap_hi_closed = not cl
-        if pos < lo or (pos == lo and incl and gap_hi_closed):
-            out.append((pos, lo, incl, gap_hi_closed))
-        pos, incl = hi, not cr
-    if pos < length or (pos == length and incl):
-        out.append((pos, length, incl, True))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -232,12 +174,14 @@ class Region:
     """A finite union of sub-intervals and points of a domain, exact.
 
     Immutable and hashable; supports union/intersection/difference,
-    closure, length, membership, and relative-openness tests.  Build one
-    with ``Region.of`` or the ``interval``/``points`` helpers.
+    closure, length, membership, and relative-openness tests.  Each
+    interval's part is its canonical tuple of cuts, so every set operation
+    is one merge of two cut tuples.  Build one with ``Region.of`` or the
+    ``interval``/``points`` helpers.
     """
 
     domain: Domain
-    parts: tuple[tuple[str, tuple[Piece, ...]], ...]
+    parts: tuple[tuple[str, tuple[Cut, ...]], ...]
 
     @staticmethod
     def of(
@@ -247,7 +191,7 @@ class Region:
     ) -> "Region":
         """Build a region from (interval, lo, hi, closed_lo, closed_hi)
         spans and (interval, position) points."""
-        by_id: dict[str, list[Piece]] = {}
+        by_id: dict[str, list[tuple[Cut, Cut]]] = {}
         for interval, lo, hi, cl, cr in spans:
             lo, hi = _frac(lo), _frac(hi)
             length = domain.length_of(interval)
@@ -260,18 +204,19 @@ class Region:
                     f"span [{_ECHO.repr(str(lo))}, {_ECHO.repr(str(hi))}] "
                     f"outside interval {_ECHO.repr(interval)}"
                 )
-            by_id.setdefault(interval, []).append((lo, hi, cl, cr))
+            start, end = (lo, int(not cl)), (hi, int(cr))
+            if start < end:
+                by_id.setdefault(interval, []).append((start, end))
         for interval, x in points:
             x = _frac(x)
             if x < 0 or x > domain.length_of(interval):
                 raise ValueError(
                     f"point {_ECHO.repr(str(x))} outside interval {_ECHO.repr(interval)}"
                 )
-            by_id.setdefault(interval, []).append((x, x, True, True))
-        parts = tuple(
-            (i, _norm(by_id[i])) for i in domain.ids if by_id.get(i)
+            by_id.setdefault(interval, []).append(((x, 0), (x, 1)))
+        return Region(
+            domain, tuple((i, _fold(sorted(by_id[i]))) for i in domain.ids if i in by_id)
         )
-        return Region(domain, tuple((i, ps) for i, ps in parts if ps))
 
     @staticmethod
     def empty(domain: Domain) -> "Region":
@@ -279,74 +224,58 @@ class Region:
 
     @staticmethod
     def whole(domain: Domain) -> "Region":
-        return Region.of(
-            domain, [(i, 0, l, True, True) for i, l in domain.intervals]
-        )
+        zero = Fraction(0)
+        return Region(domain, tuple((i, ((zero, 0), (l, 1))) for i, l in domain.intervals))
 
     @cached_property
-    def _by_id(self) -> dict[str, tuple[Piece, ...]]:
+    def _by_id(self) -> dict[str, tuple[Cut, ...]]:
         # not a field: equality, hash and repr see only the parts
         return dict(self.parts)
 
-    def _pieces(self, interval: str) -> tuple[Piece, ...]:
+    def _cuts(self, interval: str) -> tuple[Cut, ...]:
         return self._by_id.get(interval, ())
 
-    def _check_same_domain(self, other: "Region") -> None:
+    def _combine(self, other: "Region", keep: Callable[[int, int], int]) -> "Region":
+        """The region where keep(in self, in other) holds.  Unless keep
+        holds outside self, only self's intervals can hold any of it."""
         if self.domain != other.domain:
             raise ValueError("regions live on different domains")
-
-    def _rebuild(self, by_id: dict[str, tuple[Piece, ...]]) -> "Region":
-        """The region of the nonempty pieces of by_id, whose keys come in
-        domain order."""
-        return Region(self.domain, tuple((i, ps) for i, ps in by_id.items() if ps))
+        ids = self.domain.ids if keep(0, 1) else self._by_id
+        merged = ((i, _merge(self._cuts(i), other._cuts(i), keep)) for i in ids)
+        return Region(self.domain, tuple((i, cuts) for i, cuts in merged if cuts))
 
     def union(self, other: "Region") -> "Region":
-        self._check_same_domain(other)
-        return self._rebuild(
-            {
-                i: _norm(self._pieces(i) + other._pieces(i))
-                for i in self.domain.ids
-            }
-        )
+        return self._combine(other, operator.or_)
 
     def intersect(self, other: "Region") -> "Region":
-        """Walks the parts of whichever region has fewer and looks the
-        other's up by id, so the cost follows the smaller region."""
-        self._check_same_domain(other)
-        if len(self.parts) <= len(other.parts):
-            return self._rebuild({i: _intersect(ps, other._pieces(i)) for i, ps in self.parts})
-        return self._rebuild({i: _intersect(self._pieces(i), ps) for i, ps in other.parts})
-
-    def complement(self) -> "Region":
-        return self._rebuild(
-            {
-                i: _complement(self._pieces(i), self.domain.length_of(i))
-                for i in self.domain.ids
-            }
-        )
+        return self._combine(other, operator.and_)
 
     def minus(self, other: "Region") -> "Region":
-        return self.intersect(other.complement())
+        return self._combine(other, operator.gt)
+
+    def complement(self) -> "Region":
+        return Region.whole(self.domain).minus(self)
 
     def closure(self) -> "Region":
-        return self._rebuild(
-            {
-                i: _norm((lo, hi, True, True) for lo, hi, _, _ in self._pieces(i))
-                for i in self.domain.ids
-            }
+        """Every start at its side 0 and every end at its side 1, with the
+        pieces that now touch folded together."""
+        return Region(
+            self.domain,
+            tuple(
+                (i, _fold(((a, 0), (b, 1)) for (a, _), (b, _) in _pieces(cuts)))
+                for i, cuts in self.parts
+            ),
         )
 
     def length(self) -> Fraction:
         return sum(
-            (hi - lo for _, ps in self.parts for lo, hi, _, _ in ps), Fraction(0)
+            (b - a for _, cuts in self.parts for (a, _), (b, _) in _pieces(cuts)),
+            Fraction(0),
         )
 
     def contains(self, interval: str, x: Rat) -> bool:
-        x = _frac(x)
-        pieces = self._pieces(interval)
-        # only the last piece starting at or before x can hold it
-        k = bisect_right(pieces, x, key=_LO)
-        return k > 0 and _piece_contains(pieces[k - 1], x)
+        # x lies past (x, 0): inside when an odd number of cuts come first
+        return bisect_right(self._cuts(interval), (_frac(x), 0)) & 1 == 1
 
     @property
     def is_empty(self) -> bool:
@@ -360,17 +289,17 @@ class Region:
         return self.complement().is_closed()
 
     def __str__(self) -> str:
-        def end(piece: Piece) -> str:
-            lo, hi, cl, cr = piece
+        def piece(start: Cut, end: Cut) -> str:
+            (lo, open_lo), (hi, closed_hi) = start, end
             if lo == hi:
                 return f"{{{lo}}}"
-            return ("[" if cl else "(") + f"{lo},{hi}" + ("]" if cr else ")")
+            return ("(" if open_lo else "[") + f"{lo},{hi}" + ("]" if closed_hi else ")")
 
         return (
             "∅"
             if self.is_empty
             else " ∪ ".join(
-                f"{i}:{end(p)}" for i, ps in self.parts for p in ps
+                f"{i}:{piece(*p)}" for i, cuts in self.parts for p in _pieces(cuts)
             )
         )
 
@@ -512,16 +441,16 @@ _BY_VALUE = cmp_to_key(lambda p, q: p.numerator * q.denominator - q.numerator * 
 
 def _runs(
     x: Sequence[Fraction], top: Sequence[int], key: Callable[[int], object]
-) -> Iterator[tuple[object, Piece]]:
+) -> Iterator[tuple[object, Cut, Cut]]:
     """Each maximal run of slots over which key(top) keeps one value, as
-    (value, piece).  Slot 2i is the mark x[i] and slot 2i+1 the open gap
-    after it, so slots s..e-1 make the piece from x[s // 2] to x[e // 2],
-    closed at each end that is a mark.  A slot of another value parts any
-    two runs of one value, so the pieces of one value come out normalized."""
+    (value, start, end).  Slot 2i is the mark x[i] and slot 2i+1 the open
+    gap after it, so slot s starts at the cut (x[s // 2], s % 2), and slots
+    s..e-1 run from that cut to the cut of slot e.  A slot of another value
+    parts any two runs of one value, so the cuts of one value increase."""
     s = 0
     for value, run in itertools.groupby(top, key):
         e = s + len(tuple(run))
-        yield value, (x[s // 2], x[e // 2], s % 2 == 0, e % 2 == 1)
+        yield value, (x[s // 2], s % 2), (x[e // 2], e % 2)
         s = e
 
 
@@ -543,7 +472,7 @@ class _LevelIndex:
         self.domain = mu.domain
         self.levels = tuple(sorted(by_level))
         self.by_level = by_level
-        self._cuts: dict[int, tuple[Region, Region]] = {}
+        self._splits: dict[int, tuple[Region, Region]] = {}
 
     @cached_property
     def sweep(self) -> dict[str, tuple[list[Fraction], dict[Fraction, int], list[int]]]:
@@ -580,27 +509,27 @@ class _LevelIndex:
             out[iid] = (x, at, top)
         return out
 
-    def _cut(self, k: int) -> tuple[Region, Region]:
+    def _split(self, k: int) -> tuple[Region, Region]:
         """support(k), the slots covered at level k or higher (at least 0),
         and its complement, kept per distinct support."""
         i = bisect_left(self.levels, k)
-        if i not in self._cuts:
+        if i not in self._splits:
             sides: tuple[list, list] = ([], [])  # the parts of (support, complement)
             for iid, (x, _, top) in self.sweep.items():
-                pieces: tuple[list[Piece], list[Piece]] = ([], [])
-                for below, p in _runs(x, top, lambda t: t < max(k, 0)):
-                    pieces[below].append(p)
-                for side, ps in zip(sides, pieces):
-                    if ps:
-                        side.append((iid, tuple(ps)))
-            self._cuts[i] = tuple(Region(self.domain, tuple(side)) for side in sides)
-        return self._cuts[i]
+                cuts: tuple[list[Cut], list[Cut]] = ([], [])
+                for below, start, end in _runs(x, top, lambda t: t < max(k, 0)):
+                    cuts[below].extend((start, end))
+                for side, part in zip(sides, cuts):
+                    if part:
+                        side.append((iid, tuple(part)))
+            self._splits[i] = tuple(Region(self.domain, tuple(side)) for side in sides)
+        return self._splits[i]
 
     def support(self, k: int) -> Region:
-        return self._cut(k)[0]
+        return self._split(k)[0]
 
     def outside(self, k: int) -> Region:
-        return self._cut(k)[1]
+        return self._split(k)[1]
 
     def peak(self, c: Component) -> int:
         """The highest level covering any point of c's carrier."""
@@ -624,7 +553,7 @@ class _LevelIndex:
                     continue
                 x, at, top = self.sweep[c.interval]
                 a, b = at[c.lo], at[c.hi]
-                for bare, (lo, hi, _, _) in _runs(x[a : b + 1], top[2 * a : 2 * b + 1], k.__eq__):
+                for bare, (lo, _), (hi, _) in _runs(x[a : b + 1], top[2 * a : 2 * b + 1], k.__eq__):
                     if bare:
                         cut.append(Density(c.interval, lo, hi, k, c.rate))
         return out
@@ -649,7 +578,7 @@ def _mass(comps: Iterable[Component], region: Region) -> XRat:
             if region.contains(c.interval, c.position):
                 out = out + c.mass
         else:
-            overlap = _overlap(region._pieces(c.interval), c.lo, c.hi)
+            overlap = _overlap(region._cuts(c.interval), c.lo, c.hi)
             if overlap > 0:
                 out = out + c.rate * overlap
     return out
@@ -706,27 +635,20 @@ def recover(mu: FHMeasure) -> FHMeasure:
     return FHMeasure(mu.domain, itertools.chain.from_iterable(slices), mu.height_bound)
 
 
-def recover_check(
-    mu: FHMeasure,
-    regions: Optional[Iterable[Region]] = None,
-    slice_mass: Optional[Callable[[int, Region], XRat]] = None,
-) -> bool:
+def recover_check(mu: FHMeasure, regions: Optional[Iterable[Region]] = None) -> bool:
     """Verify the recovery formula on a family of test regions.
 
     For each region E the formula reads: with m_k the level-k slice mass of
     E minus support(k+1), the measure is (j, m_j) for the largest j with
-    m_j > 0, and ZERO if there is none.  `slice_mass` defaults to nu_hat
-    and exists so tests can inject a corrupted slice table.
+    m_j > 0, and ZERO if there is none.
     """
     if regions is None:
         regions = grid_sets(mu)
-    if slice_mass is None:
-        slice_mass = lambda k, region: nu_hat(mu, k, region)
     index = mu._index
     for region in regions:
         best: LevelValue = ZERO
         for k in index.levels:
-            m = slice_mass(k, region.intersect(index.outside(k + 1)))
+            m = nu_hat(mu, k, region.intersect(index.outside(k + 1)))
             if m:
                 best = pair(k, m)
         if best != evaluate(mu, region):

@@ -309,7 +309,7 @@ class LevelValue:
             if magnitude:
                 raise ValueError("zero element must have magnitude 0")
         elif not isinstance(level, int) or level < 0:
-            raise ValueError(f"level must be a nonnegative int: {level!r}")
+            raise ValueError(f"level must be a nonnegative int: {_ECHO.repr(level)}")
         elif not magnitude:
             raise ValueError("nonzero value needs a positive magnitude; use ZERO")
         _set_level(self, level)

@@ -848,6 +848,17 @@ def test_overlong_level_input_is_refused(tmp_path, capsys):
         assert err.startswith("error: exprs file is not JSON: ") and len(err) < 1024
 
 
+def test_overlong_level_echo_is_bounded(tmp_path, capsys):
+    # a negative level of 4300 digits is within the digit bound, so the
+    # value refuses it, and its echo of the level is cut short
+    exprs = write(tmp_path, "exprs.json", [{"op": "add", "args": [{"level": -MOST, "real": "1"}]}])
+    code, out, err = run(capsys, "svalue", exprs)
+    assert code == 1
+    assert json.loads(out)["result"] is None
+    assert err.startswith("error: exprs[0].args[0]: level must be a nonnegative int: -999")
+    assert len(out) < 1024 and len(err) < 200
+
+
 def test_collapse_group_entries_must_be_strings(tmp_path, capsys):
     doc = dict(json.loads((GOLDEN / "inputs" / "collapse.json").read_text()), group=["b", 1])
     code, out, err = run(capsys, "tree", "collapse", write(tmp_path, "collapse.json", doc))

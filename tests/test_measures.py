@@ -12,11 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import random_components, random_domain, random_measure, random_open_graded
 from levelring.cli import main
+from levelring import measures
 from levelring.measures import (
-    _complement,
-    _norm,
-    _piece_contains,
-    _touches,
     Atom,
     Density,
     Domain,
@@ -40,6 +37,11 @@ from levelring.values import XRat, ZERO, pair
 DOM = Domain([("I", 1), ("J", 2)])
 
 
+# the oracle tests run at least 500 examples, and more under a profile
+# that asks for more (``--hypothesis-profile=ci``)
+at_least_500 = settings(max_examples=max(500, settings.default.max_examples))
+
+
 # ---------------------------------------------------------------------------
 # region strategies: small rational endpoints with random open/closed ends
 
@@ -58,9 +60,66 @@ regions = st.lists(
 
 
 # ---------------------------------------------------------------------------
-# oracles: the all-pairs intersection and the per-call support, as they were
-# before regions were merged linearly and measures kept a level index, and
-# the measure functions rebuilt on them
+# oracles: the piece algebra regions used before they kept cuts, the
+# all-pairs intersection and the per-call support, as they were before
+# regions were merged linearly and measures kept a level index, and the
+# measure functions rebuilt on them
+#
+# A piece is (lo, hi, closed_lo, closed_hi): lo < hi, or lo == hi with both
+# ends closed (an isolated point).  A normalized piece list is sorted,
+# disjoint and not touching.
+
+def pieces_of(region, iid):
+    """The normalized pieces of one interval of a region, read off its
+    cuts."""
+    cuts = region._cuts(iid)
+    return tuple((lo, hi, side_lo == 0, side_hi == 1) for (lo, side_lo), (hi, side_hi) in zip(cuts[::2], cuts[1::2]))
+
+
+def region_of_pieces(domain, by_id):
+    """The region whose parts are the given normalized pieces, written as
+    cuts directly, so that it compares equal only to a canonical region."""
+    parts = []
+    for i in domain.ids:
+        cuts = tuple(c for lo, hi, cl, cr in by_id.get(i, ()) for c in ((lo, int(not cl)), (hi, int(cr))))
+        if cuts:
+            parts.append((i, cuts))
+    return Region(domain, tuple(parts))
+
+
+def _piece_contains(p, x):
+    lo, hi, cl, cr = p
+    if x < lo or x > hi:
+        return False
+    if x == lo and not cl:
+        return False
+    if x == hi and not cr:
+        return False
+    return True
+
+
+def _touches(p, q):
+    """Whether two start-sorted pieces p <= q overlap or abut with no gap."""
+    if q[0] < p[1]:
+        return True
+    if q[0] == p[1]:
+        return p[3] or q[2]
+    return False
+
+
+def _complement(pieces, length):
+    """Complement of a normalized piece list within [0, length]."""
+    out = []
+    pos, incl = Fraction(0), True
+    for lo, hi, cl, cr in pieces:
+        gap_hi_closed = not cl
+        if pos < lo or (pos == lo and incl and gap_hi_closed):
+            out.append((pos, lo, incl, gap_hi_closed))
+        pos, incl = hi, not cr
+    if pos < length or (pos == length and incl):
+        out.append((pos, length, incl, True))
+    return tuple(out)
+
 
 def oracle_piece_intersect(p, q):
     lo = max(p[0], q[0])
@@ -75,22 +134,24 @@ def oracle_piece_intersect(p, q):
 
 
 def oracle_intersect(a, b):
-    return a._rebuild(
+    return region_of_pieces(
+        a.domain,
         {
-            i: _norm(
+            i: oracle_norm(
                 r
-                for p in a._pieces(i)
-                for q in b._pieces(i)
+                for p in pieces_of(a, i)
+                for q in pieces_of(b, i)
                 if (r := oracle_piece_intersect(p, q)) is not None
             )
             for i in a.domain.ids
-        }
+        },
     )
 
 
 def oracle_norm(pieces):
-    """_norm as it was before it merged by min/max: each end chosen by
-    explicit three-way comparison."""
+    """Sorted, disjoint, not touching pieces of the same set: each merge
+    picks its ends by explicit three-way comparison, and since a merge can
+    close an open end, it keeps folding backwards."""
     out = []
     for p in sorted(pieces, key=lambda p: (p[0], p[1])):
         if p[0] == p[1] and not (p[2] and p[3]):
@@ -105,8 +166,18 @@ def oracle_norm(pieces):
 
 
 def oracle_complement(a):
-    return a._rebuild(
-        {i: _norm(_complement(a._pieces(i), length)) for i, length in a.domain.intervals}
+    return region_of_pieces(
+        a.domain, {i: oracle_norm(_complement(pieces_of(a, i), length)) for i, length in a.domain.intervals}
+    )
+
+
+def oracle_union(a, b):
+    return region_of_pieces(a.domain, {i: oracle_norm(pieces_of(a, i) + pieces_of(b, i)) for i in a.domain.ids})
+
+
+def oracle_closure(a):
+    return region_of_pieces(
+        a.domain, {i: oracle_norm((lo, hi, True, True) for lo, hi, _, _ in pieces_of(a, i)) for i in a.domain.ids}
     )
 
 
@@ -115,7 +186,7 @@ def oracle_minus(a, b):
 
 
 def oracle_contains(a, iid, x):
-    return any(_piece_contains(p, x) for p in a._pieces(iid))
+    return any(_piece_contains(p, x) for p in pieces_of(a, iid))
 
 
 def oracle_support(mu, k):
@@ -169,7 +240,7 @@ def oracle_recover(mu):
                     comps.append(c)
             else:
                 kept = oracle_minus(interval(mu.domain, c.interval, c.lo, c.hi), higher)
-                for lo, hi, _, _ in kept._pieces(c.interval):
+                for lo, hi, _, _ in pieces_of(kept, c.interval):
                     if lo < hi:
                         comps.append(Density(c.interval, lo, hi, k, c.rate))
     return FHMeasure(mu.domain, comps, mu.height_bound)
@@ -297,6 +368,28 @@ def test_region_basics():
     assert not u.contains("I", Fraction(1, 2))
 
 
+def test_region_str_pins_every_shape():
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    cases = [
+        (Region.empty(DOM), "∅"),
+        (points(DOM, ("I", half)), "I:{1/2}"),
+        (interval(DOM, "I", 0, 1), "I:[0,1]"),
+        (interval(DOM, "I", quarter, 3 * quarter, False, False), "I:(1/4,3/4)"),
+        (interval(DOM, "I", 0, half, True, False), "I:[0,1/2)"),
+        (interval(DOM, "J", half, 2, False, True), "J:(1/2,2]"),
+        (
+            Region.of(
+                DOM,
+                [("I", 0, quarter, True, False), ("J", half, 3 * half, False, True)],
+                [("I", half), ("J", 2)],
+            ),
+            "I:[0,1/4) ∪ I:{1/2} ∪ J:(1/2,3/2] ∪ J:{2}",
+        ),
+    ]
+    for region, text in cases:
+        assert str(region) == text
+
+
 def test_region_rejects_bad_spans():
     with pytest.raises(ValueError):
         interval(DOM, "I", Fraction(3, 4), Fraction(1, 4))
@@ -377,12 +470,14 @@ def test_contains_tracks_set_ops(a, b):
         assert a.complement().contains(iid, x) == (not a.contains(iid, x))
 
 
-@settings(max_examples=300)
+@at_least_500
 @given(trio_regions, trio_regions)
 def test_region_ops_agree_with_the_all_pairs_oracle(a, b):
     assert a.intersect(b) == oracle_intersect(a, b)
     assert a.minus(b) == oracle_minus(a, b)
     assert a.complement() == oracle_complement(a)
+    assert a.union(b) == oracle_union(a, b)
+    assert a.closure() == oracle_closure(a)
     for iid, length in TRIO.intervals:
         for n in range(13):
             x = length * n / 12
@@ -397,10 +492,70 @@ raw_pieces = st.lists(
 )
 
 
-@settings(max_examples=500)
+@at_least_500
 @given(raw_pieces)
 def test_norm_agrees_with_the_three_way_oracle(pieces):
-    assert _norm(pieces) == oracle_norm(pieces)
+    """Region.of folds its spans into the same canonical set."""
+    assert Region.of(UNIT, [("I", *p) for p in pieces]) == region_of_pieces(UNIT, {"I": oracle_norm(pieces)})
+
+
+# Raw spans on a 1/8 grid of DOM, as (interval, lo, hi, closed_lo,
+# closed_hi) in eighths; lo == hi makes a point or an empty span.  Sample
+# points are in sixteenths: an even one is a grid point, an odd one the
+# midpoint of a grid cell.
+def _raw_span(iid, length):
+    return st.tuples(st.integers(0, 8 * length), st.integers(0, 8 * length), st.booleans(), st.booleans()).map(
+        lambda t: (iid, min(t[:2]), max(t[:2]), t[2], t[3])
+    )
+
+
+raw_spans = st.lists(st.one_of(*[_raw_span(i, int(l)) for i, l in DOM.intervals]), max_size=6)
+SAMPLES = [(i, x) for i, l in DOM.intervals for x in range(16 * int(l) + 1)]
+# each grid point's adjacent midpoints inside its interval
+BESIDE = {
+    (i, x): [(i, y) for y in (x - 1, x + 1) if 0 <= y <= 16 * DOM.length_of(i)] for i, x in SAMPLES if x % 2 == 0
+}
+
+
+def _in_raw(spans, iid, x):
+    return any(
+        i == iid and (2 * lo < x or (2 * lo == x and cl)) and (x < 2 * hi or (x == 2 * hi and cr))
+        for i, lo, hi, cl, cr in spans
+    )
+
+
+@at_least_500
+@given(raw_spans, raw_spans)
+def test_membership_matches_raw_spans(a_spans, b_spans):
+    """Each result is judged by membership alone, which the samples fix
+    for a set whose ends lie on the grid.  Its closure adds the grid points
+    beside a member midpoint; it is closed when that adds none and open
+    when every member grid point has only members beside it; its length
+    is 1/8 per member midpoint."""
+    a, b = (
+        Region.of(DOM, [(i, Fraction(lo, 8), Fraction(hi, 8), cl, cr) for i, lo, hi, cl, cr in spans])
+        for spans in (a_spans, b_spans)
+    )
+    in_a = {spot: _in_raw(a_spans, *spot) for spot in SAMPLES}
+    in_b = {spot: _in_raw(b_spans, *spot) for spot in SAMPLES}
+    cases = [
+        (a, in_a),
+        (a.union(b), {s: in_a[s] or in_b[s] for s in SAMPLES}),
+        (a.intersect(b), {s: in_a[s] and in_b[s] for s in SAMPLES}),
+        (a.minus(b), {s: in_a[s] and not in_b[s] for s in SAMPLES}),
+        (a.complement(), {s: not in_a[s] for s in SAMPLES}),
+    ]
+    for region, member in cases:
+        closure = dict(member)
+        for spot, sides in BESIDE.items():
+            closure[spot] = member[spot] or any(member[y] for y in sides)
+        for spot in SAMPLES:
+            i, x = spot
+            assert region.contains(i, Fraction(x, 16)) == member[spot]
+            assert region.closure().contains(i, Fraction(x, 16)) == closure[spot]
+        assert region.is_closed() == (closure == member)
+        assert region.is_open() == all(all(member[y] for y in sides) for s, sides in BESIDE.items() if member[s])
+        assert region.length() == Fraction(sum(member[s] for s in SAMPLES if s[1] % 2), 8)
 
 
 def test_region_echoes_are_bounded():
@@ -477,16 +632,18 @@ def test_recovery_round_trip_examples():
     assert recover_check(FHMeasure(UNIT, []))
 
 
-def test_corrupted_slice_table_is_detected():
+def test_corrupted_slice_table_is_detected(monkeypatch):
     whole = interval(UNIT, "I", 0, 1)
 
-    def corrupted(k, region):
-        honest = nu_hat(TWO_PIECE, k, region)
+    def corrupted(mu, k, region):
+        honest = nu_hat(mu, k, region)
         if k == 1 and region == whole:  # one edited mass in the slice table
             return honest + XRat(1)
         return honest
 
-    assert not recover_check(TWO_PIECE, slice_mass=corrupted)
+    assert recover_check(TWO_PIECE)
+    monkeypatch.setattr(measures, "nu_hat", corrupted)
+    assert not recover_check(TWO_PIECE)
 
 
 def test_open_gradedness():
@@ -699,8 +856,8 @@ def test_level_index_agrees_with_the_oracle_on_dense_ends():
         mu = _dense_measure(rng)
         assert 40 <= len(mu.components) <= 200
         seen.add(_assert_index_agrees(mu))
-        assert support(mu, 0)._pieces("E") == ()
-        assert mu._index.outside(0)._pieces("E") == ((Fraction(0), Fraction(1), True, True),)
+        assert support(mu, 0)._cuts("E") == ()
+        assert mu._index.outside(0)._cuts("E") == ((Fraction(0), 0), (Fraction(1), 1))
     assert len(seen) >= 3
 
 
