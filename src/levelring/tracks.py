@@ -35,7 +35,7 @@ from math import comb
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from levelring.values import _ECHO, INF, LevelValue, XRat, ZERO, pair, total
-from levelring.vectors import Monomial
+from levelring.vectors import Monomial, Vector, _as_family, _as_vector
 
 __all__ = [
     "MAX_ADJUST_SUBSETS",
@@ -112,9 +112,6 @@ class TrainTrack:
         return dict(self.free_ends)
 
 
-Weights = tuple[LevelValue, ...]
-
-
 class Violation(NamedTuple):
     switch: int
     left: LevelValue
@@ -127,16 +124,13 @@ class Violation(NamedTuple):
             raise ValueError(f"switch {self.switch}: {exc}") from None
 
 
-def _as_weights(track: TrainTrack, w: Sequence[LevelValue]) -> Weights:
+def _as_weights(track: TrainTrack, w: Sequence[LevelValue]) -> Vector:
     vec = tuple(w)
     if len(vec) != len(track.segments):
         raise ValueError(
             f"expected {len(track.segments)} weights, got {len(vec)}"
         )
-    for e in vec:
-        if not isinstance(e, LevelValue):
-            raise TypeError(f"not a LevelValue: {e!r}")
-    return vec
+    return _as_vector(vec)
 
 
 def validate(track: TrainTrack, w: Sequence[LevelValue]) -> list[Violation]:
@@ -157,7 +151,7 @@ def _levels_used(w: Sequence[LevelValue]) -> list[int]:
     return sorted({e.level for e in w if not e.is_zero})
 
 
-def align_weights(w: Sequence[LevelValue]) -> Weights:
+def align_weights(w: Sequence[LevelValue]) -> Vector:
     """Close every gap in the set of levels used: the distinct nonzero
     levels are remapped, in order, onto 0..m-1.  Idempotent; preserves
     switch-validity on any track (each side's top level moves the same
@@ -174,7 +168,7 @@ def is_proximal(w: Sequence[LevelValue]) -> bool:
 
 def raise_levels(
     track: TrainTrack, w: Sequence[LevelValue], subset: Iterable[str]
-) -> Weights:
+) -> Vector:
     """Raise by one the level of every nonzero weight on the named
     segments; zero weights stay zero."""
     chosen = set(subset)
@@ -193,15 +187,15 @@ def raise_levels(
 MAX_ADJUST_SUBSETS = 2**16
 
 
-def _require_invariant(track: TrainTrack, vec: Weights) -> None:
+def _require_invariant(track: TrainTrack, vec: Vector) -> None:
     bad = validate(track, vec)
     if bad:
         raise ValueError(f"weights are not invariant: {[str(v) for v in bad]}")
 
 
 def _adjustments(
-    track: TrainTrack, vec: Weights
-) -> Iterator[tuple[tuple[str, ...], Weights]]:
+    track: TrainTrack, vec: Vector
+) -> Iterator[tuple[tuple[str, ...], Vector]]:
     """The valid adjustments of an invariant vector, smallest subsets
     first, in segment order; the checks run on the first `next`."""
     n = len(track.segments)
@@ -220,7 +214,7 @@ def _adjustments(
 
 def adjustments(
     track: TrainTrack, w: Sequence[LevelValue]
-) -> list[tuple[tuple[str, ...], Weights]]:
+) -> list[tuple[tuple[str, ...], Vector]]:
     """All nonempty segment subsets whose raise-by-one stays invariant,
     each with the raised vector.  Subsets are emitted smallest-first, in
     segment order, so output order is deterministic.  Requires an
@@ -282,7 +276,7 @@ class Stratum:
 
     pattern: tuple[Shape, ...]
     feasible: bool
-    witness: Optional[Weights] = None
+    witness: Optional[Vector] = None
 
 
 def _fm_feasible(
@@ -532,7 +526,7 @@ def enumerate_strata(track: TrainTrack, height_bound: int) -> list[Stratum]:
 
 def height_filtration(
     track: TrainTrack, family: Sequence[Optional[Monomial]]
-) -> Weights:
+) -> Vector:
     """Leveled weights induced by a parametric family of flat weights.
 
     The family gives segment i the level-0 weight a_i * t^degree_i; it must
@@ -547,11 +541,9 @@ def height_filtration(
         raise ValueError(
             f"expected {len(track.segments)} family entries, got {len(fam)}"
         )
-    for m in fam:
+    for m in _as_family(fam):
         if m is None:
             raise ValueError("every segment needs a (positive) family entry")
-        if not isinstance(m, Monomial):
-            raise TypeError(f"not a Monomial: {m!r}")
         if m.level != 0:
             raise ValueError("family entries must sit at level 0")
     mono = dict(zip(track.segments, fam))
@@ -562,9 +554,7 @@ def height_filtration(
             sums_a[mono[s].degree] += mono[s].coeff
         for s in b:
             sums_b[mono[s].degree] += mono[s].coeff
-        if {d: c for d, c in sums_a.items() if c} != {
-            d: c for d, c in sums_b.items() if c
-        }:
+        if sums_a != sums_b:
             raise ValueError(
                 f"switch {i} is not balanced identically in the parameter"
             )

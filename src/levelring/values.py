@@ -13,9 +13,11 @@ level >= 0 and a strictly positive magnitude.  The operations are
 
 ``LevelValue`` is an immutable slotted class: assigning or deleting an
 attribute raises ``AttributeError``, and equality and hashing go by
-``(level, magnitude)``.  Two ``XRat`` compare by exact integers (the
-reduced numerators and denominators, cross-multiplied for order), never
-through ``Fraction``'s generic comparison and never through floats.
+``(level, magnitude)``.  ``XRat`` order is one rule over exact integers:
+each side is read as its reduced pair p/q, with infinity as 1/0, and a < b
+exactly when a.p * b.q < b.p * a.q.  Equality is a direct check of the
+reduced pairs.  Neither goes through ``Fraction``'s generic comparison, and
+neither through floats.
 
 A rational has one text form, read by ``XRat(str)`` and by every JSON decoder,
 and written by ``str(XRat)``: ``"p"``, ``"p/q"`` or ``"inf"``,
@@ -40,10 +42,11 @@ faithfully ordered chunk of a countable product of extended half-lines.
 
 from __future__ import annotations
 
+import operator
 import reprlib
 import sys
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 __all__ = [
     "DEFAULT_HEIGHT_BOUND",
@@ -108,6 +111,38 @@ def _is_number(x: object) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
+def _order_by(sides: Callable[[object, object], Optional[tuple]]) -> list[Callable]:
+    """The ``<``, ``<=``, ``>`` and ``>=`` of a class, all from one rule:
+    ``sides(a, b)`` is a pair ordered as a and b are, or None when b has no
+    place in the order."""
+
+    def method(op):
+        def ordered(self, other):
+            both = sides(self, other)
+            return NotImplemented if both is None else op(*both)
+
+        return ordered
+
+    return [method(op) for op in (operator.lt, operator.le, operator.gt, operator.ge)]
+
+
+def _ratio(x: object) -> Optional[tuple[int, int]]:
+    """x as its reduced integer pair, infinity as 1/0, or None when x is no
+    XRat, int or Fraction (a bool is none of them)."""
+    if isinstance(x, XRat):
+        return (1, 0) if x._frac is None else x._frac.as_integer_ratio()
+    return x.as_integer_ratio() if _is_number(x) else None
+
+
+def _cross(a: "XRat", b: object) -> Optional[tuple[int, int]]:
+    """a.p * b.q and b.p * a.q, ordered as a and b are."""
+    q = _ratio(b)
+    if q is None:
+        return None
+    p = _ratio(a)
+    return p[0] * q[1], q[0] * p[1]
+
+
 class XRat:
     """A nonnegative rational or infinity, exact.
 
@@ -119,11 +154,12 @@ class XRat:
     absorbs under addition and multiplication; 0 * inf is a logic error
     and raises.
 
-    Two ``XRat`` compare by exact integers: equal numerators and
-    denominators (a ``Fraction`` is always reduced), and ``<`` by cross
-    multiplication.  Against an int or ``Fraction`` (never a bool) the
-    comparison is the rational one, so every ``XRat``, infinity included,
-    orders above every negative number and equals none.
+    Order is one cross product: each side, an int or ``Fraction`` (never
+    a bool) included, is read as its reduced pair p/q with infinity as
+    1/0, and a < b exactly when a.p * b.q < b.p * a.q.  So every ``XRat``,
+    infinity included, orders above every negative number.  Equality is a
+    direct check: equal numerators and denominators (a ``Fraction`` is
+    always reduced), and infinity equals only itself.
     """
 
     __slots__ = ("_frac",)
@@ -171,57 +207,7 @@ class XRat:
             return NotImplemented
         return a is not None and a == other
 
-    def __lt__(self, other: "XRat | int | Fraction") -> bool:
-        a = self._frac
-        if isinstance(other, XRat):
-            b = other._frac
-            if a is None:
-                return False
-            if b is None:
-                return True
-            return a.numerator * b.denominator < b.numerator * a.denominator
-        if not _is_number(other):
-            return NotImplemented
-        return a is not None and a < other
-
-    def __le__(self, other: "XRat | int | Fraction") -> bool:
-        a = self._frac
-        if isinstance(other, XRat):
-            b = other._frac
-            if a is None:
-                return b is None
-            if b is None:
-                return True
-            return a.numerator * b.denominator <= b.numerator * a.denominator
-        if not _is_number(other):
-            return NotImplemented
-        return a is not None and a <= other
-
-    def __gt__(self, other: "XRat | int | Fraction") -> bool:
-        a = self._frac
-        if isinstance(other, XRat):
-            b = other._frac
-            if a is None:
-                return b is not None
-            if b is None:
-                return False
-            return a.numerator * b.denominator > b.numerator * a.denominator
-        if not _is_number(other):
-            return NotImplemented
-        return a is None or a > other
-
-    def __ge__(self, other: "XRat | int | Fraction") -> bool:
-        a = self._frac
-        if isinstance(other, XRat):
-            b = other._frac
-            if a is None:
-                return True
-            if b is None:
-                return False
-            return a.numerator * b.denominator >= b.numerator * a.denominator
-        if not _is_number(other):
-            return NotImplemented
-        return a is None or a >= other
+    __lt__, __le__, __gt__, __ge__ = _order_by(_cross)
 
     def __hash__(self) -> int:
         # Equal to the hash of the equal int or Fraction; infinity equals
@@ -283,8 +269,14 @@ class XRat:
 
 INF = XRat("inf")
 
-# The order key of the zero element: below every level.
-_ZERO_KEY = (-1, XRat(0))
+
+def _keys(a: "LevelValue", b: object) -> Optional[tuple[tuple, tuple]]:
+    """The (level, magnitude) keys of a and b, with level -1 for zero (below
+    every level), or None when b is no LevelValue."""
+    if not isinstance(b, LevelValue):
+        return None
+    x, y = a.level, b.level
+    return (-1 if x is None else x, a.magnitude), (-1 if y is None else y, b.magnitude)
 
 
 class LevelValue:
@@ -337,28 +329,7 @@ class LevelValue:
     def __hash__(self) -> int:
         return hash((self.level, self.magnitude))
 
-    def _key(self) -> tuple:
-        return _ZERO_KEY if self.level is None else (self.level, self.magnitude)
-
-    def __lt__(self, other: "LevelValue") -> bool:
-        if not isinstance(other, LevelValue):
-            return NotImplemented
-        return self._key() < other._key()
-
-    def __le__(self, other: "LevelValue") -> bool:
-        if not isinstance(other, LevelValue):
-            return NotImplemented
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "LevelValue") -> bool:
-        if not isinstance(other, LevelValue):
-            return NotImplemented
-        return self._key() > other._key()
-
-    def __ge__(self, other: "LevelValue") -> bool:
-        if not isinstance(other, LevelValue):
-            return NotImplemented
-        return self._key() >= other._key()
+    __lt__, __le__, __gt__, __ge__ = _order_by(_keys)
 
     def __add__(self, other: "LevelValue") -> "LevelValue":
         if not isinstance(other, LevelValue):
@@ -424,9 +395,7 @@ def real_part(x: LevelValue) -> XRat:
 
 def compare(a: LevelValue, b: LevelValue) -> int:
     """Three-way comparison: -1, 0, or 1."""
-    if a == b:
-        return 0
-    return -1 if a < b else 1
+    return (a > b) - (a < b)
 
 
 def total(values: Iterable[LevelValue]) -> LevelValue:

@@ -371,6 +371,52 @@ def test_measure_validate_flags_buried_level(tmp_path, capsys):
     assert "open-graded" in err
 
 
+def test_measure_validate_flags_an_infinite_atom_with_nothing_above(tmp_path, capsys):
+    measure = write(
+        tmp_path,
+        "mu.json",
+        {
+            "domain": {"intervals": [{"id": "I", "length": "1"}]},
+            "components": [{"kind": "atom", "interval": "I", "position": "1/2", "level": 0, "mass": "inf"}],
+        },
+    )
+    code, out, err = run(capsys, "measure", "validate", measure)
+    assert code == 1
+    report = json.loads(out)
+    assert report["result"] == {"open_graded": True, "locally_finite": False}
+    message = "measure is not locally finite: an infinite component evades higher levels"
+    assert report["diagnostics"] == [{"severity": "error", "message": message}]
+    assert err == f"error: {message}\n"
+
+
+def _golden_input(name, **changes):
+    """A golden input document with the named fields replaced, or removed
+    where the change is None."""
+    doc = dict(json.loads((GOLDEN / "inputs" / name).read_text()), **changes)
+    return {k: v for k, v in doc.items() if v is not None}
+
+
+# input checks on paths the golden reports do not reach
+@pytest.mark.parametrize("words, doc, message", [
+    (["svalue"], [{"op": "compare", "args": [None]}], "exprs[0]: compare wants exactly two arguments"),
+    (["svalue"], [{"op": "unpsi"}], 'exprs[0]: unpsi wants a "sequence" array'),
+    (["svalue", "--height-bound", "0"], [{"op": "psi", "value": {"level": 0, "real": "1"}}],
+     "exprs[0]: height must be at least 1"),
+    (["tree", "dist"], _golden_input("dist.json", pairs=[["a"]]), "pairs[0]: expected [x, y]"),
+    *[(["tree", "insert"], _golden_input("insert.json", **{field: None}), f'tree insert input needs a "{field}" field')
+      for field in ("tree", "at", "insertion", "attach")],
+    (["tree", "collapse"], _golden_input("collapse.json", group=None), 'tree collapse input needs a "group" array'),
+    (["tree", "collapse"], _golden_input("collapse.json", group=[]), "nothing to collapse"),
+])
+def test_input_error_is_one_located_diagnostic(tmp_path, capsys, words, doc, message):
+    code, out, err = run(capsys, *words, write(tmp_path, "input.json", doc))
+    assert code == 1
+    report = json.loads(out)
+    assert report["result"] is None
+    assert report["diagnostics"] == [{"severity": "error", "message": message}]
+    assert err == f"error: {message}\n"
+
+
 def test_tree_dist_and_dual(tmp_path, capsys):
     doc = write(
         tmp_path,
