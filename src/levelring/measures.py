@@ -24,7 +24,8 @@ empty levels.
 
 Each measure keeps a level index, built on first use.  It groups the
 components by level and sweeps each interval once.  The marks of an
-interval (0, its length, every atom position and density end), sorted as
+interval (0, its length, every atom position and density end), keyed by
+their reduced integer pairs (never hashed as Fractions) and sorted as
 x_0 < ... < x_m by exact integer cross-multiplication, cut it into slots:
 slot 2i is the point x_i and slot 2i+1 the open gap (x_i, x_i+1), so slot
 s starts exactly at the cut (x_{s//2}, s % 2).  Painting the components
@@ -34,7 +35,7 @@ holding are the cuts of support(k), and the same cuts bound its
 complement.  The level-k slice is read off the same slots: the level-k
 atoms whose slot has top == k and the runs of each level-k density with
 top == k, kept as components, so slice masses and recovery never build a
-region.  Point queries read top directly.
+region.  Point queries read top directly; a mass sums per denominator.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from levelring.values import _ECHO, DEFAULT_HEIGHT_BOUND, LevelValue, XRat, ZERO, pair
+from levelring.values import _ECHO, DEFAULT_HEIGHT_BOUND, INF, LevelValue, XRat, ZERO, pair
 
 __all__ = [
     "Atom",
@@ -389,6 +390,8 @@ class FHMeasure:
         components: Iterable[Component] = (),
         height_bound: int = DEFAULT_HEIGHT_BOUND,
     ):
+        if height_bound < 1:
+            raise ValueError("height bound must be at least 1")
         comps = tuple(components)
         for c in comps:
             if not isinstance(c, (Atom, Density)):
@@ -434,9 +437,15 @@ def _ends(c: Component) -> tuple[Fraction, Fraction]:
     return (c.position, c.position) if isinstance(c, Atom) else (c.lo, c.hi)
 
 
-# Sorts Fractions by the sign of an exact integer cross product, which is
-# cheaper than Fraction.__lt__ and never rounds.
-_BY_VALUE = cmp_to_key(lambda p, q: p.numerator * q.denominator - q.numerator * p.denominator)
+# Sorts reduced (numerator, denominator) pairs by the sign of an exact
+# integer cross product: cheaper than Fraction.__lt__, and never rounds.
+_BY_VALUE = cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1])
+
+
+def _span(at: dict[tuple[int, int], int], c: Component) -> tuple[int, int]:
+    """The point slots of c's carrier ends, found by their integer pairs."""
+    lo, hi = _ends(c)
+    return 2 * at[lo.as_integer_ratio()], 2 * at[hi.as_integer_ratio()]
 
 
 def _runs(
@@ -475,27 +484,26 @@ class _LevelIndex:
         self._splits: dict[int, tuple[Region, Region]] = {}
 
     @cached_property
-    def sweep(self) -> dict[str, tuple[list[Fraction], dict[Fraction, int], list[int]]]:
+    def sweep(self) -> dict[str, tuple[list[Fraction], dict[tuple[int, int], int], list[int]]]:
         """Per interval, in domain order: its sorted marks, the index of
-        each mark, and top[slot], painted from the highest level down."""
+        each mark keyed by its reduced (numerator, denominator) pair, and
+        top[slot], painted from the highest level down."""
         comps: dict[str, list[Component]] = {i: [] for i in self.domain.ids}
         for k in reversed(self.levels):
             for c in self.by_level[k]:
                 comps[c.interval].append(c)
         out = {}
         for iid, length in self.domain.intervals:
-            marks = {Fraction(0), length}
-            for c in comps[iid]:
-                marks.update(_ends(c))
-            x = sorted(marks, key=_BY_VALUE)
-            at = {v: i for i, v in enumerate(x)}
-            top = [-1] * (2 * len(x) - 1)
+            marks = {v.as_integer_ratio(): v for c in comps[iid] for v in _ends(c)}
+            marks[0, 1], marks[length.as_integer_ratio()] = Fraction(0), length
+            keys = sorted(marks, key=_BY_VALUE)
+            at = {key: i for i, key in enumerate(keys)}
+            top = [-1] * (2 * len(keys) - 1)
             # skip[s] leads to the first unpainted slot at or after s, so
             # each slot is painted once, by the highest level covering it
             skip = list(range(len(top) + 1))
             for c in comps[iid]:
-                lo, hi = _ends(c)
-                s, last = 2 * at[lo], 2 * at[hi]
+                s, last = _span(at, c)
                 while True:
                     r = s
                     while skip[r] != r:
@@ -506,7 +514,7 @@ class _LevelIndex:
                         break
                     top[r] = c.level
                     skip[r] = s = r + 1
-            out[iid] = (x, at, top)
+            out[iid] = ([marks[key] for key in keys], at, top)
         return out
 
     def _split(self, k: int) -> tuple[Region, Region]:
@@ -534,8 +542,8 @@ class _LevelIndex:
     def peak(self, c: Component) -> int:
         """The highest level covering any point of c's carrier."""
         _, at, top = self.sweep[c.interval]
-        lo, hi = _ends(c)
-        return max(top[2 * at[lo] : 2 * at[hi] + 1])
+        s, e = _span(at, c)
+        return max(top[s : e + 1])
 
     @cached_property
     def slices(self) -> dict[int, list[Component]]:
@@ -552,36 +560,43 @@ class _LevelIndex:
                         cut.append(c)
                     continue
                 x, at, top = self.sweep[c.interval]
-                a, b = at[c.lo], at[c.hi]
-                for bare, (lo, _), (hi, _) in _runs(x[a : b + 1], top[2 * a : 2 * b + 1], k.__eq__):
+                s, e = _span(at, c)
+                for bare, (lo, _), (hi, _) in _runs(x[s // 2 : e // 2 + 1], top[s : e + 1], k.__eq__):
                     if bare:
                         cut.append(Density(c.interval, lo, hi, k, c.rate))
         return out
 
     @cached_property
-    def top_atom(self) -> dict[tuple[str, Fraction], int]:
-        """The highest atom level at each (interval, position) holding one."""
-        out: dict[tuple[str, Fraction], int] = {}
+    def top_atom(self) -> dict[tuple[str, tuple[int, int]], int]:
+        """The highest atom level at each (interval, position pair) with one."""
+        out: dict[tuple[str, tuple[int, int]], int] = {}
         for c in itertools.chain.from_iterable(self.by_level.values()):
             if isinstance(c, Atom):
-                spot = (c.interval, c.position)
+                spot = (c.interval, c.position.as_integer_ratio())
                 out[spot] = max(out.get(spot, c.level), c.level)
         return out
 
 
 def _mass(comps: Iterable[Component], region: Region) -> XRat:
     """Total mass of the components on the region: atom masses plus rate x
-    length."""
-    out = XRat(0)
+    length, summed as integer numerators per denominator, or infinite at
+    the first infinite term."""
+    sums: dict[int, int] = {}
     for c in comps:
         if isinstance(c, Atom):
-            if region.contains(c.interval, c.position):
-                out = out + c.mass
+            if not region.contains(c.interval, c.position):
+                continue
+            weight = c.mass
         else:
             overlap = _overlap(region._cuts(c.interval), c.lo, c.hi)
-            if overlap > 0:
-                out = out + c.rate * overlap
-    return out
+            if not overlap:
+                continue
+            weight = c.rate * overlap
+        if weight.is_infinite:
+            return INF
+        p, q = weight.as_fraction.as_integer_ratio()
+        sums[q] = sums.get(q, 0) + p
+    return XRat(sum((Fraction(p, q) for q, p in sums.items()), Fraction(0)))
 
 
 def evaluate(mu: FHMeasure, region: Region) -> LevelValue:
@@ -675,7 +690,7 @@ def is_open_graded(mu: FHMeasure) -> bool:
     for c in mu.components:
         if (
             isinstance(c, Atom)
-            and index.top_atom[(c.interval, c.position)] == c.level
+            and index.top_atom[c.interval, c.position.as_integer_ratio()] == c.level
             and index.peak(c) > c.level
         ):
             return False

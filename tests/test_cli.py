@@ -389,6 +389,49 @@ def test_measure_validate_flags_an_infinite_atom_with_nothing_above(tmp_path, ca
     assert err == f"error: {message}\n"
 
 
+def _marked_measure(half):
+    """A measure whose components meet at the mark written as half."""
+    return {
+        "domain": {"intervals": [{"id": "I", "length": "1"}, {"id": "J", "length": "2"}]},
+        "components": [
+            {"kind": "atom", "interval": "I", "position": half[0], "level": 0, "mass": "3"},
+            {"kind": "density", "interval": "I", "lo": "0", "hi": half[1], "level": 1, "rate": "2"},
+            {"kind": "atom", "interval": "I", "position": half[2], "level": 1, "mass": "5"},
+            {"kind": "density", "interval": "I", "lo": half[0], "hi": "1", "level": 0, "rate": "1"},
+            {"kind": "atom", "interval": "J", "position": half[1], "level": 0, "mass": "7"},
+            {"kind": "density", "interval": "J", "lo": half[2], "hi": "2", "level": 2, "rate": "1"},
+        ],
+    }
+
+
+@pytest.mark.parametrize("sub", ["eval", "decompose", "validate"])
+def test_equal_marks_written_differently_read_as_one(tmp_path, capsys, sub):
+    # the level index keys each mark by its reduced integer pair, so 1/2,
+    # 2/4 and 004/8 are one mark
+    reports = []
+    for name, half in (("reduced", ("1/2",) * 3), ("unreduced", ("1/2", "2/4", "004/8"))):
+        code, out, err = run(capsys, "measure", sub, write(tmp_path, f"{name}.json", _marked_measure(half)), "--format", "text")
+        reports.append((code, [line for line in out.splitlines() if not line.startswith("input ")], err))
+    assert reports[0] == reports[1]
+    assert any(line.startswith("result: ") and line != "result: null" for line in reports[0][1])
+
+
+@pytest.mark.parametrize("bound, components", [
+    (-1, []),
+    (0, [{"kind": "atom", "interval": "I", "position": "1/2", "level": 0, "mass": "1"}]),
+])
+@pytest.mark.parametrize("sub", ["eval", "decompose", "validate", "align"])
+def test_measure_height_bound_below_one_is_refused(tmp_path, capsys, sub, bound, components):
+    doc = {"domain": {"intervals": [{"id": "I", "length": "1"}]}, "height_bound": bound, "components": components}
+    code, out, err = run(capsys, "measure", sub, write(tmp_path, "mu.json", doc))
+    assert code == 1
+    report = json.loads(out)
+    assert report["result"] is None
+    message = "measure: height bound must be at least 1"
+    assert report["diagnostics"] == [{"severity": "error", "message": message}]
+    assert err == f"error: {message}\n"
+
+
 def _golden_input(name, **changes):
     """A golden input document with the named fields replaced, or removed
     where the change is None."""

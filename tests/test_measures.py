@@ -891,10 +891,98 @@ def test_sweep_sorts_marks_exactly():
             marks = {Fraction(0), DOM.length_of(iid)}
             marks.update(e for c in comps for e in ((c.position,) if isinstance(c, Atom) else (c.lo, c.hi)))
             assert x == sorted(marks)
-            assert [at[v] for v in x] == list(range(len(x)))
+            assert [at[v.as_integer_ratio()] for v in x] == list(range(len(x)))
         whole = Region.whole(DOM)
         assert [nu_hat(mu, k, whole) for k in range(4)] == [oracle_nu_hat(mu, k, whole) for k in range(4)]
         assert recover(mu) == oracle_recover(mu)
+
+
+# ---------------------------------------------------------------------------
+# mixed denominators: 1/8-grid marks beside large ones, against the oracles
+
+def oracle_mass(comps, region):
+    """The left fold of XRat additions that _mass ran before it summed per
+    denominator."""
+    out = XRat(0)
+    for c in comps:
+        if isinstance(c, Atom):
+            if region.contains(c.interval, c.position):
+                out = out + c.mass
+        else:
+            overlap = measures._overlap(region._cuts(c.interval), c.lo, c.hi)
+            if overlap > 0:
+                out = out + c.rate * overlap
+    return out
+
+
+BIG = 10**12
+
+
+@st.composite
+def mixed_cases(draw):
+    """Up to 12 components on DOM whose marks mix the 1/8 grid with
+    denominators up to BIG, often reusing an earlier mark so components
+    meet, and about one weight in 20 infinite; with regions built from
+    the marks and the midpoints between them."""
+    marks = {iid: [Fraction(0), length] for iid, length in DOM.intervals}
+
+    def mark(iid):
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            x = draw(st.sampled_from(marks[iid]))
+        else:
+            q = 8 if kind == 1 else draw(st.integers(BIG // 10, BIG))
+            x = DOM.length_of(iid) * Fraction(draw(st.integers(0, q)), q)
+        marks[iid].append(x)
+        return x
+
+    def weight():
+        if draw(st.integers(0, 19)) == 0:
+            return XRat("inf")
+        q = draw(st.sampled_from([1, 2, 8]) | st.integers(BIG // 10, BIG))
+        return XRat(Fraction(draw(st.integers(1, 9 * q)), q))
+
+    comps = []
+    for _ in range(draw(st.integers(0, 12))):
+        iid, level = draw(st.sampled_from(DOM.ids)), draw(st.integers(0, 3))
+        a, b = sorted((mark(iid), mark(iid)))
+        if a == b or draw(st.booleans()):
+            comps.append(Atom(iid, a, level, weight()))
+        else:
+            comps.append(Density(iid, a, b, level, weight()))
+    grid = {}
+    for iid, xs in marks.items():
+        xs = sorted(set(xs))
+        grid[iid] = xs + [(a + b) / 2 for a, b in zip(xs, xs[1:])]
+
+    def region():
+        spans = []
+        for _ in range(draw(st.integers(0, 3))):
+            iid = draw(st.sampled_from(DOM.ids))
+            a, b = sorted((draw(st.sampled_from(grid[iid])), draw(st.sampled_from(grid[iid]))))
+            spans.append((iid, a, b, draw(st.booleans()), draw(st.booleans())))
+        pts = [(iid, draw(st.sampled_from(grid[iid]))) for iid in draw(st.lists(st.sampled_from(DOM.ids), max_size=2))]
+        return Region.of(DOM, spans, pts)
+
+    regions = [Region.whole(DOM)] + [region() for _ in range(draw(st.integers(0, 3)))]
+    return FHMeasure(DOM, comps), regions
+
+
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(mixed_cases())
+def test_mixed_denominators_agree_with_the_oracles(case):
+    mu, regions = case
+    index = mu._index
+    top = mu.height if mu.height is not None else 0
+    for region in regions:
+        assert evaluate(mu, region) == oracle_evaluate(mu, region)
+        for k in range(-1, top + 2):
+            assert nu_hat(mu, k, region) == oracle_nu_hat(mu, k, region)
+        for comps in (mu.components, *index.by_level.values(), *index.slices.values()):
+            assert measures._mass(comps, region) == oracle_mass(comps, region)
+    assert is_open_graded(mu) == oracle_is_open_graded(mu)
+    assert is_locally_finite(mu) == oracle_is_locally_finite(mu)
+    assert recover(mu) == oracle_recover(mu)
 
 
 def test_nu_hat_refuses_a_region_on_another_domain():

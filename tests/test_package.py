@@ -39,3 +39,22 @@ def test_demo_runs(demo):
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == golden
+
+
+def test_failing_hypothesis_test_prints_its_example(tmp_path):
+    """Under the repository's warning filters, a failing property reports
+    its falsifying example rather than ending in an internal error."""
+    (tmp_path / "pyproject.toml").write_text((ROOT / "pyproject.toml").read_text())
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 10\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "test_fails.py"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Falsifying example" in proc.stdout
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
