@@ -26,7 +26,7 @@ Each measure keeps a level index, built on first use.  It groups the
 components by level and sweeps each interval once.  The marks of an
 interval (0, its length, every atom position and density end), keyed by
 their reduced integer pairs (never hashed as Fractions) and sorted as
-x_0 < ... < x_m by exact integer cross-multiplication, cut it into slots:
+x_0 < ... < x_m, cut it into slots:
 slot 2i is the point x_i and slot 2i+1 the open gap (x_i, x_i+1), so slot
 s starts exactly at the cut (x_{s//2}, s % 2).  Painting the components
 from the highest level down, each slot written once, gives top[slot], the
@@ -36,13 +36,18 @@ complement.  The level-k slice is read off the same slots: the level-k
 atoms whose slot has top == k and the runs of each level-k density with
 top == k, kept as components, so slice masses and recovery never build a
 region.  Point queries read top directly; a mass sums per denominator.
+
+Positions are stored as Fractions, but on the measure path they are
+compared as reduced integer pairs by one exact cross product (``_cmp``):
+the marks' sort, a density's lo < hi, a measure's range checks, region
+membership and density overlap all use it.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
@@ -75,6 +80,18 @@ Rat = Union[Fraction, int, str]
 
 def _frac(x: Rat) -> Fraction:
     return x if isinstance(x, Fraction) else XRat(x).as_fraction
+
+
+def _cmp(p: tuple[int, int], q: tuple[int, int]) -> int:
+    """The one order rule for positions: negative, zero or positive as the
+    reduced (numerator, denominator) pair p lies below, at or above q, by
+    the sign of an exact integer cross product.  Cheaper than comparing
+    Fractions, and never rounds."""
+    return p[0] * q[1] - q[0] * p[1]
+
+
+# Sorts reduced pairs by the one rule.
+_BY_VALUE = cmp_to_key(_cmp)
 
 
 # ---------------------------------------------------------------------------
@@ -158,15 +175,34 @@ def _merge(a: Sequence[Cut], b: Sequence[Cut], keep: Callable[[int, int], int]) 
     return tuple(out)
 
 
+def _rank(cuts: Sequence[Cut], x: tuple[int, int], side: int) -> int:
+    """The number of cuts at or below the cut (x, side), x a reduced pair:
+    bisect_right, with each cut's position compared to x by the one rule."""
+    lo, hi = 0, len(cuts)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        y, s = cuts[mid]
+        d = _cmp(y.as_integer_ratio(), x)
+        if d < 0 or d == 0 and s <= side:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def _overlap(cuts: Sequence[Cut], lo: Fraction, hi: Fraction) -> Fraction:
-    """Length of the part of the region's cuts inside [lo, hi]."""
+    """Length of the part of the region's cuts inside [lo, hi].  Positions
+    are compared as reduced integer pairs by the one cross product; only
+    the length sum is Fraction arithmetic."""
     total = Fraction(0)
+    lo_p, hi_p = lo.as_integer_ratio(), hi.as_integer_ratio()
     # from the piece holding the first cut past lo
-    k = bisect_right(cuts, (lo, 1)) & ~1
+    k = _rank(cuts, lo_p, 1) & ~1
     for (a, _), (b, _) in _pieces(cuts[k:]):
-        if a >= hi:
+        a_p = a.as_integer_ratio()
+        if _cmp(a_p, hi_p) >= 0:
             break
-        total += min(b, hi) - max(a, lo)
+        total += (b if _cmp(b.as_integer_ratio(), hi_p) < 0 else hi) - (a if _cmp(a_p, lo_p) > 0 else lo)
     return total
 
 
@@ -275,8 +311,11 @@ class Region:
         )
 
     def contains(self, interval: str, x: Rat) -> bool:
-        # x lies past (x, 0): inside when an odd number of cuts come first
-        return bisect_right(self._cuts(interval), (_frac(x), 0)) & 1 == 1
+        """Whether x lies in the region's part of the interval.  x lies
+        past the cut (x, 0), so it is inside when an odd number of cuts
+        come first; the cuts are bisected with positions compared as
+        reduced integer pairs by the one cross product."""
+        return _rank(self._cuts(interval), _frac(x).as_integer_ratio(), 0) & 1 == 1
 
     @property
     def is_empty(self) -> bool:
@@ -367,7 +406,7 @@ class Density:
         object.__setattr__(self, "rate", XRat(rate))
         if self.level < 0:
             raise ValueError("level must be nonnegative")
-        if self.lo >= self.hi:
+        if _cmp(self.lo.as_integer_ratio(), self.hi.as_integer_ratio()) >= 0:
             raise ValueError("density needs lo < hi")
         if not self.rate:
             raise ValueError("density rate must be positive")
@@ -393,17 +432,23 @@ class FHMeasure:
         if height_bound < 1:
             raise ValueError("height bound must be at least 1")
         comps = tuple(components)
+        # positions compare as reduced pairs by the one rule: an interval's
+        # end is its length's pair, taken once, and a pair lies below 0 when
+        # its numerator does
+        ends: dict[str, tuple[int, int]] = {}
         for c in comps:
             if not isinstance(c, (Atom, Density)):
                 raise TypeError(f"not a measure component: {c!r}")
-            length = domain.length_of(c.interval)
+            end = ends.get(c.interval)
+            if end is None:
+                end = ends[c.interval] = domain.length_of(c.interval).as_integer_ratio()
             if isinstance(c, Atom):
-                if not (0 <= c.position <= length):
+                if c.position.numerator < 0 or _cmp(c.position.as_integer_ratio(), end) > 0:
                     raise ValueError(
                         f"atom position {_ECHO.repr(str(c.position))} outside interval"
                     )
             else:
-                if c.lo < 0 or c.hi > length:
+                if c.lo.numerator < 0 or _cmp(c.hi.as_integer_ratio(), end) > 0:
                     raise ValueError(
                         f"density [{_ECHO.repr(str(c.lo))}, {_ECHO.repr(str(c.hi))}] "
                         "outside interval"
@@ -435,11 +480,6 @@ class FHMeasure:
 def _ends(c: Component) -> tuple[Fraction, Fraction]:
     """The ends of a component's closed carrier (an atom's are its point)."""
     return (c.position, c.position) if isinstance(c, Atom) else (c.lo, c.hi)
-
-
-# Sorts reduced (numerator, denominator) pairs by the sign of an exact
-# integer cross product: cheaper than Fraction.__lt__, and never rounds.
-_BY_VALUE = cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1])
 
 
 def _span(at: dict[tuple[int, int], int], c: Component) -> tuple[int, int]:

@@ -235,6 +235,28 @@ def test_measure_rejections():
         measure_from_json({**base, "height_bound": "16"})
 
 
+def test_measure_range_checks_at_the_ends():
+    def unit(*components):
+        return {"domain": {"intervals": [{"id": "I", "length": "1"}]}, "components": list(components)}
+
+    def atom(x):
+        return {"kind": "atom", "interval": "I", "position": x, "level": 0, "mass": "1"}
+
+    def density(lo, hi):
+        return {"kind": "density", "interval": "I", "lo": lo, "hi": hi, "level": 0, "rate": "1"}
+
+    kept = measure_from_json(unit(atom("0"), atom("1"), density("0", "1")))
+    assert kept.components == (Atom("I", 0, 0, 1), Atom("I", 1, 0, 1), Density("I", 0, 1, 0, 1))
+    past = "1000000000001/1000000000000"
+    for component, text in [
+        (atom(past), f"measure: atom position '{past}' outside interval"),
+        (density("0", past), f"measure: density ['0', '{past}'] outside interval"),
+    ]:
+        with pytest.raises(FormatError) as err:
+            measure_from_json(unit(atom("1"), component))
+        assert str(err.value) == text
+
+
 def test_tree_and_chords_rejections():
     with pytest.raises(FormatError):
         tree_from_json({"nodes": ["a", "b"], "edges": []})

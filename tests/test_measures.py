@@ -698,6 +698,29 @@ def test_component_guards():
         FHMeasure(UNIT, [Atom("I", 0, 99, 1)])  # level beyond height bound
 
 
+# one part in 10**12 past an interval's end: a check that rounded would let it through
+PAST = Fraction(10**12 + 1, 10**12)
+
+
+def test_range_checks_at_the_ends():
+    seven_thirds = Fraction(7, 3)
+    dom = Domain([("I", 1), ("K", seven_thirds)])
+    whole = Region.whole(dom)
+    kept = [Atom("I", 0, 0, 1), Atom("I", 1, 0, 1), Atom("K", seven_thirds, 0, 1), Density("K", 0, seven_thirds, 1, 3)]
+    assert evaluate(FHMeasure(dom, kept), whole) == pair(1, 7)
+    refusals = [
+        (Atom("I", PAST, 0, 1), "atom position '1000000000001/1000000000000' outside interval"),
+        (Atom("I", Fraction(-1, 2), 0, 1), "atom position '-1/2' outside interval"),
+        (Atom("K", seven_thirds + Fraction(1, 10**12), 0, 1), "atom position '7000000000003/3000000000000' outside interval"),
+        (Density("I", 0, PAST, 0, 1), "density ['0', '1000000000001/1000000000000'] outside interval"),
+        (Density("I", Fraction(-1, 10**12), 1, 0, 1), "density ['-1/1000000000000', '1'] outside interval"),
+    ]
+    for comp, text in refusals:
+        with pytest.raises(ValueError) as err:
+            FHMeasure(dom, kept + [comp])
+        assert err.value.args == (text,)
+
+
 # ---------------------------------------------------------------------------
 # randomized battery
 
@@ -900,16 +923,23 @@ def test_sweep_sorts_marks_exactly():
 # ---------------------------------------------------------------------------
 # mixed denominators: 1/8-grid marks beside large ones, against the oracles
 
+def oracle_overlap(region, iid, lo, hi):
+    """The length of the region's part of [lo, hi], piece by piece, with
+    the ends compared as Fractions."""
+    return sum((max(min(b, hi) - max(a, lo), Fraction(0)) for a, b, _, _ in pieces_of(region, iid)), Fraction(0))
+
+
 def oracle_mass(comps, region):
     """The left fold of XRat additions that _mass ran before it summed per
-    denominator."""
+    denominator, with membership and overlap read off the pieces by
+    Fraction comparisons."""
     out = XRat(0)
     for c in comps:
         if isinstance(c, Atom):
-            if region.contains(c.interval, c.position):
+            if oracle_contains(region, c.interval, c.position):
                 out = out + c.mass
         else:
-            overlap = measures._overlap(region._cuts(c.interval), c.lo, c.hi)
+            overlap = oracle_overlap(region, c.interval, c.lo, c.hi)
             if overlap > 0:
                 out = out + c.rate * overlap
     return out
@@ -983,6 +1013,49 @@ def test_mixed_denominators_agree_with_the_oracles(case):
     assert is_open_graded(mu) == oracle_is_open_graded(mu)
     assert is_locally_finite(mu) == oracle_is_locally_finite(mu)
     assert recover(mu) == oracle_recover(mu)
+
+
+# one part in BIG**2: a step past an end that a 12-digit denominator sees
+STEP = Fraction(1, BIG * BIG)
+
+
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(mixed_cases())
+def test_membership_and_overlap_by_pairs_on_mixed_denominators(case):
+    """contains, _overlap and _mass compare positions as integer pairs;
+    the oracles compare the same positions as Fractions.  The points
+    tested are every cut of the region (open and closed ends alike),
+    every atom, the interval's ends, and one step either side of each."""
+    mu, regions = case
+    for region in regions:
+        for iid, length in DOM.intervals:
+            cuts = region._cuts(iid)
+            ends = {Fraction(0), length} | {x for x, _ in cuts}
+            ends |= {c.position for c in mu.components if isinstance(c, Atom) and c.interval == iid}
+            for x in ends:
+                for y in (x - STEP, x, x + STEP):
+                    assert region.contains(iid, y) == oracle_contains(region, iid, y)
+            for lo, hi in itertools.combinations(sorted(ends), 2):
+                assert measures._overlap(cuts, lo, hi) == oracle_overlap(region, iid, lo, hi)
+        assert measures._mass(mu.components, region) == oracle_mass(mu.components, region)
+
+
+def test_membership_on_open_and_closed_ends_with_mixed_denominators():
+    a, b = Fraction(1, 3), Fraction(999999999989, 10**12)  # 1/3 < b < 1
+    region = Region.of(UNIT, [("I", a, b, False, True)], [("I", Fraction(1, 7))])
+    assert [region.contains("I", x) for x in (a - STEP, a, a + STEP, b - STEP, b, b + STEP)] == [
+        False, False, True, True, True, False,
+    ]
+    seventh = Fraction(1, 7)
+    assert [region.contains("I", x) for x in (seventh - STEP, seventh, seventh + STEP)] == [False, True, False]
+    cuts = region._cuts("I")
+    assert measures._overlap(cuts, Fraction(0), Fraction(1)) == b - a
+    assert measures._overlap(cuts, a + STEP, b) == b - a - STEP
+    assert measures._overlap(cuts, b, Fraction(1)) == 0
+    assert measures._overlap(cuts, Fraction(0), seventh) == 0
+    mu = FHMeasure(UNIT, [Atom("I", a, 1, 5), Atom("I", b, 1, 7), Atom("I", seventh, 0, 2), Density("I", 0, a, 2, 1)])
+    assert measures._mass(mu.components, region) == 9 == oracle_mass(mu.components, region)
+    assert evaluate(mu, region) == pair(1, 7)
 
 
 def test_nu_hat_refuses_a_region_on_another_domain():
