@@ -481,7 +481,7 @@ def main(argv: Optional[list] = None) -> int:
             doc = _load(path, role, inputs)
             docs.append(doc if decoder is None else getattr(jsonio, f"{decoder}_from_json")(doc))
         result = handler(args, diagnostics, *docs)
-    # RuntimeError: a library self-check (a strata witness) failed
+    # RuntimeError: a library self-check (a solver or strata witness) failed
     except (CommandError, ValueError, KeyError, ZeroDivisionError, RuntimeError) as exc:
         diagnostics.append({"severity": "error", "message": str(exc.args[0] if exc.args else exc)})
 

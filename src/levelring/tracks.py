@@ -292,7 +292,9 @@ def _fm_feasible(
     in reverse order gives the witness.  Constraints are bare coefficient
     dicts (equalities = 0, inequalities > 0) and stay homogeneous, so the
     system is infeasible exactly when an inequality is left with no
-    variables, and v > 0 is a lower bound of v until v goes.
+    variables, and v > 0 is a lower bound of v until v goes.  The witness
+    is checked against the system; one that fails raises RuntimeError,
+    so a solver fault never reads as an infeasible system.
     """
     given = [{k: c for k, c in dict(eq).items() if c} for eq in equations]
     eqs = list(given)
@@ -351,7 +353,7 @@ def _fm_feasible(
         ups = [-value(co, var) / co[var] for co in uppers]
         values[var] = (lo + min(ups)) / 2 if ups else lo + 1
     if any(values[v] <= 0 for v in variables) or any(value(eq) for eq in given):
-        return None
+        raise RuntimeError("Fourier-Motzkin witness fails its own system")
     return values
 
 

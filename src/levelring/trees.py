@@ -5,10 +5,9 @@ An ``STree`` is a finite tree whose edges carry nonzero ``LevelValue``
 lengths.  Distance between nodes is the leveled sum along the unique
 connecting path; since a sum always dominates its terms, the triangle
 inequality comes for free.  ``verify_metric`` audits the distances the
-tree gives in O(n^2) time and memory: each walk step must be monotone and
-the distances symmetric and definite, and the triangle inequality follows
-from these.  A distance table supplied by the caller gets the full audit
-over all node triples instead, in O(n^3) time.
+tree gives in one pass of O(n^2) time and memory: one walk per node, with
+each step monotone and each distance nonzero and symmetric, from which the
+triangle inequality follows.
 
 ``boundary_points`` are the degree-one nodes.  ``infinite_points`` is
 offered for flat (all level-0) trees only: a node is infinite when every
@@ -158,46 +157,27 @@ def distance(tree: STree, x: str, y: str) -> LevelValue:
     return total(length for _, _, length in path(tree, x, y))
 
 
-def verify_metric(
-    tree: STree,
-    table: Optional[Mapping[tuple[str, str], LevelValue]] = None,
-) -> bool:
+def verify_metric(tree: STree) -> bool:
     """Audit the metric axioms: symmetry, definiteness and the triangle
-    inequality.
+    inequality, in one pass of O(n^2) time and memory on n nodes.
 
-    With no table, one walk per node gives that node's row of distances,
-    and the audit checks what a table built this way can get wrong: that
-    every walk step is monotone (adding an edge never lowers a distance)
-    and that the rows are symmetric and definite over all pairs.  The
-    triangle inequality then follows, as the leveled sum is associative,
-    commutative and monotone, so no triple is visited: O(n^2) time and
-    memory on n nodes.
-
-    A caller may pass its own table instead; an arbitrary table gets the
-    full audit over all pairs and all triples, O(n^3) time.
+    One walk per node builds that node's row of distances.  Each step of
+    the walk from x to a node y checks what a row built this way can get
+    wrong: the step is monotone (adding an edge never lowers a distance),
+    d(x,y) is not ZERO, and d(x,y) equals d(y,x) when y's row is already
+    built, so each unordered pair is compared once.  No triple is
+    visited: the x-y, x-z and y-z paths meet at one median node m, and the
+    leveled sum is associative, commutative and monotone, so with the rows
+    symmetric, d(y,x) + d(x,z) = d(y,m) + d(m,z) + 2*d(m,x) >= d(y,z).
     """
-    if table is None:
-        rows = {}
-        for x in tree.nodes:
-            dist = rows[x] = {x: ZERO}
-            for node, prev, length in _walk(tree, x):
-                dist[node] = dist[prev] + length
-                if not dist[prev] <= dist[node]:
-                    return False
-        d = lambda x, y: rows[x][y]
-    else:
-        d = lambda x, y: table[(x, y)]
-    for x, y in itertools.product(tree.nodes, repeat=2):
-        if d(x, y) != d(y, x) or (d(x, y) == ZERO) != (x == y):
-            return False
-    if table is None:
-        # The x-y, x-z and y-z paths meet at one median node m.  The leveled
-        # sum is associative, commutative and monotone, so with the rows
-        # symmetric, d(y,x) + d(x,z) = d(y,m) + d(m,z) + 2*d(m,x) >= d(y,z).
-        return True
-    for x, y, z in itertools.product(tree.nodes, repeat=3):
-        if not (d(y, z) <= d(y, x) + d(x, z)):
-            return False
+    rows: dict[str, dict[str, LevelValue]] = {}
+    for x in tree.nodes:
+        dist = {x: ZERO}
+        for node, prev, length in _walk(tree, x):
+            d = dist[node] = dist[prev] + length
+            if not dist[prev] <= d or d == ZERO or (node in rows and d != rows[node][x]):
+                return False
+        rows[x] = dist
     return True
 
 
@@ -354,9 +334,11 @@ class ChordFamily:
         for i, j, w in chords:
             i, j = int(i), int(j)
             if not (1 <= i <= marks and 1 <= j <= marks) or i == j:
-                raise ValueError(f"chord ends ({i},{j}) out of range 1..{marks}")
+                raise ValueError(
+                    f"chord ends ({_ECHO.repr(i)},{_ECHO.repr(j)}) out of range 1..{_ECHO.repr(marks)}"
+                )
             if not isinstance(w, LevelValue) or w.is_zero:
-                raise ValueError(f"chord ({i},{j}) needs a nonzero weight")
+                raise ValueError(f"chord ({_ECHO.repr(i)},{_ECHO.repr(j)}) needs a nonzero weight")
             rows.append((i, j, w) if i < j else (j, i, w))
         ends = [e for i, j, _ in rows for e in (i, j)]
         if len(set(ends)) != len(ends):
@@ -370,7 +352,9 @@ class ChordFamily:
                 open_chords.pop()
             if open_chords and open_chords[-1][1] < b:
                 c, d = open_chords[-1]
-                raise ValueError(f"chords ({c},{d}) and ({a},{b}) cross")
+                raise ValueError(
+                    f"chords ({_ECHO.repr(c)},{_ECHO.repr(d)}) and ({_ECHO.repr(a)},{_ECHO.repr(b)}) cross"
+                )
             open_chords.append((a, b))
         object.__setattr__(self, "marks", int(marks))
         object.__setattr__(self, "chords", tuple(rows))

@@ -417,7 +417,7 @@ def to_sequence(x: LevelValue, height: int = DEFAULT_HEIGHT_BOUND) -> tuple[XRat
     if height < 1:
         raise ValueError("height must be at least 1")
     if height > MAX_SEQUENCE_HEIGHT:
-        raise ValueError(f"height {height} exceeds the sequence cap {MAX_SEQUENCE_HEIGHT}")
+        raise ValueError(f"height {_ECHO.repr(height)} exceeds the sequence cap {MAX_SEQUENCE_HEIGHT}")
     if x.is_zero:
         return (XRat(0),) * height
     k = level_of(x)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from levelring.values import INF, LevelValue, RatLike, XRat, ZERO, pair
+from levelring.values import _ECHO, INF, LevelValue, RatLike, XRat, ZERO, pair
 
 __all__ = [
     "Monomial",
@@ -185,7 +185,7 @@ def normalized_limit(f: Iterable[Optional[Monomial]], j: int) -> Vector:
     """
     fam = _as_family(f)
     if not 0 <= j < len(fam):
-        raise ValueError(f"reference index {j} is out of range 0..{len(fam) - 1}")
+        raise ValueError(f"reference index {_ECHO.repr(j)} is out of range 0..{len(fam) - 1}")
     ref = fam[j]
     if ref is None:
         raise ValueError(f"reference entry {j} is zero")
@@ -205,18 +205,20 @@ def normalized_limit(f: Iterable[Optional[Monomial]], j: int) -> Vector:
 def limit_points(f: Iterable[Optional[Monomial]]) -> list[ProjClass]:
     """Distinct projective classes of all entry-normalized limits of f.
 
-    One class per nonzero reference entry, deduplicated in first-seen
-    order.  Two or more classes means the family's projective images
-    accumulate on multiple points at once.
+    The classes are one per distinct degree among the nonzero entries, in
+    first-seen order.  Two references of one degree give limits that
+    differ by one positive scalar on their finite entries; references of
+    different degrees differ in whether the lower-degree reference is
+    finite.  So each class is built once, from the first entry of its
+    degree, with no class compared: work is n times the number of
+    distinct degrees, the size of the result.  Two or more classes means
+    the family's projective images accumulate on multiple points at once.
     """
     fam = _as_family(f)
     if all(m is None for m in fam):
         raise ValueError("family has no nonzero entry")
-    seen: list[ProjClass] = []
+    first: dict[int, int] = {}
     for j, m in enumerate(fam):
-        if m is None:
-            continue
-        cls = ProjClass(normalized_limit(fam, j))
-        if cls not in seen:
-            seen.append(cls)
-    return seen
+        if m is not None:
+            first.setdefault(m.degree, j)
+    return [ProjClass(normalized_limit(fam, j)) for j in first.values()]

@@ -5,6 +5,7 @@ golden reports under ``tests/golden`` from the current code.
 """
 
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -299,6 +300,39 @@ def test_failing_witness_check_is_an_error(tmp_path, capsys, monkeypatch, k):
     # every witness up to the k-th was checked, though no system was solved twice
     assert checked == [s.witness for s in strata[:k]]
     assert len(set(solved)) == len(solved) == min(k, 4)
+
+
+class _NoCombinations:
+    """Stands in for `itertools` in `tracks`: Fourier-Motzkin combines no
+    lower bound with an upper one, so it can miss an infeasible system."""
+
+    def __getattr__(self, name):
+        return getattr(itertools, name)
+
+    @staticmethod
+    def product(*iterables, repeat=1):
+        return iter(())
+
+
+def test_failing_fm_self_check_is_an_error(tmp_path, capsys, monkeypatch):
+    # a + b = c and c + d = b force a + d = 0.  Fourier-Motzkin sees that
+    # only by combining the bounds d > 0 and -d > 0; without it, the
+    # back-substituted witness has d = 0.
+    doc = {"segments": ["a", "b", "c", "d"],
+           "switches": [{"a": ["a", "b"], "b": ["c"]}, {"a": ["c", "d"], "b": ["b"]}]}
+    track = write(tmp_path, "track.json", doc)
+    code, out, _ = run(capsys, "track", "strata", track, "--height-bound", "1")
+    assert code == 0
+    finite = next(s for s in json.loads(out)["result"]["strata"]
+                  if all(shape == {"kind": "fin", "level": 0} for shape in s["pattern"]))
+    assert finite["feasible"] is False
+    monkeypatch.setattr(tracks, "itertools", _NoCombinations())
+    code, out, err = run(capsys, "track", "strata", track, "--height-bound", "1")
+    message = "Fourier-Motzkin witness fails its own system"
+    assert code == 1
+    assert json.loads(out)["result"] is None
+    assert json.loads(out)["diagnostics"] == [{"severity": "error", "message": message}]
+    assert err == f"error: {message}\n"
 
 
 def test_track_filtration_spiral(tmp_path, capsys):
@@ -769,6 +803,53 @@ def test_measure_number_echoes_are_bounded(tmp_path, capsys, field, value, start
     assert code == 1
     assert err.startswith(start)
     assert len(err) < 1024
+    assert json.loads(out)["diagnostics"][0]["message"] == err[len("error: "):-1]
+
+
+NUMBER_ECHOES = {
+    "family_limit_reference": (
+        "family limit", "limit.json", lambda doc: dict(doc, reference=MOST),
+        "error: reference index 9999",
+    ),
+    "tree_dual_chord_end": (
+        "tree dual", "chords.json",
+        lambda doc: dict(doc, chords=[dict(doc["chords"][0], ends=[1, MOST])]),
+        "error: chords: chord ends (1,9999",
+    ),
+    "tree_dual_marks": (
+        "tree dual", "chords.json",
+        lambda doc: dict(doc, marks=MOST, chords=[dict(doc["chords"][0], ends=[0, 1])]),
+        "error: chords: chord ends (0,1) out of range 1..9999",
+    ),
+    "tree_dual_crossing": (
+        "tree dual", "chords.json",
+        lambda doc: dict(doc, marks=MOST, chords=[
+            dict(doc["chords"][0], ends=[1, MOST - 2]), dict(doc["chords"][1], ends=[2, MOST - 1]),
+        ]),
+        "error: chords: chords (1,9999",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NUMBER_ECHOES))
+def test_cli_number_echoes_are_bounded(tmp_path, capsys, case):
+    words, name, enlarge, start = NUMBER_ECHOES[case]
+    doc = enlarge(json.loads((GOLDEN / "inputs" / name).read_text()))
+    code, out, err = run(capsys, *words.split(), write(tmp_path, name, doc))
+    assert code == 1
+    assert err.startswith(start)
+    assert len(err) < 1024
+    assert len(out) < 1024
+    assert json.loads(out)["diagnostics"][0]["message"] == err[len("error: "):-1]
+
+
+def test_height_bound_echo_is_bounded(tmp_path, capsys):
+    exprs = write(tmp_path, "exprs.json", [{"op": "psi", "value": {"level": 2, "real": "7"}}])
+    code, out, err = run(capsys, "svalue", exprs, "--height-bound", str(MOST))
+    assert code == 1
+    assert err.startswith("error: exprs[0]: height 9999")
+    assert err.endswith(f" exceeds the sequence cap {MAX_SEQUENCE_HEIGHT}\n")
+    assert len(err) < 1024  # the report itself echoes the option in full
     assert json.loads(out)["diagnostics"][0]["message"] == err[len("error: "):-1]
 
 

@@ -1,5 +1,7 @@
 """The package namespace and the demo scripts."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -58,3 +60,31 @@ def test_failing_hypothesis_test_prints_its_example(tmp_path):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "Falsifying example" in proc.stdout
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
+
+
+def test_bench_tracer_wraps_names_that_exist(tmp_path, capsys):
+    """The benchmark's tracer wraps every public function and the methods
+    it lists by name; a rename here would break it silently, as the bench
+    tests are not part of this suite."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps({"nodes": ["a", "b"], "edges": [
+        {"a": "a", "b": "b", "len": {"level": 0, "real": "1"}}]}))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["tree", "metric", str(tree)]) == 0
+    finally:
+        tracer.uninstall()
+    assert json.loads(capsys.readouterr().out)["result"] == {"metric": True}
+    assert "trees.verify_metric" in {name for name, *_ in tracer.take()}
+    planned = {(owner, key) for owner, key, _, _ in tracer._plan if not isinstance(owner, dict)}
+    for layer, methods in tracing.METHODS.items():
+        module = getattr(levelring, layer)
+        for cls_name, meth in methods:
+            assert (getattr(module, cls_name), meth) in planned, (layer, cls_name, meth)
+    for owner, key, original, _ in tracer._plan:
+        now = owner[key] if isinstance(owner, dict) else owner.__dict__[key]
+        assert now is original, key

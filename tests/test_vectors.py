@@ -1,10 +1,12 @@
 """Tests for weight vectors: scaling, cones, projective classes, limits."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from levelring import vectors as vectors_module
 from levelring.values import INF, XRat, ZERO, pair
 from levelring.vectors import (
     Monomial,
@@ -40,6 +42,33 @@ def brute_canonical(vec):
             hits.add(w)
     assert len(hits) == 1, "canonical representative should be unique"
     return next(iter(hits))
+
+
+def oracle_limit_points(f):
+    """The former class-by-class search, kept as the oracle: one class per
+    nonzero reference entry, compared with every class seen so far and
+    kept in first-seen order when new."""
+    if all(m is None for m in f):
+        raise ValueError("family has no nonzero entry")
+    seen = []
+    for j, m in enumerate(f):
+        if m is None:
+            continue
+        cls = ProjClass(normalized_limit(f, j))
+        if cls not in seen:
+            seen.append(cls)
+    return seen
+
+
+def random_family(rng):
+    """1-7 entries, some None, with degrees from a small range so that
+    they repeat."""
+    return tuple(
+        None if rng.random() < 0.2
+        else Monomial(rng.randint(0, 3), Fraction(rng.randint(1, 9), rng.randint(1, 4)),
+                      rng.randint(-2, 2))
+        for _ in range(rng.randint(1, 7))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +240,35 @@ def test_family_guards():
         monomial(0, 0, 1)  # zero coefficient
     with pytest.raises(ValueError):
         monomial(0, "inf", 1)
+
+
+def test_limit_points_agree_with_the_oracle():
+    rng = Random(41)
+    repeated = gaps = 0
+    for _ in range(1500):
+        f = random_family(rng)
+        if all(m is None for m in f):
+            continue
+        assert limit_points(f) == oracle_limit_points(f), f
+        degrees = [m.degree for m in f if m is not None]
+        repeated += len(set(degrees)) < len(degrees)
+        gaps += None in f
+    assert repeated > 500 and gaps > 500  # both shapes are well exercised
+
+
+def test_limit_points_build_one_class_per_degree(monkeypatch):
+    calls = []
+
+    def counted(f, j):
+        calls.append(j)
+        return normalized_limit(f, j)
+
+    monkeypatch.setattr(vectors_module, "normalized_limit", counted)
+    f = (None, monomial(0, 1, 2), monomial(1, 3, 0), monomial(0, 2, 2), None,
+         monomial(2, 1, 0), monomial(0, 5, 1))
+    classes = limit_points(f)
+    assert calls == [1, 2, 6]  # each degree's first index, in first-seen order
+    assert classes == oracle_limit_points(f)
 
 
 def test_value_at_evaluates_monomials():
