@@ -8,7 +8,10 @@ diagnostics list; the exit code is 0 exactly when no diagnostic has
 severity "error".  Negative answers to honest questions (a weight vector
 that is not contiguous, say) are results, not errors; malformed input and
 failed validation are errors.  Every malformed input ends as an "error"
-diagnostic with exit 1, never as a traceback.
+diagnostic with exit 1, never as a traceback.  A fault with a place in a
+document or in the report is a ``jsonio.FormatError``, located relative to
+the value being decoded or written; each enclosing value prefixes its part
+of the location as the fault passes out (``exprs[0].args[1].real``).
 
     levelring svalue  EXPRS                      evaluate value expressions
     levelring track   SUB TRACK [SECOND]         validate|align|adjust|
@@ -40,22 +43,9 @@ from levelring import jsonio, measures, tracks, trees, values, vectors
 __all__ = ["main"]
 
 
-class CommandError(Exception):
-    """Operation could not produce a result; message becomes a diagnostic."""
-
-
-def _result(where: str, encode, value) -> Any:
-    """encode(value); a value too long to write is refused at where, as
-    malformed input is located."""
-    try:
-        return encode(value)
-    except ValueError as exc:
-        raise CommandError(f"{where}: {exc}") from None
-
-
 def _vector(where: str, vec) -> list:
     """vector_to_json(vec), an entry too long to write refused at where[j]."""
-    return [_result(f"{where}[{j}]", jsonio.svalue_to_json, v) for j, v in enumerate(vec)]
+    return [jsonio._located(jsonio.svalue_to_json, v, f"{where}[{j}]") for j, v in enumerate(vec)]
 
 
 def _load(path: str, role: str, inputs: dict) -> Any:
@@ -63,62 +53,58 @@ def _load(path: str, role: str, inputs: dict) -> Any:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        raise CommandError(f"cannot read {role} file: {exc}")
+        raise ValueError(f"cannot read {role} file: {exc}")
     inputs[role] = hashlib.sha256(raw).hexdigest()
     try:
         return json.loads(raw)
     except (ValueError, RecursionError) as exc:
-        raise CommandError(f"{role} file is not JSON: {exc}")
+        raise ValueError(f"{role} file is not JSON: {exc}")
 
 
 # --- svalue expressions ----------------------------------------------------------
 
-def _eval_expr(doc: Any, where: str, height: int) -> Any:
+def _eval_expr(doc: Any, height: int) -> Any:
+    """One expression's result; a fault is located relative to doc."""
     if not isinstance(doc, dict) or "op" not in doc:
-        raise CommandError(f"{where}: expected an object with an \"op\" field")
+        raise jsonio.FormatError("", "expected an object with an \"op\" field")
     op = doc["op"]
     args = doc.get("args", [])
     if op in ("add", "mul", "compare") and not isinstance(args, list):
-        raise CommandError(f"{where}: {op} wants an \"args\" array")
-    try:
-        if op == "add":
-            return jsonio.svalue_to_json(values.total(jsonio.vector_from_json(args, f"{where}.args")))
-        if op == "mul":
-            out = values.LevelValue(0, values.XRat(1))
-            for a in jsonio.vector_from_json(args, f"{where}.args"):
-                out = out * a
-            return jsonio.svalue_to_json(out)
-        if op == "scale":
-            scalar = jsonio.rat_from_str(doc.get("scalar"), f"{where}.scalar")
-            value = jsonio.svalue_from_json(doc.get("value"), f"{where}.value")
-            return jsonio.svalue_to_json(value.scale(scalar))
-        if op == "compare":
-            if len(args) != 2:
-                raise CommandError(f"{where}: compare wants exactly two arguments")
-            a, b = jsonio.vector_from_json(args, f"{where}.args")
-            return {-1: "LT", 0: "EQ", 1: "GT"}[values.compare(a, b)]
-        if op == "psi":
-            value = jsonio.svalue_from_json(doc.get("value"), f"{where}.value")
-            return [jsonio.rat_to_str(x) for x in values.to_sequence(value, height)]
-        if op == "unpsi":
-            seq = doc.get("sequence")
-            if not isinstance(seq, list):
-                raise CommandError(f"{where}: unpsi wants a \"sequence\" array")
-            entries = [jsonio.rat_from_str(s, f"{where}.sequence[{i}]") for i, s in enumerate(seq)]
-            return jsonio.svalue_to_json(values.from_sequence(entries))
-    except jsonio.FormatError:
-        raise  # already located
-    except ValueError as exc:
-        raise CommandError(f"{where}: {exc}")
-    raise CommandError(f"{where}: unknown op {values._ECHO.repr(op)}")
+        raise jsonio.FormatError("", f"{op} wants an \"args\" array")
+    if op == "add":
+        return jsonio.svalue_to_json(values.total(jsonio.vector_from_json(args, ".args")))
+    if op == "mul":
+        out = values.LevelValue(0, values.XRat(1))
+        for a in jsonio.vector_from_json(args, ".args"):
+            out = out * a
+        return jsonio.svalue_to_json(out)
+    if op == "scale":
+        scalar = jsonio.rat_from_str(doc.get("scalar"), ".scalar")
+        value = jsonio.svalue_from_json(doc.get("value"), ".value")
+        return jsonio.svalue_to_json(value.scale(scalar))
+    if op == "compare":
+        if len(args) != 2:
+            raise jsonio.FormatError("", "compare wants exactly two arguments")
+        a, b = jsonio.vector_from_json(args, ".args")
+        return {-1: "LT", 0: "EQ", 1: "GT"}[values.compare(a, b)]
+    if op == "psi":
+        value = jsonio.svalue_from_json(doc.get("value"), ".value")
+        return [jsonio.rat_to_str(x) for x in values.to_sequence(value, height)]
+    if op == "unpsi":
+        seq = doc.get("sequence")
+        if not isinstance(seq, list):
+            raise jsonio.FormatError("", "unpsi wants a \"sequence\" array")
+        entries = jsonio._each(lambda s: jsonio.rat_from_str(s, ""), seq, ".sequence")
+        return jsonio.svalue_to_json(values.from_sequence(entries))
+    raise jsonio.FormatError("", f"unknown op {values._ECHO.repr(op)}")
 
 
 def _svalue(args, diagnostics: list, doc: Any) -> Any:
     if isinstance(doc, dict):
         doc = [doc]
     if not isinstance(doc, list):
-        raise CommandError("exprs: expected an expression object or array")
-    return [_eval_expr(entry, f"exprs[{i}]", args.height_bound) for i, entry in enumerate(doc)]
+        raise jsonio.FormatError("exprs", "expected an expression object or array")
+    return jsonio._each(lambda entry: _eval_expr(entry, args.height_bound), doc, "exprs")
 
 
 # --- track ------------------------------------------------------------------------
@@ -152,12 +138,11 @@ def _shape(shape: tracks.Shape) -> Optional[dict]:
 
 def _measure_decompose(args, diagnostics: list, mu) -> Any:
     whole = measures.Region.whole(mu.domain)
-    return {
-        "table": [
-            {"level": k, "mass": _result(f"table[{i}].mass", jsonio.rat_to_str, measures.nu_hat(mu, k, whole))}
-            for i, k in enumerate(mu.levels())
-        ]
-    }
+    table = []
+    for i, k in enumerate(mu.levels()):
+        mass = jsonio._located(jsonio.rat_to_str, measures.nu_hat(mu, k, whole), f"table[{i}].mass")
+        table.append({"level": k, "mass": mass})
+    return {"table": table}
 
 
 def _measure_validate(args, diagnostics: list, mu) -> Any:
@@ -184,7 +169,7 @@ def _measure_validate(args, diagnostics: list, mu) -> Any:
 
 def _tree_field(args, doc: Any):
     if not isinstance(doc, dict) or "tree" not in doc:
-        raise CommandError(f"tree {args.subcommand} input needs a \"tree\" field")
+        raise ValueError(f"tree {args.subcommand} input needs a \"tree\" field")
     return jsonio.tree_from_json(doc["tree"])
 
 
@@ -192,13 +177,13 @@ def _tree_dist(args, diagnostics: list, doc: Any) -> Any:
     tree = _tree_field(args, doc)
     pairs = doc.get("pairs")
     if not isinstance(pairs, list):
-        raise CommandError("tree dist input needs a \"pairs\" array")
+        raise ValueError("tree dist input needs a \"pairs\" array")
     out = []
     for i, row in enumerate(pairs):
         if not (isinstance(row, list) and len(row) == 2):
-            raise CommandError(f"pairs[{i}]: expected [x, y]")
+            raise jsonio.FormatError(f"pairs[{i}]", "expected [x, y]")
         x, y = row
-        value = _result(f"distances[{i}].value", jsonio.svalue_to_json, trees.distance(tree, x, y))
+        value = jsonio._located(jsonio.svalue_to_json, trees.distance(tree, x, y), f"distances[{i}].value")
         out.append({"pair": [x, y], "value": value})
     return {"distances": out}
 
@@ -207,11 +192,11 @@ def _tree_insert(args, diagnostics: list, doc: Any) -> Any:
     tree = _tree_field(args, doc)
     for key in ("at", "insertion", "attach"):
         if key not in doc:
-            raise CommandError(f"tree insert input needs a \"{key}\" field")
+            raise ValueError(f"tree insert input needs a \"{key}\" field")
     sub_tree = jsonio.tree_from_json(doc["insertion"])
     attach = doc["attach"]
     if not isinstance(attach, dict) or not all(isinstance(n, str) for n in attach.values()):
-        raise CommandError("tree insert \"attach\" must map insertion nodes to neighbors")
+        raise ValueError("tree insert \"attach\" must map insertion nodes to neighbors")
     return {"tree": jsonio.tree_to_json(trees.insert(tree, doc["at"], sub_tree, attach))}
 
 
@@ -219,7 +204,7 @@ def _tree_collapse(args, diagnostics: list, doc: Any) -> Any:
     tree = _tree_field(args, doc)
     group = doc.get("group")
     if not isinstance(group, list):
-        raise CommandError("tree collapse input needs a \"group\" array")
+        raise ValueError("tree collapse input needs a \"group\" array")
     return {"tree": jsonio.tree_to_json(trees.collapse(tree, jsonio._strings(group, "group")))}
 
 
@@ -243,11 +228,11 @@ def _family_limits(args, diagnostics: list, doc: Any) -> Any:
 
 def _family_limit(args, diagnostics: list, doc: Any) -> Any:
     if not isinstance(doc, dict) or "family" not in doc or "reference" not in doc:
-        raise CommandError('family limit input needs "family" and "reference" fields')
+        raise ValueError('family limit input needs "family" and "reference" fields')
     family = jsonio.family_from_json(doc["family"])
     reference = doc["reference"]
     if isinstance(reference, bool) or not isinstance(reference, int):
-        raise CommandError("family limit \"reference\" must be an entry index")
+        raise ValueError("family limit \"reference\" must be an entry index")
     return {"vector": _vector("vector", vectors.normalized_limit(family, reference))}
 
 
@@ -315,7 +300,9 @@ COMMANDS = {
     ("measure", "eval"): (
         [MEASURE],
         lambda args, diagnostics, mu: {
-            "value": _result("value", jsonio.svalue_to_json, measures.evaluate(mu, measures.Region.whole(mu.domain)))
+            "value": jsonio._located(
+                jsonio.svalue_to_json, measures.evaluate(mu, measures.Region.whole(mu.domain)), "value"
+            )
         },
     ),
     ("measure", "decompose"): ([MEASURE], _measure_decompose),
@@ -477,12 +464,12 @@ def main(argv: Optional[list] = None) -> int:
         docs = []
         for (role, decoder), path in zip(roles, paths):
             if path is None:
-                raise CommandError(f"{' '.join(words)} needs a {role} file")
+                raise ValueError(f"{' '.join(words)} needs a {role} file")
             doc = _load(path, role, inputs)
             docs.append(doc if decoder is None else getattr(jsonio, f"{decoder}_from_json")(doc))
         result = handler(args, diagnostics, *docs)
     # RuntimeError: a library self-check (a solver or strata witness) failed
-    except (CommandError, ValueError, KeyError, ZeroDivisionError, RuntimeError) as exc:
+    except (ValueError, KeyError, ZeroDivisionError, RuntimeError) as exc:
         diagnostics.append({"severity": "error", "message": str(exc.args[0] if exc.args else exc)})
 
     report = {

@@ -151,10 +151,11 @@ def _relocated(exc: Exception, where: str) -> FormatError:
     return FormatError(where, exc.args[0] if exc.args else str(exc))
 
 
-def _located(decode, obj: Any, where: str):
-    """decode(obj), with any fault located at where."""
+def _located(convert, obj: Any, where: str):
+    """convert(obj), with any fault located at where: a decoder's fault in
+    the document, or an encoder's refusal of a value too long to write."""
     try:
-        return decode(obj)
+        return convert(obj)
     except (ValueError, KeyError) as exc:
         raise _relocated(exc, where) from None
 

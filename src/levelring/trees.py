@@ -330,6 +330,9 @@ class ChordFamily:
     chords: tuple[tuple[int, int, LevelValue], ...]
 
     def __init__(self, marks: int, chords: Iterable[tuple[int, int, LevelValue]]):
+        marks = int(marks)
+        if marks < 0:
+            raise ValueError(f"mark count {_ECHO.repr(marks)} is negative")
         rows = []
         for i, j, w in chords:
             i, j = int(i), int(j)
@@ -356,7 +359,7 @@ class ChordFamily:
                     f"chords ({_ECHO.repr(c)},{_ECHO.repr(d)}) and ({_ECHO.repr(a)},{_ECHO.repr(b)}) cross"
                 )
             open_chords.append((a, b))
-        object.__setattr__(self, "marks", int(marks))
+        object.__setattr__(self, "marks", marks)
         object.__setattr__(self, "chords", tuple(rows))
 
 

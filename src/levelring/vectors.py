@@ -17,6 +17,7 @@ from typing import Iterable, Optional, Sequence
 from levelring.values import _ECHO, INF, LevelValue, RatLike, XRat, ZERO, pair
 
 __all__ = [
+    "MAX_LIMIT_ENTRIES",
     "Monomial",
     "MonomialFamily",
     "ProjClass",
@@ -202,6 +203,11 @@ def normalized_limit(f: Iterable[Optional[Monomial]], j: int) -> Vector:
     return _as_vector(entry(m) for m in fam)
 
 
+# `limit_points` refuses a family whose classes would hold more entries than
+# this (entries times distinct degrees): 1,000 entries of 1,000 degrees.
+MAX_LIMIT_ENTRIES = 10**6
+
+
 def limit_points(f: Iterable[Optional[Monomial]]) -> list[ProjClass]:
     """Distinct projective classes of all entry-normalized limits of f.
 
@@ -213,6 +219,8 @@ def limit_points(f: Iterable[Optional[Monomial]]) -> list[ProjClass]:
     degree, with no class compared: work is n times the number of
     distinct degrees, the size of the result.  Two or more classes means
     the family's projective images accumulate on multiple points at once.
+    The classes hold n * d entries for n entries and d distinct degrees;
+    past `MAX_LIMIT_ENTRIES` the call is refused before any limit is built.
     """
     fam = _as_family(f)
     if all(m is None for m in fam):
@@ -221,4 +229,9 @@ def limit_points(f: Iterable[Optional[Monomial]]) -> list[ProjClass]:
     for j, m in enumerate(fam):
         if m is not None:
             first.setdefault(m.degree, j)
+    if len(fam) * len(first) > MAX_LIMIT_ENTRIES:
+        raise ValueError(
+            f"{len(fam)} entries of {len(first)} distinct degrees give more than "
+            f"{MAX_LIMIT_ENTRIES} limit entries; refusing to build them"
+        )
     return [ProjClass(normalized_limit(fam, j)) for j in first.values()]

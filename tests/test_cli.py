@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levelring import cli, jsonio, tracks, values
+from levelring import cli, jsonio, tracks, values, vectors
 from levelring.cli import COMMANDS, main
 from levelring.jsonio import MAX_RATIONAL_DIGITS
 from levelring.tracks import MAX_ADJUST_SUBSETS, MAX_STRATA
@@ -484,6 +484,22 @@ def _golden_input(name, **changes):
       for field in ("tree", "at", "insertion", "attach")],
     (["tree", "collapse"], _golden_input("collapse.json", group=None), 'tree collapse input needs a "group" array'),
     (["tree", "collapse"], _golden_input("collapse.json", group=[]), "nothing to collapse"),
+    (["svalue"], 5, "exprs: expected an expression object or array"),
+    (["svalue"], [{}], 'exprs[0]: expected an object with an "op" field'),
+    (["svalue"], [{"op": "unpsi", "sequence": ["inf", "x"]}],
+     "exprs[0].sequence[1]: not a \"p/q\" rational or \"inf\": 'x'"),
+    (["svalue"], [{"op": "scale", "scalar": "2", "value": {"level": "0", "real": "1"}}],
+     "exprs[0].value.level: expected an integer, got '0'"),
+    (["family", "limit"], _golden_input("limit.json", reference=None),
+     'family limit input needs "family" and "reference" fields'),
+    (["family", "limit"], _golden_input("limit.json", reference=True),
+     'family limit "reference" must be an entry index'),
+    (["tree", "dist"], _golden_input("dist.json", pairs=None), 'tree dist input needs a "pairs" array'),
+    (["track", "validate"], XY_TRACK, "track validate needs a weights file"),
+    (["tree", "dual"], {"marks": -4, "chords": []}, "chords: mark count -4 is negative"),
+    (["family", "limits"], [{"level": 0, "coeff": "1", "degree": d % 1000} for d in range(1001)],
+     f"1001 entries of 1000 distinct degrees give more than {vectors.MAX_LIMIT_ENTRIES} limit entries; "
+     "refusing to build them"),
 ])
 def test_input_error_is_one_located_diagnostic(tmp_path, capsys, words, doc, message):
     code, out, err = run(capsys, *words, write(tmp_path, "input.json", doc))
@@ -827,6 +843,10 @@ NUMBER_ECHOES = {
             dict(doc["chords"][0], ends=[1, MOST - 2]), dict(doc["chords"][1], ends=[2, MOST - 1]),
         ]),
         "error: chords: chords (1,9999",
+    ),
+    "tree_dual_negative_marks": (
+        "tree dual", "chords.json", lambda doc: dict(doc, marks=-MOST, chords=[]),
+        "error: chords: mark count -9999",
     ),
 }
 

@@ -495,6 +495,9 @@ def test_chord_family_guards():
         ChordFamily(4, [(1, 2, ZERO)])
     with pytest.raises(ValueError):
         ChordFamily(4, [(2, 2, pair(0, 1))])
+    with pytest.raises(ValueError, match="mark count -4 is negative"):
+        ChordFamily(-4, [])
+    assert ChordFamily(0, []).marks == 0
 
 
 def oracle_crosses(chords):

@@ -271,6 +271,21 @@ def test_limit_points_build_one_class_per_degree(monkeypatch):
     assert classes == oracle_limit_points(f)
 
 
+def test_oversized_limit_report_is_refused_up_front(monkeypatch):
+    def never(f, j):
+        raise AssertionError("a limit was built")
+
+    monkeypatch.setattr(vectors_module, "normalized_limit", never)
+    # 1,001 entries of 1,000 degrees: 1,001,000 limit entries
+    f = tuple(monomial(0, 1, d % 1000) for d in range(1001))
+    with pytest.raises(ValueError) as exc:
+        limit_points(f)
+    assert str(exc.value) == (
+        f"1001 entries of 1000 distinct degrees give more than "
+        f"{vectors_module.MAX_LIMIT_ENTRIES} limit entries; refusing to build them"
+    )
+
+
 def test_value_at_evaluates_monomials():
     g = (monomial(1, 1, 1), monomial(1, 1, 0), None)
     assert value_at(g, 10) == (pair(1, 10), pair(1, 1), ZERO)
