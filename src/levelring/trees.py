@@ -4,9 +4,12 @@ families.
 An ``STree`` is a finite tree whose edges carry nonzero ``LevelValue``
 lengths.  Distance between nodes is the leveled sum along the unique
 connecting path; since a sum always dominates its terms, the triangle
-inequality comes for free.  ``verify_metric`` audits the distances the
-tree gives in one pass of O(n^2) time and memory: one walk per node, with
-each step monotone and each distance nonzero and symmetric, from which the
+inequality comes for free.  The build's connectivity walk hangs the tree
+from its first node and records each node's parent and hops, so ``path``
+climbs from both ends until they meet, in the hops of its own path rather
+than a walk of the tree.  ``verify_metric`` audits the distances the tree
+gives in one pass of O(n^2) time and memory: one walk per node, with each
+step monotone and each distance nonzero and symmetric, from which the
 triangle inequality follows.
 
 ``boundary_points`` are the degree-one nodes.  ``infinite_points`` is
@@ -63,6 +66,12 @@ class STree:
     edges: tuple[Edge, ...]
     # node -> {neighbor: length}, built once from the sorted edges
     _adjacency: dict[str, dict[str, LevelValue]] = field(compare=False, repr=False)
+    # node -> (parent, hops), the tree hung from nodes[0] by the
+    # connectivity walk; nodes[0] maps to (None, 0).  Lengths stay in
+    # _adjacency: the garbage collector stops tracking a tuple of a str and
+    # an int, but not one holding a LevelValue, and storing lengths here
+    # made a 1,200-node build about a tenth slower.
+    _up: dict[str, tuple[Optional[str], int]] = field(compare=False, repr=False)
 
     def __init__(
         self, nodes: Iterable[str], edges: Iterable[tuple[str, str, LevelValue]] = ()
@@ -91,19 +100,26 @@ class STree:
         edge_list.sort(key=itemgetter(0, 1))
         for a, b, length in edge_list:
             adjacency[a][b] = adjacency[b][a] = length
-        # connectivity (acyclicity then follows from the edge count)
-        seen = {node_list[0]}
-        stack = [node_list[0]]
-        while stack:
-            for nxt in adjacency[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if len(seen) != len(node_list):
+        # connectivity (acyclicity then follows from the edge count), by a
+        # walk from nodes[0], one depth at a time, that records where each
+        # node hangs
+        up = {node_list[0]: (None, 0)}
+        level, hops = [node_list[0]], 0
+        while level:
+            hops += 1
+            below = []
+            for cur in level:
+                for nxt in adjacency[cur]:
+                    if nxt not in up:
+                        up[nxt] = (cur, hops)
+                        below.append(nxt)
+            level = below
+        if len(up) != len(node_list):
             raise ValueError("tree is not connected")
         object.__setattr__(self, "nodes", node_list)
         object.__setattr__(self, "edges", tuple(edge_list))
         object.__setattr__(self, "_adjacency", adjacency)
+        object.__setattr__(self, "_up", up)
 
     def neighbors(self, node: str) -> Mapping[str, LevelValue]:
         """Adjacent nodes with the connecting edge lengths (a read-only view)."""
@@ -136,20 +152,24 @@ def _walk(tree: STree, root: str, within: Optional[set] = None):
 
 def path(tree: STree, x: str, y: str) -> list[tuple[str, str, LevelValue]]:
     """The unique simple path from x to y as oriented (from, to, length)
-    steps; empty for x == y."""
+    steps; empty for x == y.
+
+    Both ends climb the parent links the build recorded, the deeper end
+    first, until they meet, so a query costs the hops of its own path."""
     if not (_is_node(tree, x) and _is_node(tree, y)):
         raise KeyError(f"unknown node in path query: {_ECHO.repr(x)} or {_ECHO.repr(y)}")
-    parent: dict[str, tuple[str, LevelValue]] = {}
-    for node, prev, length in _walk(tree, x) if x != y else ():
-        parent[node] = (prev, length)
-        if node == y:
-            break
-    steps = []
-    while y != x:
-        prev, length = parent[y]
-        steps.append((prev, y, length))
-        y = prev
-    return steps[::-1]
+    up, near = tree._up, tree._adjacency
+    head, tail = [], []
+    while x != y:
+        px, hx = up[x]
+        py, hy = up[y]
+        if hx >= hy:
+            head.append((x, px, near[x][px]))
+            x = px
+        else:
+            tail.append((py, y, near[py][y]))
+            y = py
+    return head + tail[::-1]
 
 
 def distance(tree: STree, x: str, y: str) -> LevelValue:

@@ -4,12 +4,14 @@ families."""
 import itertools
 import json
 import sys
+from collections import deque
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from levelring import cli, trees
+from levelring import cli, jsonio, trees
 from levelring.trees import (
     ChordFamily,
     STree,
@@ -46,6 +48,25 @@ def all_simple_paths(tree, x, y):
 
     walk(x, {x}, [])
     return found
+
+
+def oracle_path(tree, x, y):
+    """The path as a breadth-first walk from x finds it: walk until y is
+    reached, then follow the recorded parents back."""
+    parent = {x: None}
+    queue = deque([x])
+    while y not in parent:
+        cur = queue.popleft()
+        for nxt, length in tree.neighbors(cur).items():
+            if nxt not in parent:
+                parent[nxt] = (cur, length)
+                queue.append(nxt)
+    steps = []
+    while y != x:
+        prev, length = parent[y]
+        steps.append((prev, y, length))
+        y = prev
+    return steps[::-1]
 
 
 def oracle_verify_metric(tree):
@@ -184,6 +205,106 @@ def test_path_is_unique_on_small_trees():
             assert simple[0] == path(t, x, y)
 
 
+def deepest(tree, root):
+    """A node the most hops from root: the last one a breadth-first walk
+    reaches."""
+    order, seen = [root], {root}
+    for cur in order:
+        for nxt in tree.neighbors(cur):
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+    return order[-1]
+
+
+def rehung(rng, tree):
+    """The same tree with its node list shuffled and every edge reversed, so
+    the build hangs it from an arbitrary node; half the time that node is a
+    leaf the most hops from the old first node."""
+    nodes = list(tree.nodes)
+    rng.shuffle(nodes)
+    if rng.random() < 0.5:
+        leaf = deepest(tree, tree.nodes[0])
+        nodes.remove(leaf)
+        nodes.insert(0, leaf)
+    edges = [(b, a, length) for a, b, length in tree.edges]
+    rng.shuffle(edges)
+    return STree(nodes, edges)
+
+
+def attachment_tree(rng, n):
+    """Random attachment tree on exactly n nodes."""
+    names = [f"n{i}" for i in range(n)]
+    return STree(
+        names,
+        [(names[rng.randrange(i)], names[i], pair(rng.randint(0, 2), rng.randint(1, 9)))
+         for i in range(1, n)],
+    )
+
+
+def connected_group(rng, tree):
+    """A random connected node set, grown from a random node."""
+    group = [rng.choice(tree.nodes)]
+    for _ in range(rng.randrange(len(tree.nodes))):
+        frontier = [n for g in group for n in tree.neighbors(g) if n not in group]
+        if not frontier:
+            break
+        group.append(rng.choice(frontier))
+    return group
+
+
+def assert_paths_agree(tree, pairs):
+    for x, y in pairs:
+        assert path(tree, x, y) == oracle_path(tree, x, y), (tree, x, y)
+
+
+def test_path_agrees_with_the_breadth_first_oracle():
+    rng = Random(67)
+    sizes = set()
+    for _ in range(120):
+        t = random_tree(rng, max_nodes=30)
+        for tree in (t, rehung(rng, t)):
+            assert_paths_agree(tree, itertools.product(tree.nodes, repeat=2))
+        sizes.add(len(t.nodes))
+    assert len(sizes) > 25
+
+
+def test_path_agrees_with_the_oracle_on_large_trees():
+    rng = Random(71)
+    names = [f"v{i:04d}" for i in range(2000)]
+    chain = STree(names, [(names[i], names[i + 1], pair(i % 3, 1)) for i in range(1999)])
+    star = STree(names[:1000], [(names[0], names[i], pair(0, i)) for i in range(1, 1000)])
+    big = attachment_tree(rng, 1000)
+    for tree in (chain, star, big, rehung(rng, chain), rehung(rng, star), rehung(rng, big)):
+        ends = [tree.nodes[0], deepest(tree, tree.nodes[0]), deepest(tree, tree.nodes[-1])]
+        pairs = [rng.sample(tree.nodes, 2) for _ in range(150)]
+        pairs += itertools.product(ends, repeat=2)
+        assert_paths_agree(tree, pairs)
+    assert len(path(chain, names[0], names[-1])) == 1999
+
+
+def test_path_agrees_with_the_oracle_on_derived_trees():
+    rng = Random(73)
+    for _ in range(60):
+        t = random_tree(rng, max_nodes=12)
+        grown = insert(t, *random_insertion(rng, t))
+        shrunk = collapse(grown, connected_group(rng, grown))
+        dual, _ = dual_tree(random_chords(rng, max_chords=12))
+        for tree in (grown, shrunk, dual):
+            assert_paths_agree(tree, itertools.product(tree.nodes, repeat=2))
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), min_size=1, max_size=20),
+)
+def test_path_oracle_on_drawn_trees(seed, picks):
+    rng = Random(seed)
+    tree = rehung(rng, random_tree(rng, max_nodes=40))
+    n = len(tree.nodes)
+    assert_paths_agree(tree, [(tree.nodes[i % n], tree.nodes[j % n]) for i, j in picks])
+
+
 def test_metric_battery():
     rng = Random(23)
     for _ in range(100):
@@ -259,6 +380,30 @@ def test_tree_metric_visits_no_triple(monkeypatch, tmp_path, capsys):
     doc.write_text(json.dumps({"nodes": nodes, "edges": edges}))
     assert cli.main(["tree", "metric", str(doc)]) == 0
     assert json.loads(capsys.readouterr().out)["result"] == {"metric": True}
+
+
+def _no_walk(*args, **kwargs):
+    raise AssertionError("a walk ran")
+
+
+def test_tree_dist_takes_no_walk(monkeypatch, tmp_path, capsys):
+    rng = Random(79)
+    nodes = [f"n{i}" for i in range(1200)]
+    edges = [
+        {"a": nodes[rng.randrange(i)], "b": nodes[i],
+         "len": {"level": rng.randint(0, 2), "real": rng.choice(["1", "3/2", "inf"])}}
+        for i in range(1, 1200)
+    ]
+    rng.shuffle(nodes)
+    doc = tmp_path / "dist.json"
+    doc.write_text(json.dumps(
+        {"tree": {"nodes": nodes, "edges": edges}, "pairs": [rng.sample(nodes, 2) for _ in range(3)]}
+    ))
+    assert cli.main(["tree", "dist", str(doc)]) == 0
+    walked = capsys.readouterr()
+    monkeypatch.setattr(trees, "_walk", _no_walk)
+    assert cli.main(["tree", "dist", str(doc)]) == 0
+    assert capsys.readouterr() == walked
 
 
 # --- boundary and infinite points ---------------------------------------------
@@ -637,6 +782,32 @@ def test_dual_tree_agrees_with_the_enclosing_scan():
                 edges.append(("outer" if up is None else names[up + 1], f"r{a}_{b}", w))
             tree, _ = dual_tree(fam)
             assert tree == STree(names, edges) and tree.nodes == tuple(names)
+
+
+def test_dual_then_dist_gives_each_chord_its_weight(tmp_path, capsys):
+    # the regions on the two sides of a chord are one edge apart in the
+    # dual, so through the CLI their distance is the chord's weight
+    rng = Random(83)
+    chords, ops = tmp_path / "chords.json", tmp_path / "dist.json"
+    for _ in range(40):
+        fam = random_chords(rng, max_chords=10)
+        rows = fam.chords
+        listed = [{"ends": rng.sample([a, b], 2), "weight": jsonio.svalue_to_json(w)}
+                  for a, b, w in rows]
+        rng.shuffle(listed)
+        chords.write_text(json.dumps({"marks": fam.marks, "chords": listed}))
+        assert cli.main(["tree", "dual", str(chords)]) == 0
+        dual = json.loads(capsys.readouterr().out)["result"]["tree"]
+        pairs = []
+        for idx, (a, b, _) in enumerate(rows):
+            up = chord_parent(rows, idx)
+            pairs.append(["outer" if up is None else "r{}_{}".format(*rows[up][:2]), f"r{a}_{b}"])
+        ops.write_text(json.dumps({"tree": dual, "pairs": pairs}))
+        assert cli.main(["tree", "dist", str(ops)]) == 0
+        got = json.loads(capsys.readouterr().out)["result"]["distances"]
+        assert got == [
+            {"pair": p, "value": jsonio.svalue_to_json(w)} for p, (_, _, w) in zip(pairs, rows)
+        ]
 
 
 # --- order-tree axioms -----------------------------------------------------------
