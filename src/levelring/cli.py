@@ -369,6 +369,19 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Texts(dict):
+    """Value -> `before + show(value) + after`, made on first use and
+    shared from then on."""
+
+    def __init__(self, show, before: str = "", after: str = ""):
+        super().__init__()
+        self.show, self.before, self.after = show, before, after
+
+    def __missing__(self, value: Any) -> str:
+        text = self[value] = self.before + self.show(value) + self.after
+        return text
+
+
 def _render_json(report: Any, indent: bool = True) -> str:
     """``json.dumps(report, sort_keys=True)`` byte for byte, with
     ``indent=2`` when indent and ``separators=(",", ":")`` otherwise, for
@@ -376,79 +389,106 @@ def _render_json(report: Any, indent: bool = True) -> str:
     int, bool, None and `tracks.Stratum`, written as the object with keys
     "feasible", "pattern" (its shapes) and "witness" (its value encodings,
     or null); any other type raises TypeError.  A plain walk writes each
-    value in turn, except that a stratum's entries come from per-report
-    texts, one per distinct shape and one per distinct witness value at
-    the depth they sit at."""
-    parts: list[str] = []
-    texts: dict = {}  # (shape or witness value, depth) -> margin, text and ","
+    value in turn, except in a list whose first entry is a stratum: there
+    a stratum with a nonempty pattern and witness is one head text for
+    its verdict and one entry text per shape and per witness value, taken
+    from `_Texts` tables made for that list, so the parts of a large
+    report are references to a few shared strings."""
     # an entry at depth d, or a bracket closing one, starts on a new line
     # indented by d steps
     newline, step, colon = ("\n", "  ", ": ") if indent else ("", "", ":")
 
-    def entries(items: tuple, plain, depth: int) -> None:
-        """Append the text of a nonempty list of shapes or witness values."""
-        parts.append("[")
-        for item in items:
-            text = texts.get((item, depth))
-            if text is None:
-                start = len(parts)
-                write(plain(item), depth + 1)
-                text = texts[item, depth] = newline + step * (depth + 1) + "".join(parts[start:]) + ","
-                del parts[start:]
-            parts.append(text)
-        parts[-1] = parts[-1][:-1] + newline + step * depth + "]"
+    def text(obj: Any, depth: int) -> str:
+        out: list[str] = []
+        write(obj, depth, out)
+        return "".join(out)
 
-    def write(obj: Any, depth: int) -> None:
-        if isinstance(obj, tracks.Stratum):
-            inner = newline + step * (depth + 1)
-            feasible = "true" if obj.feasible else "false"
-            parts.append(f'{{{inner}"feasible"{colon}{feasible},{inner}"pattern"{colon}')
-            entries(obj.pattern, _shape, depth + 1)
-            parts.append(f',{inner}"witness"{colon}')
-            if obj.witness is None:
-                parts.append("null")
+    def strata(items: Any, depth: int, out: list) -> None:
+        """Append a list at depth whose first entry is a stratum."""
+        item_at, field_at, entry_at = (newline + step * (depth + k) for k in (1, 2, 3))
+        head = f'{item_at}{{{field_at}"feasible"{colon}%s,{field_at}"pattern"{colon}['
+        true_head, false_head = head % "true", head % "false"
+        shape_json = _Texts(lambda sh: text(_shape(sh), depth + 3)).__getitem__
+        value_json = _Texts(lambda v: text(jsonio.svalue_to_json(v), depth + 3)).__getitem__
+        shapes, values = _Texts(shape_json, entry_at, ","), _Texts(value_json, entry_at, ",")
+        # the last shape closes the pattern and starts the witness; the last
+        # witness value closes the stratum
+        pattern_end = f'{field_at}],{field_at}"witness"{colon}'
+        closed = _Texts(shape_json, entry_at, f"{pattern_end}null{item_at}}},")
+        opened = _Texts(shape_json, entry_at, pattern_end + "[")
+        last_values = _Texts(value_json, entry_at, f"{field_at}]{item_at}}},")
+        out.append("[")
+        for item in items:
+            if isinstance(item, tracks.Stratum) and item.pattern and item.witness != ():
+                pattern, witness = item.pattern, item.witness
+                out.append(true_head if item.feasible else false_head)
+                out.extend(map(shapes.__getitem__, pattern))
+                if witness is None:
+                    out[-1] = closed[pattern[-1]]
+                else:
+                    out[-1] = opened[pattern[-1]]
+                    out.extend(map(values.__getitem__, witness))
+                    out[-1] = last_values[witness[-1]]
             else:
-                entries(obj.witness, jsonio.svalue_to_json, depth + 1)
-            parts.append(newline + step * depth + "}")
+                out.append(item_at)
+                write(item, depth + 1, out)
+                out.append(",")
+        out[-1] = out[-1][:-1] + newline + step * depth + "]"
+
+    def write(obj: Any, depth: int, out: list) -> None:
+        if isinstance(obj, tracks.Stratum):
+            witness = obj.witness
+            write({
+                "feasible": obj.feasible,
+                "pattern": list(map(_shape, obj.pattern)),
+                "witness": None if witness is None else list(map(jsonio.svalue_to_json, witness)),
+            }, depth, out)
         elif isinstance(obj, str):
-            parts.append(encode_basestring_ascii(obj))
+            out.append(encode_basestring_ascii(obj))
         elif obj is None:
-            parts.append("null")
+            out.append("null")
         elif obj is True:
-            parts.append("true")
+            out.append("true")
         elif obj is False:
-            parts.append("false")
+            out.append("false")
         elif isinstance(obj, int):
-            parts.append(int.__repr__(obj))
+            out.append(int.__repr__(obj))
         elif isinstance(obj, (dict, list, tuple)):
             if not obj:
-                parts.append("{}" if isinstance(obj, dict) else "[]")
+                out.append("{}" if isinstance(obj, dict) else "[]")
                 return
             inner = newline + step * (depth + 1)
             if isinstance(obj, dict):
-                parts.append("{")
+                out.append("{")
                 for key, value in sorted(obj.items()):
                     if not isinstance(key, str):
                         raise TypeError(f"keys must be str, not {type(key).__name__}")
-                    parts.extend((inner, encode_basestring_ascii(key), colon))
-                    write(value, depth + 1)
-                    parts.append(",")
-                parts[-1] = newline + step * depth + "}"
+                    out.extend((inner, encode_basestring_ascii(key), colon))
+                    write(value, depth + 1, out)
+                    out.append(",")
+                out[-1] = newline + step * depth + "}"
+            elif isinstance(obj[0], tracks.Stratum):
+                strata(obj, depth, out)
             else:
-                parts.append("[")
+                out.append("[")
                 for value in obj:
-                    parts.append(inner)
-                    write(value, depth + 1)
-                    parts.append(",")
-                parts[-1] = newline + step * depth + "]"
+                    out.append(inner)
+                    write(value, depth + 1, out)
+                    out.append(",")
+                out[-1] = newline + step * depth + "]"
         else:
             raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
-    write(report, 0)
-    # write and entries hold each other through their closures: break that
-    # cycle, so that the parts are freed now and not at some later collection
-    del write, entries
-    return "".join(parts)
+    try:
+        return text(report, 0)
+    finally:
+        # the three functions hold each other through their closures: break
+        # that cycle, so that they are freed now and not at some later
+        # collection
+        del text, strata, write
+
+
+_WRITE_SLICE = 1 << 20  # characters of a report per write
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -484,10 +524,13 @@ def main(argv: Optional[list] = None) -> int:
         "result": result,
         "diagnostics": diagnostics,
     }
+    text = _render_json(report) if args.format == "json" else _render_text(report)
+    # written in slices, so that the encoded copy of a large report is
+    # never held whole beside it
+    for start in range(0, len(text), _WRITE_SLICE):
+        sys.stdout.write(text[start:start + _WRITE_SLICE])
     if args.format == "json":
-        sys.stdout.write(_render_json(report) + "\n")
-    else:
-        sys.stdout.write(_render_text(report))
+        sys.stdout.write("\n")
     failed = False
     for d in diagnostics:
         if d["severity"] == "error":

@@ -264,12 +264,12 @@ def is_contiguous(track: TrainTrack, w: Sequence[LevelValue]) -> bool:
 # exact Fourier-Motzkin elimination with no constant terms.
 
 FIN = "fin"
-INFINITE = "inf"
+INFINITE = "inf"  # sorts after FIN, as `_switch_reduction` needs
 
 Shape = Optional[tuple[int, str]]  # None for ZERO, else (level, FIN|INFINITE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Stratum:
     """One proximal shape pattern with its feasibility verdict and, when
     feasible, an invariant witness vector."""
@@ -277,6 +277,31 @@ class Stratum:
     pattern: tuple[Shape, ...]
     feasible: bool
     witness: Optional[Vector] = None
+
+
+class _Witness(dict):
+    """(segment, shape) -> that segment's witness value under one system's
+    solution, made on first use: ZERO for no shape, infinity for an
+    infinite one, else the solved magnitude.  `made` maps (level,
+    magnitude) to the values made so far, across systems, so that `pair`
+    builds each distinct value once and equal values are one object."""
+
+    def __init__(self, solution: Mapping[str, Fraction], made: dict):
+        super().__init__()
+        self.solution, self.made = solution, made
+
+    def __missing__(self, key: tuple[str, Shape]) -> LevelValue:
+        s, shape = key
+        if shape is None:
+            value = ZERO
+        else:
+            level, kind = shape
+            magnitude = INF if kind == INFINITE else self.solution[s]
+            value = self.made.get((level, magnitude))
+            if value is None:
+                value = self.made[level, magnitude] = pair(level, magnitude)
+        self[key] = value
+        return value
 
 
 def _fm_feasible(
@@ -367,24 +392,45 @@ def _switch_reduction(
     Returns None when the shapes alone are contradictory; () when the
     switch is satisfied with no condition on magnitudes; otherwise one
     homogeneous linear equation over the finite top-level magnitudes, as
-    its sorted (segment, nonzero coefficient) items.
+    its sorted (segment, nonzero coefficient) items.  A side's top
+    is its largest shape: shapes order by level, then FIN before INFINITE,
+    so the top is infinite exactly when a segment at the top level is.
     """
-    tops = []
-    for side in (side_a, side_b):
-        shapes = [shape_of[s] for s in side if shape_of[s] is not None]
-        top = max((lev for lev, _ in shapes), default=None)
-        tops.append((top, (top, INFINITE) in shapes))
-    (top_a, inf_a), (top_b, inf_b) = tops
-    if top_a != top_b:
+    top = max(filter(None, map(shape_of.__getitem__, side_a)), default=None)
+    if top != max(filter(None, map(shape_of.__getitem__, side_b)), default=None):
         return None
-    if top_a is None or inf_a or inf_b:
-        return () if inf_a == inf_b else None
-    coeffs: Counter = Counter()
+    if top is None or top[1] == INFINITE:
+        return ()
+    coeffs: dict[str, int] = {}
     for side, sign in ((side_a, 1), (side_b, -1)):
         for s in side:
-            if shape_of[s] == (top_a, FIN):
-                coeffs[s] += sign
+            if shape_of[s] == top:
+                coeffs[s] = coeffs.get(s, 0) + sign
     return tuple(sorted((s, Fraction(c)) for s, c in coeffs.items() if c))
+
+
+class _Choices(dict):
+    """(position k, levels used before it as a bit set) -> the options at
+    k, each with the levels used after it, that leave no more levels
+    missing below the highest than segments after k."""
+
+    def __init__(self, options: Sequence[Shape], n: int):
+        super().__init__()
+        self.options, self.n = options, n
+
+    def __missing__(self, key: tuple[int, int]) -> list[tuple[Shape, int]]:
+        k, used = key
+        out = self[key] = []
+        for shape in self.options:
+            now = used if shape is None else used | 1 << shape[0]
+            if now.bit_length() - now.bit_count() > self.n - 1 - k:
+                # if this option raised the highest level, every later one
+                # sits higher still
+                if now.bit_length() > used.bit_length():
+                    break
+                continue
+            out.append((shape, now))
+        return out
 
 
 # `enumerate_strata` refuses a track and height bound with more proximal
@@ -416,14 +462,17 @@ def enumerate_strata(track: TrainTrack, height_bound: int) -> list[Stratum]:
     asks for strictly positive finite magnitudes satisfying every switch;
     witnesses are attached when they exist.  The patterns are walked
     depth first over prefixes.  A prefix is dropped as soon as the
-    segments left cannot fill the levels missing below its highest level,
-    and each switch is decided once its last segment is set, once per
+    segments left cannot fill the levels missing below its highest level
+    (the options left at a position are worked out once per call for each
+    set of levels used before it), and each switch is decided once its last segment is set, once per
     call for each distinct restriction of a prefix to its segments.  Every
     proximal completion of a prefix that contradicts a switch is
     infeasible with no further work.  `_fm_feasible` runs once per
-    distinct system (finite variables, equations in switch order); every
-    witness is still checked with `validate`, and one that fails raises
-    RuntimeError.
+    distinct system (finite variables, equations in switch order).  Each
+    system keeps the witness values made for it by (segment, shape), and
+    `pair` builds each distinct witness value once per call, so equal
+    witness values are one object; every witness is still checked with
+    `validate`, and one that fails raises RuntimeError.
 
     Order contract: patterns come in the lexicographic order of their
     per-segment options, first segment first, where each segment's options
@@ -460,9 +509,13 @@ def enumerate_strata(track: TrainTrack, height_bound: int) -> list[Stratum]:
         at = sorted({index[s] for s in a + b})
         if at:  # a switch with no ends is satisfied by every pattern
             decided_at[at[-1]].append((i, at, a, b, {}))
+    choices = _Choices(options, n)
     pattern: list[Shape] = [None] * n
     equations: list = [()] * len(track.switches)  # by switch, on this prefix
-    solutions: dict = {}  # (finite variables, equations) -> _fm_feasible
+    # (finite variables, equations) -> the witness values of its solution,
+    # or None when _fm_feasible finds none
+    solutions: dict = {}
+    made: dict = {}  # (level, magnitude) -> witness value
     out: list[Stratum] = []
 
     def decided(k: int) -> bool:
@@ -470,54 +523,43 @@ def enumerate_strata(track: TrainTrack, height_bound: int) -> list[Stratum]:
         them contradicts the prefix."""
         for i, at, a, b, reductions in decided_at[k]:
             key = tuple(map(pattern.__getitem__, at))
-            if key not in reductions:
-                reductions[key] = _switch_reduction(dict(zip(segments, pattern)), a, b)
-            if reductions[key] is None:
+            reduction = reductions.get(key, reductions)  # the table: not reduced yet
+            if reduction is reductions:
+                reduction = reductions[key] = _switch_reduction(dict(zip(segments, pattern)), a, b)
+            if reduction is None:
                 return False
-            equations[i] = reductions[key]
+            equations[i] = reduction
         return True
 
-    def stratum(alive: bool) -> Stratum:
+    def stratum() -> Stratum:
+        """The stratum of a pattern that contradicts no switch."""
         shapes = tuple(pattern)
-        if alive:
-            fin_vars = tuple(s for s, sh in zip(segments, shapes) if sh and sh[1] == FIN)
-            system = fin_vars, tuple(eq for eq in equations if eq)
-            if system not in solutions:
-                solutions[system] = _fm_feasible(*system)
-            solution = solutions[system]
-            if solution is not None:
-                witness = tuple(
-                    ZERO
-                    if sh is None
-                    else pair(sh[0], INF)
-                    if sh[1] == INFINITE
-                    else pair(sh[0], solution[s])
-                    for s, sh in zip(segments, shapes)
-                )
-                if validate(track, witness):
-                    raise RuntimeError(
-                        f"feasibility witness fails validation for pattern {shapes}"
-                    )
-                return Stratum(shapes, True, witness)
-        return Stratum(shapes, False)
+        fin_vars = tuple(s for s, sh in zip(segments, shapes) if sh and sh[1] == FIN)
+        system = fin_vars, tuple(eq for eq in equations if eq)
+        if system not in solutions:
+            solution = _fm_feasible(*system)
+            solutions[system] = None if solution is None else _Witness(solution, made)
+        values = solutions[system]
+        if values is None:
+            return Stratum(shapes, False)
+        witness = tuple(map(values.__getitem__, zip(segments, shapes)))
+        if validate(track, witness):
+            raise RuntimeError(
+                f"feasibility witness fails validation for pattern {shapes}"
+            )
+        return Stratum(shapes, True, witness)
 
     def walk(k: int, used: int, alive: bool) -> None:
         """Extend the prefix before k, whose levels are the set bits of
         used; alive is False once a switch of the prefix is contradicted."""
-        for shape in options:
-            now = used if shape is None else used | 1 << shape[0]
-            # more levels missing below the highest than segments left; if
-            # this option raised the highest, every later one sits higher still
-            if now.bit_length() - now.bit_count() > n - 1 - k:
-                if now.bit_length() > used.bit_length():
-                    break
-                continue
+        checks, last = decided_at[k], k == n - 1
+        for shape, now in choices[k, used]:
             pattern[k] = shape
-            ok = alive and decided(k)
-            if k == n - 1:
-                out.append(stratum(ok))
-            else:
+            ok = alive and (not checks or decided(k))
+            if not last:
                 walk(k + 1, now, ok)
+            else:
+                out.append(stratum() if ok else Stratum(tuple(pattern), False))
 
     walk(0, 0, True)
     # walk holds itself through its closure: break that cycle, so that the

@@ -10,6 +10,7 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -269,6 +270,15 @@ def test_strata_reports_match_json_dumps(tmp_path, capsys, monkeypatch, doc, hei
     compact = json.dumps(plain, sort_keys=True, separators=(",", ":"))
     assert json.dumps(result, sort_keys=True, separators=(",", ":"), default=_plain) == compact
     assert "result: " + compact in out.splitlines()
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_reports_written_in_slices_read_the_same(tmp_path, capsys, monkeypatch, fmt):
+    argv = ["track", "strata", write(tmp_path, "track.json", FIVE_TRACK), "--height-bound", "2", "--format", fmt]
+    whole = run(capsys, *argv)
+    assert len(whole[1]) > 1000
+    monkeypatch.setattr(cli, "_WRITE_SLICE", 7)
+    assert run(capsys, *argv) == whole
 
 
 @pytest.mark.parametrize("k", [1, 17])
@@ -1192,7 +1202,53 @@ def test_report_writer_reuses_shared_objects():
     assert cli._render_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
-@pytest.mark.parametrize("doc", [1.5, {"a": {1, 2}}, {1: "int key"}, [b"bytes"]])
+SHAPES = st.none() | st.tuples(st.integers(0, 10), st.sampled_from([tracks.FIN, tracks.INFINITE]))
+WITNESS_VALUES = st.one_of(
+    st.just(values.ZERO),
+    st.builds(values.pair, st.integers(0, 10), st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**3))),
+    st.builds(values.pair, st.integers(0, 10), st.just(values.INF)),
+)
+STRATA = st.builds(
+    tracks.Stratum,
+    st.lists(SHAPES, min_size=1, max_size=6).map(tuple),
+    st.booleans(),
+    st.none() | st.lists(WITNESS_VALUES, max_size=6).map(tuple),
+)
+# lists of strata, and lists whose first entry is a stratum and whose later
+# entries are strata or other JSON values, nested at varying depths
+JSON_LEAVES = st.none() | st.booleans() | st.integers(-9, 9) | st.text(max_size=3) | st.lists(st.integers(), max_size=2)
+STRATA_REPORTS = st.recursive(
+    st.lists(STRATA, min_size=1, max_size=3)
+    | st.tuples(STRATA, st.lists(STRATA | JSON_LEAVES, max_size=2)).map(lambda t: [t[0], *t[1]]),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text("ab", max_size=2), inner | STRATA, max_size=2),
+    max_leaves=3,
+)
+
+
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
+@given(STRATA_REPORTS)
+def test_report_writer_matches_json_dumps_on_strata(doc):
+    assert cli._render_json(doc) == json.dumps(doc, indent=2, sort_keys=True, default=_plain)
+    compact = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=_plain)
+    assert cli._render_json(doc, indent=False) == compact
+
+
+@pytest.mark.parametrize(
+    "stratum",
+    [tracks.Stratum((), False), tracks.Stratum(((0, tracks.FIN),), True, ()), tracks.Stratum((), True, ())],
+)
+def test_report_writer_writes_empty_patterns_and_witnesses(stratum):
+    for doc in ({"s": [stratum]}, {"s": stratum}, [stratum, stratum, None]):
+        assert cli._render_json(doc) == json.dumps(doc, indent=2, sort_keys=True, default=_plain)
+        assert cli._render_json(doc, indent=False) == json.dumps(
+            doc, sort_keys=True, separators=(",", ":"), default=_plain
+        )
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [1.5, {"a": {1, 2}}, {1: "int key"}, [b"bytes"], [tracks.Stratum(((0, tracks.FIN),), False), 1.5]],
+)
 def test_report_writer_refuses_other_types(doc):
     with pytest.raises(TypeError):
         cli._render_json(doc)

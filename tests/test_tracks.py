@@ -8,7 +8,7 @@ from random import Random
 from typing import Optional, Sequence
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import random_track_family
 from levelring import tracks
@@ -689,6 +689,53 @@ def test_strata_agree_with_the_per_pattern_oracle():
             feasible += sum(s.feasible for s in got)
     # 99 tracks meet a switch twice with one segment; 25,978 witnesses
     assert twice > 80 and feasible > 20_000
+
+
+@st.composite
+def drawn_tracks(draw):
+    """A dealt track of 1-5 segments and 0-3 switches with a height bound
+    of 1..n, kept to at most 3,000 patterns so that the oracle stays fast."""
+    n = draw(st.integers(1, 5))
+    switches = draw(st.integers(0, min(3, n)))
+    height = draw(st.integers(1, n))
+    assume(strata_count(n, height) <= 3000)
+    return dealt_track(Random(draw(st.integers(0, 2**32 - 1))), n, switches), height
+
+
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
+@given(drawn_tracks())
+def test_strata_oracle_on_drawn_tracks(drawn):
+    track, height = drawn
+    assert enumerate_strata(track, height) == oracle_enumerate_strata(track, height)
+
+
+def test_each_witness_value_is_built_once(monkeypatch):
+    # x + y = z beside a free w at height 3: 147 feasible strata with 534
+    # nonzero witness entries share their systems, and pair may run at
+    # most once per (system, segment, shape): 164 times.
+    track = TrainTrack(["x", "y", "z", "w"], [(["x", "y"], ["z"])])
+    built = []
+    real = tracks.pair
+
+    def counted(level, magnitude):
+        built.append((level, magnitude))
+        return real(level, magnitude)
+
+    monkeypatch.setattr(tracks, "pair", counted)
+    strata = enumerate_strata(track, 3)
+    keys = set()
+    for s in strata:
+        if s.feasible:
+            shape_of = dict(zip(track.segments, s.pattern))
+            fin = tuple(seg for seg in track.segments if shape_of[seg] and shape_of[seg][1] == FIN)
+            eqs = tuple(r for a, b in track.switches if (r := tracks._switch_reduction(shape_of, a, b)))
+            keys |= {((fin, eqs), seg, sh) for seg, sh in shape_of.items() if sh is not None}
+    entries = [v for s in strata if s.feasible for v in s.witness if not v.is_zero]
+    assert len(built) <= len(keys) < len(entries) // 2
+    # and once per distinct value in the call: equal values are one object
+    assert len(built) == len(set(entries)) == len(set(map(id, entries)))
+    monkeypatch.setattr(tracks, "pair", real)
+    assert strata == oracle_enumerate_strata(track, 3)
 
 
 def test_switches_decided_at_different_depths_agree_with_both_oracles():
