@@ -43,11 +43,6 @@ from levelring import jsonio, measures, tracks, trees, values, vectors
 __all__ = ["main"]
 
 
-def _vector(where: str, vec) -> list:
-    """vector_to_json(vec), an entry too long to write refused at where[j]."""
-    return [jsonio._located(jsonio.svalue_to_json, v, f"{where}[{j}]") for j, v in enumerate(vec)]
-
-
 def _load(path: str, role: str, inputs: dict) -> Any:
     try:
         with open(path, "rb") as fh:
@@ -223,7 +218,7 @@ def _family_limits(args, diagnostics: list, doc: Any) -> Any:
     if isinstance(doc, dict) and "family" in doc:
         doc = doc["family"]
     classes = vectors.limit_points(jsonio.family_from_json(doc))
-    return {"classes": [_vector(f"classes[{i}]", c.canon) for i, c in enumerate(classes)]}
+    return {"classes": [jsonio.vector_to_json(c.canon, f"classes[{i}]") for i, c in enumerate(classes)]}
 
 
 def _family_limit(args, diagnostics: list, doc: Any) -> Any:
@@ -233,7 +228,7 @@ def _family_limit(args, diagnostics: list, doc: Any) -> Any:
     reference = doc["reference"]
     if isinstance(reference, bool) or not isinstance(reference, int):
         raise ValueError("family limit \"reference\" must be an entry index")
-    return {"vector": _vector("vector", vectors.normalized_limit(family, reference))}
+    return {"vector": jsonio.vector_to_json(vectors.normalized_limit(family, reference))}
 
 
 # --- the command table -------------------------------------------------------------
@@ -272,13 +267,15 @@ COMMANDS = {
     ("track", "validate"): ([TRACK, WEIGHTS], _track_validate),
     ("track", "align"): (
         [TRACK, WEIGHTS],
-        lambda args, diagnostics, track, weights: {"weights": jsonio.vector_to_json(tracks.align_weights(weights))},
+        lambda args, diagnostics, track, weights: {
+            "weights": jsonio.vector_to_json(tracks.align_weights(weights), "weights")
+        },
     ),
     ("track", "adjust"): (
         [TRACK, WEIGHTS],
         lambda args, diagnostics, track, weights: {
             "adjustments": [
-                {"segments": list(subset), "weights": _vector(f"adjustments[{i}].weights", vec)}
+                {"segments": list(subset), "weights": jsonio.vector_to_json(vec, f"adjustments[{i}].weights")}
                 for i, (subset, vec) in enumerate(tracks.adjustments(track, weights))
             ]
         },
@@ -294,7 +291,7 @@ COMMANDS = {
     ("track", "filtration"): (
         [TRACK, ("family", "family")],
         lambda args, diagnostics, track, family: {
-            "weights": jsonio.vector_to_json(tracks.height_filtration(track, family))
+            "weights": jsonio.vector_to_json(tracks.height_filtration(track, family), "weights")
         },
     ),
     ("measure", "eval"): (

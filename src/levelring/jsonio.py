@@ -284,8 +284,10 @@ def svalue_from_json(obj: Any, where: str = "value") -> LevelValue:
     return _decode(_svalue, obj, where)
 
 
-def vector_to_json(vec) -> list:
-    return [svalue_to_json(v) for v in vec]
+def vector_to_json(vec, where: str = "vector") -> list:
+    """A vector's encoding; an entry too long to write is refused at
+    where[j], as a decoder locates a fault."""
+    return _each(svalue_to_json, list(vec), where)
 
 
 def _vector(obj: Any) -> Vector:

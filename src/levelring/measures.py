@@ -521,7 +521,7 @@ class _LevelIndex:
         self.domain = mu.domain
         self.levels = tuple(sorted(by_level))
         self.by_level = by_level
-        self._splits: dict[int, tuple[Region, Region]] = {}
+        self._supports: dict[int, Region] = {}
 
     @cached_property
     def sweep(self) -> dict[str, tuple[list[Fraction], dict[tuple[int, int], int], list[int]]]:
@@ -557,27 +557,21 @@ class _LevelIndex:
             out[iid] = ([marks[key] for key in keys], at, top)
         return out
 
-    def _split(self, k: int) -> tuple[Region, Region]:
-        """support(k), the slots covered at level k or higher (at least 0),
-        and its complement, kept per distinct support."""
-        i = bisect_left(self.levels, k)
-        if i not in self._splits:
-            sides: tuple[list, list] = ([], [])  # the parts of (support, complement)
-            for iid, (x, _, top) in self.sweep.items():
-                cuts: tuple[list[Cut], list[Cut]] = ([], [])
-                for below, start, end in _runs(x, top, lambda t: t < max(k, 0)):
-                    cuts[below].extend((start, end))
-                for side, part in zip(sides, cuts):
-                    if part:
-                        side.append((iid, tuple(part)))
-            self._splits[i] = tuple(Region(self.domain, tuple(side)) for side in sides)
-        return self._splits[i]
-
     def support(self, k: int) -> Region:
-        return self._split(k)[0]
-
-    def outside(self, k: int) -> Region:
-        return self._split(k)[1]
+        """The slots covered at level k or higher (at least 0), kept per
+        distinct support."""
+        i = bisect_left(self.levels, k)
+        if i not in self._supports:
+            floor, parts = max(k, 0), []
+            for iid, (x, _, top) in self.sweep.items():
+                cuts = [
+                    cut for covered, start, end in _runs(x, top, lambda t: t >= floor)
+                    if covered for cut in (start, end)
+                ]
+                if cuts:
+                    parts.append((iid, tuple(cuts)))
+            self._supports[i] = Region(self.domain, tuple(parts))
+        return self._supports[i]
 
     def peak(self, c: Component) -> int:
         """The highest level covering any point of c's carrier."""
@@ -703,7 +697,7 @@ def recover_check(mu: FHMeasure, regions: Optional[Iterable[Region]] = None) -> 
     for region in regions:
         best: LevelValue = ZERO
         for k in index.levels:
-            m = nu_hat(mu, k, region.intersect(index.outside(k + 1)))
+            m = nu_hat(mu, k, region.minus(index.support(k + 1)))
             if m:
                 best = pair(k, m)
         if best != evaluate(mu, region):

@@ -197,19 +197,19 @@ def _adjustments(
     track: TrainTrack, vec: Vector
 ) -> Iterator[tuple[tuple[str, ...], Vector]]:
     """The valid adjustments of an invariant vector, smallest subsets
-    first, in segment order; the checks run on the first `next`."""
+    first, in segment order, as they are asked for; the subset bound is
+    checked at the call, and invariance is the caller's to check."""
     n = len(track.segments)
     if 2**n - 1 > MAX_ADJUST_SUBSETS:
         raise ValueError(
             f"{n} segments give more than {MAX_ADJUST_SUBSETS} subsets to "
             "adjust; refusing to try them"
         )
-    _require_invariant(track, vec)
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(track.segments, size):
-            raised = raise_levels(track, vec, subset)
-            if not validate(track, raised):
-                yield subset, raised
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(track.segments, size) for size in range(1, n + 1)
+    )
+    raised = ((subset, raise_levels(track, vec, subset)) for subset in subsets)
+    return ((subset, w) for subset, w in raised if not validate(track, w))
 
 
 def adjustments(
@@ -221,7 +221,10 @@ def adjustments(
     invariant input.  Every one of the 2**n - 1 subsets is tried, so a
     track whose subsets exceed `MAX_ADJUST_SUBSETS` is refused with a
     ValueError before any is tried."""
-    return list(_adjustments(track, _as_weights(track, w)))
+    vec = _as_weights(track, w)
+    found = _adjustments(track, vec)
+    _require_invariant(track, vec)
+    return list(found)
 
 
 def _max_level(w: Sequence[LevelValue]) -> Optional[int]:

@@ -4,13 +4,14 @@ families.
 An ``STree`` is a finite tree whose edges carry nonzero ``LevelValue``
 lengths.  Distance between nodes is the leveled sum along the unique
 connecting path; since a sum always dominates its terms, the triangle
-inequality comes for free.  The build's connectivity walk hangs the tree
-from its first node and records each node's parent and hops, so ``path``
-climbs from both ends until they meet, in the hops of its own path rather
-than a walk of the tree.  ``verify_metric`` audits the distances the tree
-gives in one pass of O(n^2) time and memory: one walk per node, with each
-step monotone and each distance nonzero and symmetric, from which the
-triangle inequality follows.
+inequality comes for free.  Every rooted question hangs the tree one way,
+breadth-first, as each node's parent and hops.  The build hangs it from its
+first node, so ``path`` climbs from both ends until they meet, in the hops
+of its own path, and ``collapse`` tests a node set's connectivity with no
+walk.  ``verify_metric`` audits the distances in one pass of O(n^2) time
+and memory: the tree hung from each node gives that node's row, each step
+monotone and each distance nonzero and symmetric, from which the triangle
+inequality follows.
 
 ``boundary_points`` are the degree-one nodes.  ``infinite_points`` is
 offered for flat (all level-0) trees only: a node is infinite when every
@@ -31,7 +32,7 @@ chord (carrying its weight) between the regions on its two sides.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import itemgetter
 from types import MappingProxyType
@@ -66,11 +67,11 @@ class STree:
     edges: tuple[Edge, ...]
     # node -> {neighbor: length}, built once from the sorted edges
     _adjacency: dict[str, dict[str, LevelValue]] = field(compare=False, repr=False)
-    # node -> (parent, hops), the tree hung from nodes[0] by the
-    # connectivity walk; nodes[0] maps to (None, 0).  Lengths stay in
-    # _adjacency: the garbage collector stops tracking a tuple of a str and
-    # an int, but not one holding a LevelValue, and storing lengths here
-    # made a 1,200-node build about a tenth slower.
+    # node -> (parent, hops), the tree hung from nodes[0] by ``_hang`` when
+    # the build checks connectivity; nodes[0] maps to (None, 0).  Lengths
+    # stay in _adjacency: the garbage collector stops tracking a tuple of a
+    # str and an int, but not one holding a LevelValue, and storing lengths
+    # here made a 1,200-node build about a tenth slower.
     _up: dict[str, tuple[Optional[str], int]] = field(compare=False, repr=False)
 
     def __init__(
@@ -100,20 +101,8 @@ class STree:
         edge_list.sort(key=itemgetter(0, 1))
         for a, b, length in edge_list:
             adjacency[a][b] = adjacency[b][a] = length
-        # connectivity (acyclicity then follows from the edge count), by a
-        # walk from nodes[0], one depth at a time, that records where each
-        # node hangs
-        up = {node_list[0]: (None, 0)}
-        level, hops = [node_list[0]], 0
-        while level:
-            hops += 1
-            below = []
-            for cur in level:
-                for nxt in adjacency[cur]:
-                    if nxt not in up:
-                        up[nxt] = (cur, hops)
-                        below.append(nxt)
-            level = below
+        # connectivity (acyclicity then follows from the edge count)
+        up = _hang(adjacency, node_list[0])
         if len(up) != len(node_list):
             raise ValueError("tree is not connected")
         object.__setattr__(self, "nodes", node_list)
@@ -135,19 +124,22 @@ def _is_node(tree: STree, node) -> bool:
     return isinstance(node, str) and node in tree._adjacency
 
 
-def _walk(tree: STree, root: str, within: Optional[set] = None):
-    """Breadth-first walk from root, staying inside `within` when given:
-    yields (node, parent, length) once for every other node reached, in
-    order of hops from root."""
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        cur = queue.popleft()
-        for nxt, length in tree._adjacency[cur].items():
-            if nxt not in seen and (within is None or nxt in within):
-                seen.add(nxt)
-                queue.append(nxt)
-                yield nxt, cur, length
+def _hang(adjacency: dict, root: str) -> dict[str, tuple[Optional[str], int]]:
+    """The tree hung from root: node -> (parent, hops) for every node
+    reached, in breadth-first order, one depth at a time; root maps to
+    (None, 0)."""
+    up = {root: (None, 0)}
+    level, hops = [root], 0
+    while level:
+        hops += 1
+        below = []
+        for cur in level:
+            for nxt in adjacency[cur]:
+                if nxt not in up:
+                    up[nxt] = (cur, hops)
+                    below.append(nxt)
+        level = below
+    return up
 
 
 def path(tree: STree, x: str, y: str) -> list[tuple[str, str, LevelValue]]:
@@ -181,20 +173,21 @@ def verify_metric(tree: STree) -> bool:
     """Audit the metric axioms: symmetry, definiteness and the triangle
     inequality, in one pass of O(n^2) time and memory on n nodes.
 
-    One walk per node builds that node's row of distances.  Each step of
-    the walk from x to a node y checks what a row built this way can get
-    wrong: the step is monotone (adding an edge never lowers a distance),
-    d(x,y) is not ZERO, and d(x,y) equals d(y,x) when y's row is already
-    built, so each unordered pair is compared once.  No triple is
+    The tree hung from each node x gives x's row of distances, parents
+    first.  Each step down to a node y checks what a row built this way
+    can get wrong: the step is monotone (adding an edge never lowers a
+    distance), d(x,y) is not ZERO, and d(x,y) equals d(y,x) when y's row is
+    already built, so each unordered pair is compared once.  No triple is
     visited: the x-y, x-z and y-z paths meet at one median node m, and the
     leveled sum is associative, commutative and monotone, so with the rows
     symmetric, d(y,x) + d(x,z) = d(y,m) + d(m,z) + 2*d(m,x) >= d(y,z).
     """
+    adjacency = tree._adjacency
     rows: dict[str, dict[str, LevelValue]] = {}
     for x in tree.nodes:
         dist = {x: ZERO}
-        for node, prev, length in _walk(tree, x):
-            d = dist[node] = dist[prev] + length
+        for node, (prev, _) in itertools.islice(_hang(adjacency, x).items(), 1, None):
+            d = dist[node] = dist[prev] + adjacency[node][prev]
             if not dist[prev] <= d or d == ZERO or (node in rows and d != rows[node][x]):
                 return False
         rows[x] = dist
@@ -275,9 +268,11 @@ def collapse(tree: STree, group: Iterable[str]) -> STree:
     unknown = chosen - set(tree.nodes)
     if unknown:
         raise KeyError(f"unknown nodes: {_ECHO.repr(sorted(unknown))}")
-    merged = min(chosen)
-    if sum(1 for _ in _walk(tree, merged, within=chosen)) != len(chosen) - 1:
+    # each connected part of the set has one top node, the one that hangs
+    # from a node outside it (the root hangs from None)
+    if sum(tree._up[n][0] not in chosen for n in chosen) != 1:
         raise ValueError("collapse set is not connected")
+    merged = min(chosen)
     nodes = [merged] + [n for n in tree.nodes if n not in chosen]
     edges = []
     for a, b, length in tree.edges:
@@ -288,27 +283,22 @@ def collapse(tree: STree, group: Iterable[str]) -> STree:
     return STree(nodes, edges)
 
 
-def _far_end(tree: STree, root: str) -> str:
-    """A node farthest from root in hops: the last one the walk reaches."""
-    last = deque(_walk(tree, root), maxlen=1)
-    return last[0][0] if last else root
-
-
 def _rooted_form(tree: STree, root: str) -> tuple:
     """Flat AHU encoding of the tree hung from root: one entry per depth,
     deepest first, holding the sorted signatures of that depth's nodes.  A
     signature is the sorted (level, magnitude, child rank) triples of a
     node's child edges; a node's rank is the index of its signature among
     the distinct signatures of its depth."""
-    depth = {root: 0}
+    adjacency = tree._adjacency
+    up = _hang(adjacency, root)
     children = defaultdict(list)
-    for node, prev, length in _walk(tree, root):
-        depth[node] = depth[prev] + 1
+    for node, (prev, _) in itertools.islice(up.items(), 1, None):
+        length = adjacency[node][prev]
         children[prev].append((length.level, length.magnitude, node))
     rank: dict[str, int] = {}
     form = []
-    # the walk reaches nodes in order of depth, so reversed they come deepest first
-    for _, level in itertools.groupby(reversed(depth), key=depth.__getitem__):
+    # the hanging lists nodes in order of hops, so reversed they come deepest first
+    for _, level in itertools.groupby(reversed(up), key=lambda n: up[n][1]):
         signature = {
             n: tuple(sorted((lv, mag, rank[c]) for lv, mag, c in children[n])) for n in level
         }
@@ -323,8 +313,12 @@ def canonical_form(tree: STree) -> tuple:
     the tree's one or two centers (the middle of a path with the most hops).
     Equal forms mean label- and orientation-independent equality of shape
     and lengths; forms nest to a fixed depth, so comparing them is flat."""
-    u = _far_end(tree, tree.nodes[0])
-    spine = [u] + [b for _, b, _ in path(tree, u, _far_end(tree, u))]
+    # a hanging lists a node the most hops from its root last, and such a
+    # node ends a path with the most hops
+    up = _hang(tree._adjacency, next(reversed(tree._up)))
+    spine = [next(reversed(up))]
+    while up[spine[-1]][0] is not None:
+        spine.append(up[spine[-1]][0])
     centers = {spine[(len(spine) - 1) // 2], spine[len(spine) // 2]}
     return min(_rooted_form(tree, c) for c in centers)
 

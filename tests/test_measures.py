@@ -809,7 +809,7 @@ def _assert_index_agrees(mu):
     top = mu.height if mu.height is not None else 0
     for k in range(-1, top + 3):
         assert support(mu, k) == old.support(k) == oracle_support(mu, k)
-        assert index.outside(k) == old.outside(k)
+        assert index.support(k).complement() == old.outside(k)
         assert index.slices.get(k, []) == [c for c in rebuilt.components if c.level == k]
     assert tuple(index.slices) == index.levels
     assert recover(mu) == rebuilt
@@ -880,7 +880,7 @@ def test_level_index_agrees_with_the_oracle_on_dense_ends():
         assert 40 <= len(mu.components) <= 200
         seen.add(_assert_index_agrees(mu))
         assert support(mu, 0)._cuts("E") == ()
-        assert mu._index.outside(0)._cuts("E") == ((Fraction(0), 0), (Fraction(1), 1))
+        assert mu._index.support(0).complement()._cuts("E") == ((Fraction(0), 0), (Fraction(1), 1))
     assert len(seen) >= 3
 
 

@@ -311,6 +311,33 @@ def test_oversized_adjustments_are_refused_before_any_subset(monkeypatch):
         adjustments(sixteen, (pair(0, 1),) * 16)
 
 
+def test_input_weights_are_validated_once(monkeypatch):
+    # every entry of SPIRAL_W is nonzero, so no raised vector equals it
+    checked = []
+
+    def counted(track, w):
+        checked.append(tuple(w) == SPIRAL_W)
+        return validate(track, w)
+
+    monkeypatch.setattr(tracks, "validate", counted)
+    for search in (is_contiguous, adjustments):
+        checked.clear()
+        search(SPIRAL, SPIRAL_W)
+        assert checked.count(True) == 1, search
+        assert len(checked) == 2**4, search  # the input, then 15 subsets
+
+
+def test_each_search_keeps_its_first_refusal():
+    # 17 segments whose weights are not invariant: adjustments refuses the
+    # subset count first, contiguity the weights
+    seventeen = TrainTrack([f"s{i}" for i in range(17)], [(["s0"], ["s1"])])
+    w = (pair(0, 1), pair(0, 2)) + (pair(0, 1),) * 15
+    with pytest.raises(ValueError, match="17 segments give more than"):
+        adjustments(seventeen, w)
+    with pytest.raises(ValueError, match="weights are not invariant"):
+        is_contiguous(seventeen, w)
+
+
 # ---------------------------------------------------------------------------
 # strata
 

@@ -1,11 +1,15 @@
 """Leveled metric trees, insertion/collapse, and dual trees of chord
 families."""
 
+import contextlib
+import io
 import itertools
 import json
 import sys
+import tempfile
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -67,6 +71,59 @@ def oracle_path(tree, x, y):
         steps.append((prev, y, length))
         y = prev
     return steps[::-1]
+
+
+def oracle_walk(tree, root, within=None):
+    """The breadth-first walk the tree code used before it hung trees:
+    (node, parent, length) for every other node reached from root, in
+    order of hops, staying inside `within` when given."""
+    seen = {root}
+    queue = deque([root])
+    while queue:
+        cur = queue.popleft()
+        for nxt, length in tree.neighbors(cur).items():
+            if nxt not in seen and (within is None or nxt in within):
+                seen.add(nxt)
+                queue.append(nxt)
+                yield nxt, cur, length
+
+
+def oracle_connected(tree, group):
+    """The old collapse rule: a walk from the smallest node, kept inside
+    the set, reaches every other node of it."""
+    chosen = set(group)
+    return sum(1 for _ in oracle_walk(tree, min(chosen), chosen)) == len(chosen) - 1
+
+
+def oracle_canonical_form(tree):
+    """The old canonical form: a far end u of a walk from the first node,
+    a far end of a walk from u, the path between them as the spine, and
+    at each center the flat rooted encoding a walk from it builds."""
+
+    def far_end(root):
+        last = deque(oracle_walk(tree, root), maxlen=1)
+        return last[0][0] if last else root
+
+    def rooted_form(root):
+        depth = {root: 0}
+        children = {n: [] for n in tree.nodes}
+        for node, prev, length in oracle_walk(tree, root):
+            depth[node] = depth[prev] + 1
+            children[prev].append((length.level, length.magnitude, node))
+        rank, form = {}, []
+        for _, level in itertools.groupby(reversed(depth), key=depth.__getitem__):
+            signature = {
+                n: tuple(sorted((lv, mag, rank[c]) for lv, mag, c in children[n])) for n in level
+            }
+            distinct = {s: i for i, s in enumerate(sorted(set(signature.values())))}
+            rank.update((n, distinct[s]) for n, s in signature.items())
+            form.append(tuple(sorted(signature.values())))
+        return tuple(form)
+
+    u = far_end(tree.nodes[0])
+    spine = [u] + [b for _, b, _ in oracle_path(tree, u, far_end(u))]
+    centers = {spine[(len(spine) - 1) // 2], spine[len(spine) // 2]}
+    return min(rooted_form(c) for c in centers)
 
 
 def oracle_verify_metric(tree):
@@ -382,10 +439,6 @@ def test_tree_metric_visits_no_triple(monkeypatch, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["result"] == {"metric": True}
 
 
-def _no_walk(*args, **kwargs):
-    raise AssertionError("a walk ran")
-
-
 def test_tree_dist_takes_no_walk(monkeypatch, tmp_path, capsys):
     rng = Random(79)
     nodes = [f"n{i}" for i in range(1200)]
@@ -401,9 +454,19 @@ def test_tree_dist_takes_no_walk(monkeypatch, tmp_path, capsys):
     ))
     assert cli.main(["tree", "dist", str(doc)]) == 0
     walked = capsys.readouterr()
-    monkeypatch.setattr(trees, "_walk", _no_walk)
+    roots, hang = [], trees._hang
+
+    def build_only(adjacency, root):
+        # the build hangs the tree once; any later hanging is a walk
+        if roots:
+            raise AssertionError(f"a walk ran from {root}")
+        roots.append(root)
+        return hang(adjacency, root)
+
+    monkeypatch.setattr(trees, "_hang", build_only)
     assert cli.main(["tree", "dist", str(doc)]) == 0
     assert capsys.readouterr() == walked
+    assert roots == [nodes[0]]
 
 
 # --- boundary and infinite points ---------------------------------------------
@@ -585,6 +648,44 @@ def test_isomorphic_agrees_with_the_all_roots_form():
             if encode_over_all_roots(other) != encode_over_all_roots(t):
                 assert not isomorphic(t, other)
                 different += 1
+
+
+def assert_hangings_agree(rng, tree):
+    """canonical_form and collapse's connectivity rule against the walks
+    they replaced, on a connected set and on a random one; returns the
+    random set's connectivity."""
+    assert canonical_form(tree) == oracle_canonical_form(tree)
+    drawn = rng.sample(tree.nodes, rng.randint(1, len(tree.nodes)))
+    verdicts = []
+    for group in (connected_group(rng, tree), drawn):
+        connected = oracle_connected(tree, group)
+        try:
+            collapse(tree, group)
+        except ValueError as exc:
+            assert str(exc) == "collapse set is not connected" and not connected, (tree, group)
+        else:
+            assert connected, (tree, group)
+        verdicts.append(connected)
+    assert verdicts[0]
+    return verdicts[1]
+
+
+def test_hangings_agree_with_the_walk_oracles():
+    rng = Random(89)
+    seen, sizes = set(), set()
+    for _ in range(150):
+        t = random_tree(rng, max_nodes=30)
+        dual, _ = dual_tree(random_chords(rng, max_chords=12))
+        for tree in (t, rehung(rng, t), dual, rehung(rng, dual)):
+            seen.add(assert_hangings_agree(rng, tree))
+        sizes.add(len(t.nodes))
+    assert seen == {True, False} and len(sizes) > 25
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+def test_hanging_oracles_on_drawn_trees(seed):
+    rng = Random(seed)
+    assert_hangings_agree(rng, rehung(rng, random_tree(rng, max_nodes=40)))
 
 
 def test_large_trees_need_no_deep_recursion():
@@ -808,6 +909,31 @@ def test_dual_then_dist_gives_each_chord_its_weight(tmp_path, capsys):
         assert got == [
             {"pair": p, "value": jsonio.svalue_to_json(w)} for p, (_, _, w) in zip(pairs, rows)
         ]
+
+
+def dual_through_cli(marks, chords):
+    """The tree `tree dual` reports for the chords, run through cli.main
+    and decoded; each chord is listed with its ends in the order given."""
+    listed = [{"ends": [a, b], "weight": jsonio.svalue_to_json(w)} for a, b, w in chords]
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
+        doc = Path(tmp) / "chords.json"
+        doc.write_text(json.dumps({"marks": marks, "chords": listed}))
+        assert cli.main(["tree", "dual", str(doc)]) == 0
+    return jsonio.tree_from_json(json.loads(out.getvalue())["result"]["tree"])
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=0, max_value=47))
+def test_rotated_chords_give_an_isomorphic_dual(seed, shift):
+    # the rotation law: relabelling mark i as (i - 1 + s) mod m + 1 moves
+    # another region outside, so the dual is the same tree hung elsewhere
+    rng = Random(seed)
+    fam = random_chords(rng, max_chords=12)
+    m = fam.marks
+    turn = lambda i: (i - 1 + shift) % m + 1
+    rotated = [(turn(b), turn(a), w) for a, b, w in fam.chords]
+    rng.shuffle(rotated)
+    assert isomorphic(dual_through_cli(m, fam.chords), dual_through_cli(m, rotated))
 
 
 # --- order-tree axioms -----------------------------------------------------------
