@@ -37,10 +37,14 @@ atoms whose slot has top == k and the runs of each level-k density with
 top == k, kept as components, so slice masses and recovery never build a
 region.  Point queries read top directly; a mass sums per denominator.
 
-Positions are stored as Fractions, but on the measure path they are
-compared as reduced integer pairs by one exact cross product (``_cmp``):
-the marks' sort, a density's lo < hi, a measure's range checks, region
-membership and density overlap all use it.
+Each component turns its positions into reduced integer pairs once, when
+it is built, and keeps them beside the public ``Fraction`` fields: an
+atom's position, a density's lo and hi.  The measure path reads only the
+stored pairs, and compares them by the one exact cross product of
+``values`` (``_cmp``): a density's lo < hi, a measure's range checks, the
+marks' keys and sort, the slots of each carrier, atom membership and
+density overlap.  A region still keeps its cuts as ``Fraction``s, and
+each cut read is turned into its pair there.
 """
 
 from __future__ import annotations
@@ -48,12 +52,12 @@ from __future__ import annotations
 import itertools
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from levelring.values import _ECHO, DEFAULT_HEIGHT_BOUND, INF, LevelValue, XRat, ZERO, pair
+from levelring.values import _ECHO, DEFAULT_HEIGHT_BOUND, INF, LevelValue, XRat, ZERO, _cmp, pair
 
 __all__ = [
     "Atom",
@@ -80,14 +84,6 @@ Rat = Union[Fraction, int, str]
 
 def _frac(x: Rat) -> Fraction:
     return x if isinstance(x, Fraction) else XRat(x).as_fraction
-
-
-def _cmp(p: tuple[int, int], q: tuple[int, int]) -> int:
-    """The one order rule for positions: negative, zero or positive as the
-    reduced (numerator, denominator) pair p lies below, at or above q, by
-    the sign of an exact integer cross product.  Cheaper than comparing
-    Fractions, and never rounds."""
-    return p[0] * q[1] - q[0] * p[1]
 
 
 # Sorts reduced pairs by the one rule.
@@ -190,19 +186,27 @@ def _rank(cuts: Sequence[Cut], x: tuple[int, int], side: int) -> int:
     return lo
 
 
-def _overlap(cuts: Sequence[Cut], lo: Fraction, hi: Fraction) -> Fraction:
-    """Length of the part of the region's cuts inside [lo, hi].  Positions
-    are compared as reduced integer pairs by the one cross product; only
-    the length sum is Fraction arithmetic."""
+def _inside(cuts: Sequence[Cut], x: tuple[int, int]) -> bool:
+    """Whether the point x, a reduced pair, lies in the region the cuts
+    bound: x lies past the cut (x, 0), so it is inside when an odd number
+    of cuts come first."""
+    return _rank(cuts, x, 0) & 1 == 1
+
+
+def _overlap(cuts: Sequence[Cut], d: "Density") -> Fraction:
+    """Length of the part of the region's cuts inside d's carrier [lo, hi].
+    Positions are compared as reduced integer pairs by the one cross
+    product, d's ends by their stored pairs; only the length sum is
+    Fraction arithmetic."""
     total = Fraction(0)
-    lo_p, hi_p = lo.as_integer_ratio(), hi.as_integer_ratio()
+    lo_p, hi_p = d._lo_at, d._hi_at
     # from the piece holding the first cut past lo
     k = _rank(cuts, lo_p, 1) & ~1
     for (a, _), (b, _) in _pieces(cuts[k:]):
         a_p = a.as_integer_ratio()
         if _cmp(a_p, hi_p) >= 0:
             break
-        total += (b if _cmp(b.as_integer_ratio(), hi_p) < 0 else hi) - (a if _cmp(a_p, lo_p) > 0 else lo)
+        total += (b if _cmp(b.as_integer_ratio(), hi_p) < 0 else d.hi) - (a if _cmp(a_p, lo_p) > 0 else d.lo)
     return total
 
 
@@ -311,11 +315,8 @@ class Region:
         )
 
     def contains(self, interval: str, x: Rat) -> bool:
-        """Whether x lies in the region's part of the interval.  x lies
-        past the cut (x, 0), so it is inside when an odd number of cuts
-        come first; the cuts are bisected with positions compared as
-        reduced integer pairs by the one cross product."""
-        return _rank(self._cuts(interval), _frac(x).as_integer_ratio(), 0) & 1 == 1
+        """Whether x lies in the region's part of the interval."""
+        return _inside(self._cuts(interval), _frac(x).as_integer_ratio())
 
     @property
     def is_empty(self) -> bool:
@@ -364,7 +365,13 @@ def points(domain: Domain, *pts: tuple[str, Rat]) -> Region:
 # ---------------------------------------------------------------------------
 # measures
 
-@dataclass(frozen=True)
+def _slot_setters(cls) -> tuple:
+    """The setters of a slotted class's fields, in field order: they bypass
+    the frozen __setattr__, which refuses."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+@dataclass(frozen=True, slots=True)
 class Atom:
     """A point mass: `mass` (possibly infinite) at `position`, at `level`."""
 
@@ -372,19 +379,25 @@ class Atom:
     position: Fraction
     level: int
     mass: XRat
+    # the position's reduced pair, outside equality, hash and repr
+    _at: tuple[int, int] = field(compare=False, repr=False, init=False)
 
     def __init__(self, interval: str, position: Rat, level: int, mass):
-        object.__setattr__(self, "interval", str(interval))
-        object.__setattr__(self, "position", _frac(position))
-        object.__setattr__(self, "level", int(level))
-        object.__setattr__(self, "mass", XRat(mass))
-        if self.level < 0:
+        position, level = _frac(position), int(level)
+        mass = mass if type(mass) is XRat else XRat(mass)
+        if level < 0:
             raise ValueError("level must be nonnegative")
-        if not self.mass:
+        if not mass:
             raise ValueError("atom mass must be positive")
+        set_interval, set_position, set_level, set_mass, set_at = _ATOM_SETTERS
+        set_interval(self, str(interval))
+        set_position(self, position)
+        set_level(self, level)
+        set_mass(self, mass)
+        set_at(self, position.as_integer_ratio())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Density:
     """Constant-rate mass on the closed sub-interval [lo, hi], at `level`.
 
@@ -397,20 +410,32 @@ class Density:
     hi: Fraction
     level: int
     rate: XRat
+    # the ends' reduced pairs, outside equality, hash and repr
+    _lo_at: tuple[int, int] = field(compare=False, repr=False, init=False)
+    _hi_at: tuple[int, int] = field(compare=False, repr=False, init=False)
 
     def __init__(self, interval: str, lo: Rat, hi: Rat, level: int, rate):
-        object.__setattr__(self, "interval", str(interval))
-        object.__setattr__(self, "lo", _frac(lo))
-        object.__setattr__(self, "hi", _frac(hi))
-        object.__setattr__(self, "level", int(level))
-        object.__setattr__(self, "rate", XRat(rate))
-        if self.level < 0:
+        lo, hi, level = _frac(lo), _frac(hi), int(level)
+        rate = rate if type(rate) is XRat else XRat(rate)
+        lo_at, hi_at = lo.as_integer_ratio(), hi.as_integer_ratio()
+        if level < 0:
             raise ValueError("level must be nonnegative")
-        if _cmp(self.lo.as_integer_ratio(), self.hi.as_integer_ratio()) >= 0:
+        if _cmp(lo_at, hi_at) >= 0:
             raise ValueError("density needs lo < hi")
-        if not self.rate:
+        if not rate:
             raise ValueError("density rate must be positive")
+        set_interval, set_lo, set_hi, set_level, set_rate, set_lo_at, set_hi_at = _DENSITY_SETTERS
+        set_interval(self, str(interval))
+        set_lo(self, lo)
+        set_hi(self, hi)
+        set_level(self, level)
+        set_rate(self, rate)
+        set_lo_at(self, lo_at)
+        set_hi_at(self, hi_at)
 
+
+_ATOM_SETTERS = _slot_setters(Atom)
+_DENSITY_SETTERS = _slot_setters(Density)
 
 Component = Union[Atom, Density]
 
@@ -443,12 +468,12 @@ class FHMeasure:
             if end is None:
                 end = ends[c.interval] = domain.length_of(c.interval).as_integer_ratio()
             if isinstance(c, Atom):
-                if c.position.numerator < 0 or _cmp(c.position.as_integer_ratio(), end) > 0:
+                if c._at[0] < 0 or _cmp(c._at, end) > 0:
                     raise ValueError(
                         f"atom position {_ECHO.repr(str(c.position))} outside interval"
                     )
             else:
-                if c.lo.numerator < 0 or _cmp(c.hi.as_integer_ratio(), end) > 0:
+                if c._lo_at[0] < 0 or _cmp(c._hi_at, end) > 0:
                     raise ValueError(
                         f"density [{_ECHO.repr(str(c.lo))}, {_ECHO.repr(str(c.hi))}] "
                         "outside interval"
@@ -477,15 +502,13 @@ class FHMeasure:
         return self._index.levels
 
 
-def _ends(c: Component) -> tuple[Fraction, Fraction]:
-    """The ends of a component's closed carrier (an atom's are its point)."""
-    return (c.position, c.position) if isinstance(c, Atom) else (c.lo, c.hi)
-
-
 def _span(at: dict[tuple[int, int], int], c: Component) -> tuple[int, int]:
-    """The point slots of c's carrier ends, found by their integer pairs."""
-    lo, hi = _ends(c)
-    return 2 * at[lo.as_integer_ratio()], 2 * at[hi.as_integer_ratio()]
+    """The point slots of c's carrier ends (an atom's are its point), found
+    by their stored pairs."""
+    if isinstance(c, Atom):
+        s = 2 * at[c._at]
+        return s, s
+    return 2 * at[c._lo_at], 2 * at[c._hi_at]
 
 
 def _runs(
@@ -534,8 +557,12 @@ class _LevelIndex:
                 comps[c.interval].append(c)
         out = {}
         for iid, length in self.domain.intervals:
-            marks = {v.as_integer_ratio(): v for c in comps[iid] for v in _ends(c)}
-            marks[0, 1], marks[length.as_integer_ratio()] = Fraction(0), length
+            marks = {(0, 1): Fraction(0), length.as_integer_ratio(): length}
+            for c in comps[iid]:
+                if isinstance(c, Atom):
+                    marks[c._at] = c.position
+                else:
+                    marks[c._lo_at], marks[c._hi_at] = c.lo, c.hi
             keys = sorted(marks, key=_BY_VALUE)
             at = {key: i for i, key in enumerate(keys)}
             top = [-1] * (2 * len(keys) - 1)
@@ -606,7 +633,7 @@ class _LevelIndex:
         out: dict[tuple[str, tuple[int, int]], int] = {}
         for c in itertools.chain.from_iterable(self.by_level.values()):
             if isinstance(c, Atom):
-                spot = (c.interval, c.position.as_integer_ratio())
+                spot = (c.interval, c._at)
                 out[spot] = max(out.get(spot, c.level), c.level)
         return out
 
@@ -616,13 +643,14 @@ def _mass(comps: Iterable[Component], region: Region) -> XRat:
     length, summed as integer numerators per denominator, or infinite at
     the first infinite term."""
     sums: dict[int, int] = {}
+    cuts = region._by_id
     for c in comps:
         if isinstance(c, Atom):
-            if not region.contains(c.interval, c.position):
+            if not _inside(cuts.get(c.interval, ()), c._at):
                 continue
             weight = c.mass
         else:
-            overlap = _overlap(region._cuts(c.interval), c.lo, c.hi)
+            overlap = _overlap(cuts.get(c.interval, ()), c)
             if not overlap:
                 continue
             weight = c.rate * overlap
@@ -687,9 +715,11 @@ def recover(mu: FHMeasure) -> FHMeasure:
 def recover_check(mu: FHMeasure, regions: Optional[Iterable[Region]] = None) -> bool:
     """Verify the recovery formula on a family of test regions.
 
-    For each region E the formula reads: with m_k the level-k slice mass of
-    E minus support(k+1), the measure is (j, m_j) for the largest j with
-    m_j > 0, and ZERO if there is none.
+    For each region E the formula reads: with m_k the level-k mass of E
+    minus support(k+1), the measure is (j, m_j) for the largest j with
+    m_j > 0, and ZERO if there is none.  The level-k slice already holds
+    only the parts of level-k components that no higher level covers, so
+    ``nu_hat(mu, k, E)`` is m_k: the slice does the subtraction.
     """
     if regions is None:
         regions = grid_sets(mu)
@@ -697,7 +727,7 @@ def recover_check(mu: FHMeasure, regions: Optional[Iterable[Region]] = None) -> 
     for region in regions:
         best: LevelValue = ZERO
         for k in index.levels:
-            m = nu_hat(mu, k, region.minus(index.support(k + 1)))
+            m = nu_hat(mu, k, region)
             if m:
                 best = pair(k, m)
         if best != evaluate(mu, region):
@@ -724,7 +754,7 @@ def is_open_graded(mu: FHMeasure) -> bool:
     for c in mu.components:
         if (
             isinstance(c, Atom)
-            and index.top_atom[c.interval, c.position.as_integer_ratio()] == c.level
+            and index.top_atom[c.interval, c._at] == c.level
             and index.peak(c) > c.level
         ):
             return False

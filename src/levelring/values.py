@@ -134,13 +134,17 @@ def _ratio(x: object) -> Optional[tuple[int, int]]:
     return x.as_integer_ratio() if _is_number(x) else None
 
 
+def _cmp(p: tuple[int, int], q: tuple[int, int]) -> int:
+    """The one order rule for rationals: negative, zero or positive as the
+    reduced pair p lies below, at or above q (infinity as 1/0), by the sign
+    of the exact integer cross product p.p * q.q - q.p * p.q."""
+    return p[0] * q[1] - q[0] * p[1]
+
+
 def _cross(a: "XRat", b: object) -> Optional[tuple[int, int]]:
-    """a.p * b.q and b.p * a.q, ordered as a and b are."""
+    """The rule's sign for a against b, and 0: ordered as a and b are."""
     q = _ratio(b)
-    if q is None:
-        return None
-    p = _ratio(a)
-    return p[0] * q[1], q[0] * p[1]
+    return None if q is None else (_cmp(_ratio(a), q), 0)
 
 
 class XRat:

@@ -1,18 +1,24 @@
 """Tests for the interval-region algebra and finite-height measures."""
 
+import contextlib
+import copy
+import dataclasses
+import io
 import itertools
 import json
+import pickle
 from bisect import bisect_left
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import random_components, random_domain, random_measure, random_open_graded
 from levelring.cli import main
-from levelring import measures
+from levelring import jsonio, measures
 from levelring.measures import (
     Atom,
     Density,
@@ -32,7 +38,7 @@ from levelring.measures import (
     recover_check,
     support,
 )
-from levelring.values import XRat, ZERO, pair
+from levelring.values import XRat, ZERO, _cmp, pair
 
 DOM = Domain([("I", 1), ("J", 2)])
 
@@ -945,15 +951,138 @@ def oracle_mass(comps, region):
     return out
 
 
+# The measure path as it read positions before components kept their
+# reduced pairs: each reader turned a Fraction field into its pair on
+# every use.  The new readers must agree with it.
+
+def fraction_span(at, c):
+    lo, hi = (c.position, c.position) if isinstance(c, Atom) else (c.lo, c.hi)
+    return 2 * at[lo.as_integer_ratio()], 2 * at[hi.as_integer_ratio()]
+
+
+class FractionIndex(measures._LevelIndex):
+    """The level index with the mark keys, slot spans and atom spots read
+    off the components' Fraction fields."""
+
+    @cached_property
+    def sweep(self):
+        comps = {i: [] for i in self.domain.ids}
+        for k in reversed(self.levels):
+            for c in self.by_level[k]:
+                comps[c.interval].append(c)
+        out = {}
+        for iid, length in self.domain.intervals:
+            ends = ((c.position,) if isinstance(c, Atom) else (c.lo, c.hi) for c in comps[iid])
+            marks = {v.as_integer_ratio(): v for e in ends for v in e}
+            marks[0, 1], marks[length.as_integer_ratio()] = Fraction(0), length
+            keys = sorted(marks, key=measures._BY_VALUE)
+            at = {key: i for i, key in enumerate(keys)}
+            top = [-1] * (2 * len(keys) - 1)
+            for c in comps[iid]:
+                s, e = fraction_span(at, c)
+                for slot in range(s, e + 1):
+                    if top[slot] < 0:
+                        top[slot] = c.level
+            out[iid] = ([marks[key] for key in keys], at, top)
+        return out
+
+    def peak(self, c):
+        _, at, top = self.sweep[c.interval]
+        s, e = fraction_span(at, c)
+        return max(top[s : e + 1])
+
+    @cached_property
+    def slices(self):
+        out = {}
+        for k in self.levels:
+            cut = out[k] = []
+            for c in self.by_level[k]:
+                if isinstance(c, Atom):
+                    if self.peak(c) == k:
+                        cut.append(c)
+                    continue
+                x, at, top = self.sweep[c.interval]
+                s, e = fraction_span(at, c)
+                for bare, (lo, _), (hi, _) in measures._runs(x[s // 2 : e // 2 + 1], top[s : e + 1], k.__eq__):
+                    if bare:
+                        cut.append(Density(c.interval, lo, hi, k, c.rate))
+        return out
+
+    @cached_property
+    def top_atom(self):
+        out = {}
+        for c in itertools.chain.from_iterable(self.by_level.values()):
+            if isinstance(c, Atom):
+                spot = (c.interval, c.position.as_integer_ratio())
+                out[spot] = max(out.get(spot, c.level), c.level)
+        return out
+
+
+def fraction_overlap(cuts, lo, hi):
+    total = Fraction(0)
+    lo_p, hi_p = lo.as_integer_ratio(), hi.as_integer_ratio()
+    k = measures._rank(cuts, lo_p, 1) & ~1
+    for (a, _), (b, _) in measures._pieces(cuts[k:]):
+        a_p = a.as_integer_ratio()
+        if _cmp(a_p, hi_p) >= 0:
+            break
+        total += (b if _cmp(b.as_integer_ratio(), hi_p) < 0 else hi) - (a if _cmp(a_p, lo_p) > 0 else lo)
+    return total
+
+
+def fraction_mass(comps, region):
+    sums = {}
+    for c in comps:
+        if isinstance(c, Atom):
+            if not region.contains(c.interval, c.position):
+                continue
+            weight = c.mass
+        else:
+            overlap = fraction_overlap(region._cuts(c.interval), c.lo, c.hi)
+            if not overlap:
+                continue
+            weight = c.rate * overlap
+        if weight.is_infinite:
+            return XRat("inf")
+        p, q = weight.as_fraction.as_integer_ratio()
+        sums[q] = sums.get(q, 0) + p
+    return XRat(sum((Fraction(p, q) for q, p in sums.items()), Fraction(0)))
+
+
+def fraction_evaluate(index, region):
+    for k in reversed(index.levels):
+        m = fraction_mass(index.by_level[k], region)
+        if m:
+            return pair(k, m)
+    return ZERO
+
+
+def fraction_is_open_graded(mu, index):
+    return not any(
+        isinstance(c, Atom)
+        and index.top_atom[c.interval, c.position.as_integer_ratio()] == c.level
+        and index.peak(c) > c.level
+        for c in mu.components
+    )
+
+
+def fraction_is_locally_finite(mu, index):
+    return not any(
+        (c.mass if isinstance(c, Atom) else c.rate).is_infinite and index.peak(c) == c.level
+        for c in mu.components
+    )
+
+
 BIG = 10**12
 
 
 @st.composite
-def mixed_cases(draw):
-    """Up to 12 components on DOM whose marks mix the 1/8 grid with
-    denominators up to BIG, often reusing an earlier mark so components
-    meet, and about one weight in 20 infinite; with regions built from
-    the marks and the midpoints between them."""
+def mixed_cases(draw, max_components=12, max_regions=3):
+    """Up to max_components components on DOM whose marks mix the 1/8 grid
+    with denominators up to BIG, often reusing an earlier mark so
+    components meet, and about one weight in 20 infinite; with the whole
+    domain and up to max_regions regions built from the marks and the
+    midpoints between them."""
     marks = {iid: [Fraction(0), length] for iid, length in DOM.intervals}
 
     def mark(iid):
@@ -973,7 +1102,7 @@ def mixed_cases(draw):
         return XRat(Fraction(draw(st.integers(1, 9 * q)), q))
 
     comps = []
-    for _ in range(draw(st.integers(0, 12))):
+    for _ in range(draw(st.integers(0, max_components))):
         iid, level = draw(st.sampled_from(DOM.ids)), draw(st.integers(0, 3))
         a, b = sorted((mark(iid), mark(iid)))
         if a == b or draw(st.booleans()):
@@ -994,24 +1123,33 @@ def mixed_cases(draw):
         pts = [(iid, draw(st.sampled_from(grid[iid]))) for iid in draw(st.lists(st.sampled_from(DOM.ids), max_size=2))]
         return Region.of(DOM, spans, pts)
 
-    regions = [Region.whole(DOM)] + [region() for _ in range(draw(st.integers(0, 3)))]
+    regions = [Region.whole(DOM)] + [region() for _ in range(draw(st.integers(0, max_regions)))]
     return FHMeasure(DOM, comps), regions
 
 
 @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(mixed_cases())
 def test_mixed_denominators_agree_with_the_oracles(case):
+    """The index and the masses, read by stored pairs, against the
+    Fraction-reading index and against the region-algebra oracles."""
     mu, regions = case
-    index = mu._index
+    index, old = mu._index, FractionIndex(mu)
     top = mu.height if mu.height is not None else 0
+    assert index.sweep == old.sweep
+    assert index.slices == old.slices
+    assert index.top_atom == old.top_atom
+    assert [index.peak(c) for c in mu.components] == [old.peak(c) for c in mu.components]
+    for k in range(-1, top + 2):
+        assert index.support(k) == old.support(k)
     for region in regions:
-        assert evaluate(mu, region) == oracle_evaluate(mu, region)
+        assert evaluate(mu, region) == fraction_evaluate(old, region) == oracle_evaluate(mu, region)
         for k in range(-1, top + 2):
-            assert nu_hat(mu, k, region) == oracle_nu_hat(mu, k, region)
+            slice_mass = fraction_mass(old.slices.get(k, ()), region)
+            assert nu_hat(mu, k, region) == slice_mass == oracle_nu_hat(mu, k, region)
         for comps in (mu.components, *index.by_level.values(), *index.slices.values()):
-            assert measures._mass(comps, region) == oracle_mass(comps, region)
-    assert is_open_graded(mu) == oracle_is_open_graded(mu)
-    assert is_locally_finite(mu) == oracle_is_locally_finite(mu)
+            assert measures._mass(comps, region) == fraction_mass(comps, region) == oracle_mass(comps, region)
+    assert is_open_graded(mu) == fraction_is_open_graded(mu, old) == oracle_is_open_graded(mu)
+    assert is_locally_finite(mu) == fraction_is_locally_finite(mu, old) == oracle_is_locally_finite(mu)
     assert recover(mu) == oracle_recover(mu)
 
 
@@ -1022,22 +1160,65 @@ STEP = Fraction(1, BIG * BIG)
 @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(mixed_cases())
 def test_membership_and_overlap_by_pairs_on_mixed_denominators(case):
-    """contains, _overlap and _mass compare positions as integer pairs;
-    the oracles compare the same positions as Fractions.  The points
-    tested are every cut of the region (open and closed ends alike),
-    every atom, the interval's ends, and one step either side of each."""
+    """contains, _overlap and _mass compare positions as integer pairs,
+    the components' by their stored pairs; the oracles compare the same
+    positions as Fractions.  The points tested are every cut of the region
+    (open and closed ends alike), every atom, the interval's ends, and one
+    step either side of each, each point also as a lone atom; every two
+    of the points but the steps bound a density."""
     mu, regions = case
     for region in regions:
         for iid, length in DOM.intervals:
             cuts = region._cuts(iid)
             ends = {Fraction(0), length} | {x for x, _ in cuts}
             ends |= {c.position for c in mu.components if isinstance(c, Atom) and c.interval == iid}
-            for x in ends:
-                for y in (x - STEP, x, x + STEP):
-                    assert region.contains(iid, y) == oracle_contains(region, iid, y)
+            near = {y for x in ends for y in (x - STEP, x, x + STEP)}
+            for y in near:
+                inside = oracle_contains(region, iid, y)
+                assert region.contains(iid, y) == inside
+                assert bool(measures._mass([Atom(iid, y, 0, 1)], region)) == inside
             for lo, hi in itertools.combinations(sorted(ends), 2):
-                assert measures._overlap(cuts, lo, hi) == oracle_overlap(region, iid, lo, hi)
+                length_in = oracle_overlap(region, iid, lo, hi)
+                assert measures._overlap(cuts, Density(iid, lo, hi, 0, 1)) == length_in
+                assert fraction_overlap(cuts, lo, hi) == length_in
         assert measures._mass(mu.components, region) == oracle_mass(mu.components, region)
+
+
+def oracle_recover_check(mu, regions):
+    """recover_check as it was: each level's slice mass read on the region
+    minus the support above it."""
+    for region in regions:
+        best = ZERO
+        for k in mu.levels():
+            m = nu_hat(mu, k, region.minus(support(mu, k + 1)))
+            if m:
+                best = pair(k, m)
+        if best != evaluate(mu, region):
+            return False
+    return True
+
+
+# an atom at 1/3 under a level-1 density whose ends have 12-digit
+# denominators: buried, so the singleton there loses its mass on recovery
+BURIED = FHMeasure(DOM, [
+    Atom("I", Fraction(1, 3), 0, 2),
+    Density("I", Fraction(1, BIG), Fraction(BIG - 1, BIG), 1, Fraction(3, 8)),
+    Atom("J", Fraction(7, 8), 2, 1),
+])
+
+
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
+@given(mixed_cases(max_components=6, max_regions=0))
+@example((BURIED, []))
+def test_recover_check_needs_no_subtraction_on_mixed_denominators(case):
+    # the level-k slice holds only what no higher level covers, so reading
+    # it on the region minus support(k+1) changes no mass
+    mu, _ = case
+    sets = grid_sets(mu, midpoints=False)
+    graded = is_open_graded(mu)
+    assert recover_check(mu, sets) == oracle_recover_check(mu, sets) == graded
+    if mu is BURIED:
+        assert not graded
 
 
 def test_membership_on_open_and_closed_ends_with_mixed_denominators():
@@ -1049,10 +1230,11 @@ def test_membership_on_open_and_closed_ends_with_mixed_denominators():
     seventh = Fraction(1, 7)
     assert [region.contains("I", x) for x in (seventh - STEP, seventh, seventh + STEP)] == [False, True, False]
     cuts = region._cuts("I")
-    assert measures._overlap(cuts, Fraction(0), Fraction(1)) == b - a
-    assert measures._overlap(cuts, a + STEP, b) == b - a - STEP
-    assert measures._overlap(cuts, b, Fraction(1)) == 0
-    assert measures._overlap(cuts, Fraction(0), seventh) == 0
+    carrier = lambda lo, hi: Density("I", lo, hi, 0, 1)
+    assert measures._overlap(cuts, carrier(Fraction(0), Fraction(1))) == b - a
+    assert measures._overlap(cuts, carrier(a + STEP, b)) == b - a - STEP
+    assert measures._overlap(cuts, carrier(b, Fraction(1))) == 0
+    assert measures._overlap(cuts, carrier(Fraction(0), seventh)) == 0
     mu = FHMeasure(UNIT, [Atom("I", a, 1, 5), Atom("I", b, 1, 7), Atom("I", seventh, 0, 2), Density("I", 0, a, 2, 1)])
     assert measures._mass(mu.components, region) == 9 == oracle_mass(mu.components, region)
     assert evaluate(mu, region) == pair(1, 7)
@@ -1085,6 +1267,80 @@ def test_measure_identity_ignores_index():
     assert aligned._index is not warm._index
     assert support(warm, 2) == support(warm, 3) == points(UNIT, ("I", Fraction(1, 2)))
     assert support(rebuilt, 0) == oracle_support(rebuilt, 0)
+
+
+def test_components_keep_their_value_semantics():
+    # slotted components with stored position pairs compare, hash, print,
+    # copy and refuse assignment as the plain frozen dataclasses did
+    atom = Atom("i", "1/2", 0, 1)
+    assert atom == Atom("i", Fraction(1, 2), 0, "1")
+    assert hash(atom) == hash(Atom("i", Fraction(1, 2), 0, "1"))
+    assert atom != Atom("i", Fraction(1, 2), 1, 1)
+    dens = Density("i", "1/4", Fraction(1, 2), 1, "3")
+    assert repr(atom) == "Atom(interval='i', position=Fraction(1, 2), level=0, mass=XRat('1'))"
+    assert repr(dens) == "Density(interval='i', lo=Fraction(1, 4), hi=Fraction(1, 2), level=1, rate=XRat('3'))"
+    assert (atom._at, dens._lo_at, dens._hi_at) == ((1, 2), (1, 4), (1, 2))
+    weight = XRat(5)
+    assert Atom("i", 0, 0, weight).mass is weight and Density("i", 0, 1, 0, weight).rate is weight
+    heavy = Atom("i", Fraction(2, 6), 3, "inf")
+    for c in (atom, dens, heavy):
+        # protocol 2 is the first that pickles slotted objects, XRat too
+        copies = [pickle.loads(pickle.dumps(c, protocol)) for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in copies + [copy.copy(c), copy.deepcopy(c)]:
+            assert (twin, hash(twin), repr(twin)) == (c, hash(c), repr(c))
+            assert [getattr(twin, f.name) for f in dataclasses.fields(c)] == [getattr(c, f.name) for f in dataclasses.fields(c)]
+    moved = dataclasses.replace(atom, position="3/4", level=2)
+    assert moved == Atom("i", Fraction(3, 4), 2, 1) and moved._at == (3, 4)
+    wider = dataclasses.replace(dens, lo=0, hi=Fraction(4, 6))
+    assert wider == Density("i", 0, Fraction(2, 3), 1, 3) and (wider._lo_at, wider._hi_at) == ((0, 1), (2, 3))
+    with pytest.raises(ValueError, match="density needs lo < hi"):
+        dataclasses.replace(dens, hi=Fraction(1, 4))
+    for c, name in ((atom, "position"), (atom, "_at"), (dens, "hi"), (dens, "_lo_at")):
+        with pytest.raises(dataclasses.FrozenInstanceError) as err:
+            setattr(c, name, Fraction(1, 3))
+        assert err.value.args == (f"cannot assign to field {name!r}",)
+        with pytest.raises(dataclasses.FrozenInstanceError) as err:
+            delattr(c, name)
+        assert err.value.args == (f"cannot delete field {name!r}",)
+    assert not hasattr(atom, "__dict__") and not hasattr(dens, "__dict__")
+
+
+# ---------------------------------------------------------------------------
+# the paper's laws for measures, through the CLI
+
+def measure_through_cli(folder, sub, doc):
+    """The result `measure <sub>` reports for the measure document, written
+    to the folder and run through cli.main."""
+    path = folder / "measure.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["measure", sub, str(path)]) == 0
+    return json.loads(out.getvalue())["result"]
+
+
+@settings(deadline=None)
+@given(case=mixed_cases(max_regions=0))
+def test_eval_is_the_top_row_of_decompose_through_cli(tmp_path_factory, case):
+    # nothing lies above the top level, so its slice is all of its mass
+    mu, _ = case
+    assume(mu.components)
+    folder, doc = tmp_path_factory.getbasetemp(), jsonio.measure_to_json(mu)
+    top = measure_through_cli(folder, "decompose", doc)["table"][-1]
+    assert measure_through_cli(folder, "eval", doc)["value"] == {"level": top["level"], "real": top["mass"]}
+
+
+@settings(deadline=None)
+@given(case=mixed_cases(max_regions=0))
+def test_align_keeps_the_decompose_masses_through_cli(tmp_path_factory, case):
+    # deleting empty levels renames the occupied ones in order, and moves
+    # no mass between strata
+    folder, doc = tmp_path_factory.getbasetemp(), jsonio.measure_to_json(case[0])
+    before = measure_through_cli(folder, "decompose", doc)["table"]
+    aligned = measure_through_cli(folder, "align", doc)["measure"]
+    after = measure_through_cli(folder, "decompose", aligned)["table"]
+    assert [row["mass"] for row in after] == [row["mass"] for row in before]
+    assert [row["level"] for row in after] == list(range(len(before)))
 
 
 def test_stacked_levels_scale(tmp_path, capsys):
