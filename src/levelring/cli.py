@@ -379,6 +379,19 @@ class _Texts(dict):
         return text
 
 
+class _TextsById(_Texts):
+    """`_Texts` keyed by `id(value)`, so that a lookup hashes no value; a
+    miss finds its value in `among`, which the caller sets to a sequence
+    holding every value it looks up next."""
+
+    among: Any = ()
+
+    def __missing__(self, key: int) -> str:
+        value = {id(v): v for v in self.among}[key]
+        text = self[key] = self.before + self.show(value) + self.after
+        return text
+
+
 def _render_json(report: Any, indent: bool = True) -> str:
     """``json.dumps(report, sort_keys=True)`` byte for byte, with
     ``indent=2`` when indent and ``separators=(",", ":")`` otherwise, for
@@ -390,7 +403,11 @@ def _render_json(report: Any, indent: bool = True) -> str:
     a stratum with a nonempty pattern and witness is one head text for
     its verdict and one entry text per shape and per witness value, taken
     from `_Texts` tables made for that list, so the parts of a large
-    report are references to a few shared strings."""
+    report are references to a few shared strings.  Shapes are looked up
+    by value, and witness values by identity (`_TextsById`), which
+    hashes none: `enumerate_strata` makes equal values one object, and
+    equal but distinct values get entries of their own, with the same
+    bytes."""
     # an entry at depth d, or a bracket closing one, starts on a new line
     # indented by d steps
     newline, step, colon = ("\n", "  ", ": ") if indent else ("", "", ":")
@@ -406,14 +423,15 @@ def _render_json(report: Any, indent: bool = True) -> str:
         head = f'{item_at}{{{field_at}"feasible"{colon}%s,{field_at}"pattern"{colon}['
         true_head, false_head = head % "true", head % "false"
         shape_json = _Texts(lambda sh: text(_shape(sh), depth + 3)).__getitem__
-        value_json = _Texts(lambda v: text(jsonio.svalue_to_json(v), depth + 3)).__getitem__
-        shapes, values = _Texts(shape_json, entry_at, ","), _Texts(value_json, entry_at, ",")
+        shapes = _Texts(shape_json, entry_at, ",")
+        values = _TextsById(lambda v: text(jsonio.svalue_to_json(v), depth + 3), entry_at, ",")
         # the last shape closes the pattern and starts the witness; the last
-        # witness value closes the stratum
+        # witness value, found by id after the whole witness, closes the
+        # stratum
         pattern_end = f'{field_at}],{field_at}"witness"{colon}'
         closed = _Texts(shape_json, entry_at, f"{pattern_end}null{item_at}}},")
         opened = _Texts(shape_json, entry_at, pattern_end + "[")
-        last_values = _Texts(value_json, entry_at, f"{field_at}]{item_at}}},")
+        last_values = _Texts(lambda key: values[key][:-1], after=f"{field_at}]{item_at}}},")
         out.append("[")
         for item in items:
             if isinstance(item, tracks.Stratum) and item.pattern and item.witness != ():
@@ -424,8 +442,9 @@ def _render_json(report: Any, indent: bool = True) -> str:
                     out[-1] = closed[pattern[-1]]
                 else:
                     out[-1] = opened[pattern[-1]]
-                    out.extend(map(values.__getitem__, witness))
-                    out[-1] = last_values[witness[-1]]
+                    values.among = witness
+                    out.extend(map(values.__getitem__, map(id, witness)))
+                    out[-1] = last_values[id(witness[-1])]
             else:
                 out.append(item_at)
                 write(item, depth + 1, out)

@@ -52,12 +52,12 @@ from __future__ import annotations
 import itertools
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from levelring.values import _ECHO, DEFAULT_HEIGHT_BOUND, INF, LevelValue, XRat, ZERO, _cmp, pair
+from levelring.values import _ECHO, DEFAULT_HEIGHT_BOUND, INF, LevelValue, XRat, ZERO, _cmp, _slot_setters, pair
 
 __all__ = [
     "Atom",
@@ -364,12 +364,6 @@ def points(domain: Domain, *pts: tuple[str, Rat]) -> Region:
 
 # ---------------------------------------------------------------------------
 # measures
-
-def _slot_setters(cls) -> tuple:
-    """The setters of a slotted class's fields, in field order: they bypass
-    the frozen __setattr__, which refuses."""
-    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
-
 
 @dataclass(frozen=True, slots=True)
 class Atom:

@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from levelring.values import _ECHO, INF, LevelValue, XRat, ZERO, pair, total
+from levelring.values import _ECHO, INF, LevelValue, ZERO, _ratio, _slot_setters, pair, total
 from levelring.vectors import Monomial, Vector, _as_family, _as_vector
 
 __all__ = [
@@ -281,13 +281,23 @@ class Stratum:
     feasible: bool
     witness: Optional[Vector] = None
 
+    def __init__(self, pattern: tuple[Shape, ...], feasible: bool, witness: Optional[Vector] = None):
+        set_pattern, set_feasible, set_witness = _STRATUM_SETTERS
+        set_pattern(self, pattern)
+        set_feasible(self, feasible)
+        set_witness(self, witness)
+
+
+_STRATUM_SETTERS = _slot_setters(Stratum)
+
 
 class _Witness(dict):
     """(segment, shape) -> that segment's witness value under one system's
     solution, made on first use: ZERO for no shape, infinity for an
-    infinite one, else the solved magnitude.  `made` maps (level,
-    magnitude) to the values made so far, across systems, so that `pair`
-    builds each distinct value once and equal values are one object."""
+    infinite one, else the solved magnitude.  `made` maps (level, reduced
+    pair of the magnitude, infinity as 1/0) to the values made so far,
+    across systems, so that `pair` builds each distinct value once, equal
+    values are one object, and no Fraction is hashed."""
 
     def __init__(self, solution: Mapping[str, Fraction], made: dict):
         super().__init__()
@@ -300,20 +310,22 @@ class _Witness(dict):
         else:
             level, kind = shape
             magnitude = INF if kind == INFINITE else self.solution[s]
-            value = self.made.get((level, magnitude))
+            at = level, _ratio(magnitude)
+            value = self.made.get(at)
             if value is None:
-                value = self.made[level, magnitude] = pair(level, magnitude)
+                value = self.made[at] = pair(level, magnitude)
         self[key] = value
         return value
 
 
 def _fm_feasible(
     variables: Sequence[str],
-    equations: Sequence[Mapping[str, Fraction] | Iterable[tuple[str, Fraction]]],
+    equations: Sequence[Mapping[str, int | Fraction] | Iterable[tuple[str, int | Fraction]]],
 ) -> Optional[dict[str, Fraction]]:
     """Strictly positive rational solution of the homogeneous equations,
     or None.  An equation is a coefficient dict, or its (variable,
-    coefficient) items as `_switch_reduction` gives them.  Each equation
+    coefficient) items as `_switch_reduction` gives them; a coefficient
+    is an int or a Fraction, and is made a Fraction here.  Each equation
     in turn is solved for its smallest variable and substituted away;
     Fourier-Motzkin then eliminates the other variables, in sorted order,
     from the strict inequalities, which start as v > 0; back-substitution
@@ -324,7 +336,7 @@ def _fm_feasible(
     is checked against the system; one that fails raises RuntimeError,
     so a solver fault never reads as an infeasible system.
     """
-    given = [{k: c for k, c in dict(eq).items() if c} for eq in equations]
+    given = [{k: Fraction(c) for k, c in dict(eq).items() if c} for eq in equations]
     eqs = list(given)
     cons = [{v: Fraction(1)} for v in variables]
     steps: list[tuple[str, object]] = []  # (var, expr) or (var, (lowers, uppers))
@@ -389,13 +401,14 @@ def _switch_reduction(
     shape_of: Mapping[str, Shape],
     side_a: Sequence[str],
     side_b: Sequence[str],
-) -> Optional[tuple[tuple[str, Fraction], ...]]:
+) -> Optional[tuple[tuple[str, int], ...]]:
     """Reduce one switch to its stratum constraint.
 
     Returns None when the shapes alone are contradictory; () when the
     switch is satisfied with no condition on magnitudes; otherwise one
     homogeneous linear equation over the finite top-level magnitudes, as
-    its sorted (segment, nonzero coefficient) items.  A side's top
+    its sorted (segment, nonzero int coefficient) items, so that a system
+    of them hashes no Fraction.  A side's top
     is its largest shape: shapes order by level, then FIN before INFINITE,
     so the top is infinite exactly when a segment at the top level is.
     """
@@ -409,7 +422,22 @@ def _switch_reduction(
         for s in side:
             if shape_of[s] == top:
                 coeffs[s] = coeffs.get(s, 0) + sign
-    return tuple(sorted((s, Fraction(c)) for s, c in coeffs.items() if c))
+    return tuple(sorted((s, c) for s, c in coeffs.items() if c))
+
+
+class _Row(dict):
+    """One switch's reductions for one set of shapes of its segments before
+    its last: the last segment's shape -> `_switch_reduction`, made on
+    first use."""
+
+    def __init__(self, shape_of: dict[str, Shape], last: str, sides: tuple):
+        super().__init__()
+        self.shape_of, self.last, self.sides = shape_of, last, sides
+
+    def __missing__(self, shape: Shape) -> Optional[tuple[tuple[str, int], ...]]:
+        self.shape_of[self.last] = shape
+        reduction = self[shape] = _switch_reduction(self.shape_of, *self.sides)
+        return reduction
 
 
 class _Choices(dict):
@@ -467,15 +495,19 @@ def enumerate_strata(track: TrainTrack, height_bound: int) -> list[Stratum]:
     depth first over prefixes.  A prefix is dropped as soon as the
     segments left cannot fill the levels missing below its highest level
     (the options left at a position are worked out once per call for each
-    set of levels used before it), and each switch is decided once its last segment is set, once per
-    call for each distinct restriction of a prefix to its segments.  Every
-    proximal completion of a prefix that contradicts a switch is
-    infeasible with no further work.  `_fm_feasible` runs once per
-    distinct system (finite variables, equations in switch order).  Each
-    system keeps the witness values made for it by (segment, shape), and
-    `pair` builds each distinct witness value once per call, so equal
-    witness values are one object; every witness is still checked with
-    `validate`, and one that fails raises RuntimeError.
+    set of levels used before it).  Each switch is decided at its last
+    segment's position: the prefix before it looks up the switch's row
+    (`_Row`) once, by the shapes of the switch's other segments, and each
+    option there reads the row at its own shape, so `_switch_reduction`
+    runs once per call for each distinct restriction of a prefix to the
+    switch's segments.  Every proximal completion of a prefix that
+    contradicts a switch is infeasible with no further work.
+    `_fm_feasible` runs once per distinct system (finite variables,
+    equations in switch order with int coefficients, so the lookup hashes
+    no Fraction).  Each system keeps the witness values made for it by
+    (segment, shape), and `pair` builds each distinct witness value once
+    per call, so equal witness values are one object; every witness is
+    still checked with `validate`, and one that fails raises RuntimeError.
 
     Order contract: patterns come in the lexicographic order of their
     per-segment options, first segment first, where each segment's options
@@ -504,45 +536,35 @@ def enumerate_strata(track: TrainTrack, height_bound: int) -> list[Stratum]:
     options: list[Shape] = [None]
     for lev in range(min(height_bound, n)):  # n segments use at most n levels
         options += [(lev, FIN), (lev, INFINITE)]
+    finite = set(options[1::2])  # the shapes whose magnitudes are variables
     # Per position: the switches whose last segment sits there, each with
-    # its index, the positions of its distinct segments, and a table from
-    # their shapes to its reduction.
+    # its index, the positions of its other distinct segments, its sides,
+    # and a table from their shapes to its `_Row`.
     decided_at: list[list] = [[] for _ in segments]
     for i, (a, b) in enumerate(track.switches):
         at = sorted({index[s] for s in a + b})
         if at:  # a switch with no ends is satisfied by every pattern
-            decided_at[at[-1]].append((i, at, a, b, {}))
+            decided_at[at[-1]].append((i, at[:-1], (a, b), {}))
     choices = _Choices(options, n)
     pattern: list[Shape] = [None] * n
     equations: list = [()] * len(track.switches)  # by switch, on this prefix
     # (finite variables, equations) -> the witness values of its solution,
     # or None when _fm_feasible finds none
     solutions: dict = {}
-    made: dict = {}  # (level, magnitude) -> witness value
+    made: dict = {}  # (level, reduced pair of the magnitude) -> witness value
     out: list[Stratum] = []
-
-    def decided(k: int) -> bool:
-        """Reduce the switches whose last segment is k; False when one of
-        them contradicts the prefix."""
-        for i, at, a, b, reductions in decided_at[k]:
-            key = tuple(map(pattern.__getitem__, at))
-            reduction = reductions.get(key, reductions)  # the table: not reduced yet
-            if reduction is reductions:
-                reduction = reductions[key] = _switch_reduction(dict(zip(segments, pattern)), a, b)
-            if reduction is None:
-                return False
-            equations[i] = reduction
-        return True
 
     def stratum() -> Stratum:
         """The stratum of a pattern that contradicts no switch."""
         shapes = tuple(pattern)
-        fin_vars = tuple(s for s, sh in zip(segments, shapes) if sh and sh[1] == FIN)
-        system = fin_vars, tuple(eq for eq in equations if eq)
-        if system not in solutions:
+        system = (
+            tuple(itertools.compress(segments, map(finite.__contains__, shapes))),
+            tuple(filter(None, equations)),
+        )
+        values = solutions.get(system, solutions)
+        if values is solutions:  # not solved yet
             solution = _fm_feasible(*system)
-            solutions[system] = None if solution is None else _Witness(solution, made)
-        values = solutions[system]
+            values = solutions[system] = None if solution is None else _Witness(solution, made)
         if values is None:
             return Stratum(shapes, False)
         witness = tuple(map(values.__getitem__, zip(segments, shapes)))
@@ -555,10 +577,23 @@ def enumerate_strata(track: TrainTrack, height_bound: int) -> list[Stratum]:
     def walk(k: int, used: int, alive: bool) -> None:
         """Extend the prefix before k, whose levels are the set bits of
         used; alive is False once a switch of the prefix is contradicted."""
-        checks, last = decided_at[k], k == n - 1
+        rows = []  # (switch, its row for this prefix) for the switches decided at k
+        for i, before, sides, table in decided_at[k] if alive else ():
+            key = tuple(map(pattern.__getitem__, before))
+            row = table.get(key)
+            if row is None:
+                shape_of = dict(zip(map(segments.__getitem__, before), key))
+                row = table[key] = _Row(shape_of, segments[k], sides)
+            rows.append((i, row))
+        last = k == n - 1
         for shape, now in choices[k, used]:
             pattern[k] = shape
-            ok = alive and (not checks or decided(k))
+            ok = alive
+            for i, row in rows:
+                reduction = equations[i] = row[shape]
+                if reduction is None:
+                    ok = False
+                    break
             if not last:
                 walk(k + 1, now, ok)
             else:

@@ -45,6 +45,7 @@ from __future__ import annotations
 import operator
 import reprlib
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -270,6 +271,18 @@ class XRat:
     def __repr__(self) -> str:
         return f"XRat({str(self)!r})"
 
+    def __reduce__(self) -> tuple:
+        # The default slot pickling needs protocol 2.  The integer pair
+        # pickles from protocol 0 on and, unlike a Fraction on Python 3.10,
+        # past the digit limit of str (from protocol 2, which writes ints
+        # in binary).
+        frac = self._frac
+        return (XRat, ("inf",)) if frac is None else (_from_ratio, frac.as_integer_ratio())
+
+
+def _from_ratio(num: int, den: int) -> XRat:
+    return XRat(Fraction(num, den))
+
 
 INF = XRat("inf")
 
@@ -375,6 +388,12 @@ class LevelValue:
 # The slots' own setters, which bypass the refusing __setattr__.
 _set_level = LevelValue.level.__set__
 _set_magnitude = LevelValue.magnitude.__set__
+
+
+def _slot_setters(cls) -> tuple:
+    """The setters of a slotted dataclass's fields, in field order: they
+    bypass the frozen __setattr__, which refuses."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
 
 ZERO = LevelValue(None, XRat(0))
 

@@ -4,6 +4,7 @@
 golden reports under ``tests/golden`` from the current code.
 """
 
+import copy
 import io
 import itertools
 import json
@@ -12,11 +13,13 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import random_track_family
 from levelring import cli, jsonio, tracks, values, vectors
 from levelring.cli import COMMANDS, main
 from levelring.jsonio import MAX_RATIONAL_DIGITS
@@ -1214,11 +1217,27 @@ STRATA = st.builds(
     st.booleans(),
     st.none() | st.lists(WITNESS_VALUES, max_size=6).map(tuple),
 )
+# lists of strata whose witnesses take their values from one pool, each
+# value as the pool's own object (as `_Witness` hands out one object per
+# value) or as an equal but distinct copy
+SHARING_STRATA = st.lists(WITNESS_VALUES, min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(
+        st.builds(
+            tracks.Stratum,
+            st.lists(SHAPES, min_size=1, max_size=6).map(tuple),
+            st.booleans(),
+            st.none() | st.lists(st.sampled_from(pool) | st.sampled_from(pool).map(copy.copy), max_size=6).map(tuple),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
 # lists of strata, and lists whose first entry is a stratum and whose later
 # entries are strata or other JSON values, nested at varying depths
 JSON_LEAVES = st.none() | st.booleans() | st.integers(-9, 9) | st.text(max_size=3) | st.lists(st.integers(), max_size=2)
 STRATA_REPORTS = st.recursive(
     st.lists(STRATA, min_size=1, max_size=3)
+    | SHARING_STRATA
     | st.tuples(STRATA, st.lists(STRATA | JSON_LEAVES, max_size=2)).map(lambda t: [t[0], *t[1]]),
     lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text("ab", max_size=2), inner | STRATA, max_size=2),
     max_leaves=3,
@@ -1252,6 +1271,63 @@ def test_report_writer_writes_empty_patterns_and_witnesses(stratum):
 def test_report_writer_refuses_other_types(doc):
     with pytest.raises(TypeError):
         cli._render_json(doc)
+
+
+# ---------------------------------------------------------------------------
+# the paper's laws for strata, through the CLI
+
+@st.composite
+def filtered_tracks(draw):
+    """A track with a level-0 family that balances each of its one to three
+    switches (`random_track_family`), and a height bound at or one past the
+    number of levels of its filtration, kept to at most 1,697 strata."""
+    track, family = random_track_family(Random(draw(st.integers(0, 2**32 - 1))), draw(st.integers(1, 3)))
+    height = len({m.degree for m in family}) + draw(st.integers(0, 1))
+    assume(tracks.strata_count(len(track.segments), height) <= 1697)
+    return track, family, height
+
+
+def track_through_cli(folder, track, *argv, family=None):
+    """The result a `track` subcommand reports on the track (and family),
+    written to the folder and run through cli.main."""
+    doc = {
+        "segments": list(track.segments),
+        "switches": [{"a": list(a), "b": list(b)} for a, b in track.switches],
+        "free_ends": track.free_end_map,
+    }
+    files = [write(folder, "track.json", doc)]
+    if family is not None:
+        entries = [{"level": m.level, "coeff": str(m.coeff), "degree": m.degree} for m in family]
+        files.append(write(folder, "family.json", entries))
+    code, out, err = capture(["track", argv[0], *files, *argv[1:]])
+    assert (code, err) == (0, "")
+    return json.loads(out)["result"]
+
+
+@settings(deadline=None)
+@given(filtered_tracks())
+def test_filtration_pattern_is_listed_feasible_through_cli(tmp_path_factory, drawn):
+    # the weights a balanced family induces are an invariant proximal
+    # vector, so their level/finiteness pattern is a feasible stratum
+    track, family, height = drawn
+    folder = tmp_path_factory.getbasetemp()
+    weights = track_through_cli(folder, track, "filtration", family=family)["weights"]
+    pattern = [None if w is None else {"level": w["level"], "kind": "fin"} for w in weights]
+    strata = track_through_cli(folder, track, "strata", "--height-bound", str(height))["strata"]
+    assert [s["feasible"] for s in strata if s["pattern"] == pattern] == [True]
+
+
+@settings(deadline=None)
+@given(filtered_tracks())
+def test_feasible_witnesses_are_invariant_and_proximal_through_cli(tmp_path_factory, drawn):
+    # checked by the library's own validate, not by the switch reductions
+    # the enumeration decides with
+    track, _, height = drawn
+    strata = track_through_cli(tmp_path_factory.getbasetemp(), track, "strata", "--height-bound", str(height))["strata"]
+    witnesses = [jsonio.vector_from_json(s["witness"]) for s in strata if s["feasible"]]
+    assert witnesses
+    for weights in witnesses:
+        assert tracks.validate(track, weights) == [] and tracks.is_proximal(weights)
 
 
 if __name__ == "__main__":

@@ -1284,8 +1284,7 @@ def test_components_keep_their_value_semantics():
     assert Atom("i", 0, 0, weight).mass is weight and Density("i", 0, 1, 0, weight).rate is weight
     heavy = Atom("i", Fraction(2, 6), 3, "inf")
     for c in (atom, dens, heavy):
-        # protocol 2 is the first that pickles slotted objects, XRat too
-        copies = [pickle.loads(pickle.dumps(c, protocol)) for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        copies = [pickle.loads(pickle.dumps(c, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
         for twin in copies + [copy.copy(c), copy.deepcopy(c)]:
             assert (twin, hash(twin), repr(twin)) == (c, hash(c), repr(c))
             assert [getattr(twin, f.name) for f in dataclasses.fields(c)] == [getattr(c, f.name) for f in dataclasses.fields(c)]

@@ -418,10 +418,13 @@ def oracle_fm_feasible(
     constant term through every step, which homogeneous input keeps 0.
     Strictly positive rational solution of the homogeneous equations, or
     None.  Equality elimination by substitution, then Fourier-Motzkin on
-    the strict inequalities, then back-substitution for a witness."""
+    the strict inequalities, then back-substitution for a witness.  A
+    coefficient may be an int, as `_switch_reduction` gives it, and is
+    made a Fraction first, so that no division yields a float."""
+    equations = [{k: Fraction(v) for k, v in dict(eq).items() if v} for eq in equations]
     # constraints: (coeffs, const, is_eq); meaning sum + const (= or >) 0
     cons: list[tuple[dict[str, Fraction], Fraction, bool]] = [
-        ({k: v for k, v in eq.items() if v}, Fraction(0), True) for eq in equations
+        (eq, Fraction(0), True) for eq in equations
     ]
     cons += [({v: Fraction(1)}, Fraction(0), False) for v in variables]
     order: list[tuple[str, str, object]] = []  # (kind, var, data) in elim order
@@ -523,7 +526,7 @@ def oracle_fm_feasible(
         if values[v] <= 0:
             return None
     for eq in equations:
-        if eval_affine({k: v for k, v in eq.items() if v}, Fraction(0)) != 0:
+        if eval_affine(eq, Fraction(0)) != 0:
             return None
     return values
 
@@ -614,8 +617,9 @@ def oracle_enumerate_strata(track, height_bound):
 
 def random_system(rng):
     """0-6 variables in a shuffled order and 0-4 homogeneous equations over
-    them with coefficients in -2..2, some rows empty or all zero and some
-    a combination of the rows before them."""
+    them with coefficients in -2..2, as Fractions or, as `_switch_reduction`
+    gives them, plain ints; some rows empty or all zero and some a
+    combination of the rows before them."""
     variables = [f"v{i}" for i in range(rng.randint(0, 6))]
     rng.shuffle(variables)
     equations = []
@@ -631,7 +635,8 @@ def random_system(rng):
             })
         else:
             chosen = rng.sample(variables, rng.randint(0, len(variables)))
-            equations.append({v: Fraction(rng.randint(-2, 2)) for v in chosen})
+            kind = rng.choice((int, Fraction))
+            equations.append({v: kind(rng.randint(-2, 2)) for v in chosen})
     return variables, equations
 
 
@@ -763,6 +768,21 @@ def test_each_witness_value_is_built_once(monkeypatch):
     assert len(built) == len(set(entries)) == len(set(map(id, entries)))
     monkeypatch.setattr(tracks, "pair", real)
     assert strata == oracle_enumerate_strata(track, 3)
+
+
+def test_enumeration_hashes_no_fraction(monkeypatch):
+    # switch equations keep int coefficients, and witness values are found
+    # by their levels and reduced pairs, so a system key or a witness value
+    # never hashes a Fraction
+    track = TrainTrack(["a", "b", "c", "d"], [(["a", "b"], ["c"]), (["c"], ["b", "d"])])
+    hashed = []
+    real = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda self: hashed.append(self) or real(self))
+    assert hash(Fraction(1, 3)) == real(Fraction(1, 3)) and len(hashed) == 1
+    hashed.clear()
+    strata = enumerate_strata(track, 4)
+    assert hashed == []
+    assert len(strata) == 1697 and sum(s.feasible for s in strata) == 59
 
 
 def test_switches_decided_at_different_depths_agree_with_both_oracles():

@@ -10,10 +10,13 @@ from typing import Optional
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from levelring.measures import Atom, Density, Domain, FHMeasure
+from levelring.tracks import FIN, INFINITE, Stratum
 from levelring.values import (
     DEFAULT_HEIGHT_BOUND,
     INF,
     LevelValue,
+    MAX_RATIONAL_DIGITS,
     MAX_SEQUENCE_HEIGHT,
     XRat,
     ZERO,
@@ -646,3 +649,34 @@ def test_copies_and_pickles_round_trip(spec):
         for target in (v, ov):
             with pytest.raises(AttributeError):
                 setattr(target, name, getattr(target, name))
+
+
+@given(mags, st.integers(0, 5))
+def test_values_pickle_under_every_protocol(magnitude, level):
+    # XRat rebuilds from its integer pair or "inf", so every holder of one
+    # pickles from protocol 0 on, as LevelValue always did
+    value = LevelValue(level, magnitude)
+    kind = INFINITE if magnitude.is_infinite else FIN
+    stratum = Stratum(((level, kind), None), True, (value, ZERO))
+    atom, density = Atom("I", "1/2", level, magnitude), Density("I", 0, "1/3", level, magnitude)
+    measure = FHMeasure(Domain([("I", 1)]), [atom, density], height_bound=level + 1)
+    for x in (magnitude, value, stratum, atom, density, measure):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            twin = pickle.loads(pickle.dumps(x, protocol))
+            assert type(twin) is type(x) and twin == x and repr(twin) == repr(x) and hash(twin) == hash(x)
+
+
+def test_overlong_values_pickle_as_their_numerators_do():
+    # a rational too long for str pickles as its integer pair; protocols 0
+    # and 1 write every int as decimal text, so under the interpreter's
+    # digit limit it fails there exactly as its own numerator does
+    numerator = 10**MAX_RATIONAL_DIGITS + 1
+    magnitude = XRat(Fraction(numerator, 3))
+    for x in (magnitude, LevelValue(2, magnitude)):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            bare = outcome(pickle.dumps, numerator, protocol)
+            if bare[0] == "ValueError":
+                assert protocol < 2 and outcome(pickle.dumps, x, protocol) == bare
+            else:
+                twin = pickle.loads(pickle.dumps(x, protocol))
+                assert type(twin) is type(x) and twin == x
