@@ -366,32 +366,6 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _Texts(dict):
-    """Value -> `before + show(value) + after`, made on first use and
-    shared from then on."""
-
-    def __init__(self, show, before: str = "", after: str = ""):
-        super().__init__()
-        self.show, self.before, self.after = show, before, after
-
-    def __missing__(self, value: Any) -> str:
-        text = self[value] = self.before + self.show(value) + self.after
-        return text
-
-
-class _TextsById(_Texts):
-    """`_Texts` keyed by `id(value)`, so that a lookup hashes no value; a
-    miss finds its value in `among`, which the caller sets to a sequence
-    holding every value it looks up next."""
-
-    among: Any = ()
-
-    def __missing__(self, key: int) -> str:
-        value = {id(v): v for v in self.among}[key]
-        text = self[key] = self.before + self.show(value) + self.after
-        return text
-
-
 def _render_json(report: Any, indent: bool = True) -> str:
     """``json.dumps(report, sort_keys=True)`` byte for byte, with
     ``indent=2`` when indent and ``separators=(",", ":")`` otherwise, for
@@ -402,9 +376,9 @@ def _render_json(report: Any, indent: bool = True) -> str:
     value in turn, except in a list whose first entry is a stratum: there
     a stratum with a nonempty pattern and witness is one head text for
     its verdict and one entry text per shape and per witness value, taken
-    from `_Texts` tables made for that list, so the parts of a large
-    report are references to a few shared strings.  Shapes are looked up
-    by value, and witness values by identity (`_TextsById`), which
+    from tables that fill themselves for that list (`values._Memo`), so
+    the parts of a large report are references to a few shared strings.
+    Shapes are looked up by value, and witness values by identity, which
     hashes none: `enumerate_strata` makes equal values one object, and
     equal but distinct values get entries of their own, with the same
     bytes."""
@@ -422,16 +396,25 @@ def _render_json(report: Any, indent: bool = True) -> str:
         item_at, field_at, entry_at = (newline + step * (depth + k) for k in (1, 2, 3))
         head = f'{item_at}{{{field_at}"feasible"{colon}%s,{field_at}"pattern"{colon}['
         true_head, false_head = head % "true", head % "false"
-        shape_json = _Texts(lambda sh: text(_shape(sh), depth + 3)).__getitem__
-        shapes = _Texts(shape_json, entry_at, ",")
-        values = _TextsById(lambda v: text(jsonio.svalue_to_json(v), depth + 3), entry_at, ",")
+
+        def texts(show, after: str) -> values._Memo:
+            """key -> an entry: a new line at entry depth, show(key), after."""
+            return values._Memo(lambda key: entry_at + show(key) + after)
+
+        shape_json = values._Memo(lambda sh: text(_shape(sh), depth + 3)).__getitem__
+        shapes = texts(shape_json, ",")
+        # a miss finds its value in the witness being written
+        witness_texts = texts(
+            lambda key: text(jsonio.svalue_to_json(next(v for v in witness if id(v) == key)), depth + 3), ","
+        )
         # the last shape closes the pattern and starts the witness; the last
         # witness value, found by id after the whole witness, closes the
         # stratum
         pattern_end = f'{field_at}],{field_at}"witness"{colon}'
-        closed = _Texts(shape_json, entry_at, f"{pattern_end}null{item_at}}},")
-        opened = _Texts(shape_json, entry_at, pattern_end + "[")
-        last_values = _Texts(lambda key: values[key][:-1], after=f"{field_at}]{item_at}}},")
+        closed = texts(shape_json, f"{pattern_end}null{item_at}}},")
+        opened = texts(shape_json, pattern_end + "[")
+        stratum_end = f"{field_at}]{item_at}}},"
+        last_values = values._Memo(lambda key: witness_texts[key][:-1] + stratum_end)
         out.append("[")
         for item in items:
             if isinstance(item, tracks.Stratum) and item.pattern and item.witness != ():
@@ -442,8 +425,7 @@ def _render_json(report: Any, indent: bool = True) -> str:
                     out[-1] = closed[pattern[-1]]
                 else:
                     out[-1] = opened[pattern[-1]]
-                    values.among = witness
-                    out.extend(map(values.__getitem__, map(id, witness)))
+                    out.extend(map(witness_texts.__getitem__, map(id, witness)))
                     out[-1] = last_values[id(witness[-1])]
             else:
                 out.append(item_at)

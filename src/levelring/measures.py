@@ -390,6 +390,9 @@ class Atom:
         set_mass(self, mass)
         set_at(self, position.as_integer_ratio())
 
+    def __reduce__(self) -> tuple:
+        return (_from_pairs, (Atom, self.interval, (self._at,), self.level, self.mass))
+
 
 @dataclass(frozen=True, slots=True)
 class Density:
@@ -427,9 +430,20 @@ class Density:
         set_lo_at(self, lo_at)
         set_hi_at(self, hi_at)
 
+    def __reduce__(self) -> tuple:
+        return (_from_pairs, (Density, self.interval, (self._lo_at, self._hi_at), self.level, self.rate))
+
 
 _ATOM_SETTERS = _slot_setters(Atom)
 _DENSITY_SETTERS = _slot_setters(Density)
+
+
+def _from_pairs(cls, interval: str, ends: tuple, level: int, value: XRat) -> Component:
+    """A component rebuilt from its stored reduced pairs, as its
+    `__reduce__` gives them: the pairs pickle from protocol 2 on past the
+    digit limit of str, and a Fraction on Python 3.10 does not."""
+    return cls(interval, *(Fraction(*end) for end in ends), level, value)
+
 
 Component = Union[Atom, Density]
 

@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from levelring.values import _ECHO, INF, LevelValue, ZERO, _ratio, _slot_setters, pair, total
+from levelring.values import _ECHO, INF, LevelValue, ZERO, _from_ratio, _Memo, _ratio, _slot_setters, pair, total
 from levelring.vectors import Monomial, Vector, _as_family, _as_vector
 
 __all__ = [
@@ -291,33 +291,6 @@ class Stratum:
 _STRATUM_SETTERS = _slot_setters(Stratum)
 
 
-class _Witness(dict):
-    """(segment, shape) -> that segment's witness value under one system's
-    solution, made on first use: ZERO for no shape, infinity for an
-    infinite one, else the solved magnitude.  `made` maps (level, reduced
-    pair of the magnitude, infinity as 1/0) to the values made so far,
-    across systems, so that `pair` builds each distinct value once, equal
-    values are one object, and no Fraction is hashed."""
-
-    def __init__(self, solution: Mapping[str, Fraction], made: dict):
-        super().__init__()
-        self.solution, self.made = solution, made
-
-    def __missing__(self, key: tuple[str, Shape]) -> LevelValue:
-        s, shape = key
-        if shape is None:
-            value = ZERO
-        else:
-            level, kind = shape
-            magnitude = INF if kind == INFINITE else self.solution[s]
-            at = level, _ratio(magnitude)
-            value = self.made.get(at)
-            if value is None:
-                value = self.made[at] = pair(level, magnitude)
-        self[key] = value
-        return value
-
-
 def _fm_feasible(
     variables: Sequence[str],
     equations: Sequence[Mapping[str, int | Fraction] | Iterable[tuple[str, int | Fraction]]],
@@ -425,43 +398,38 @@ def _switch_reduction(
     return tuple(sorted((s, c) for s, c in coeffs.items() if c))
 
 
-class _Row(dict):
-    """One switch's reductions for one set of shapes of its segments before
-    its last: the last segment's shape -> `_switch_reduction`, made on
-    first use."""
+def _switch_rows(names: Sequence[str], last: str, sides: tuple) -> _Memo:
+    """One switch's reductions, in tables made on first use: the shapes of
+    its segments before its last (named in order) -> a row, and a row's
+    shape of the last segment -> `_switch_reduction` of the switch."""
 
-    def __init__(self, shape_of: dict[str, Shape], last: str, sides: tuple):
-        super().__init__()
-        self.shape_of, self.last, self.sides = shape_of, last, sides
+    def row(key: tuple[Shape, ...]) -> _Memo:
+        shape_of = dict(zip(names, key))
 
-    def __missing__(self, shape: Shape) -> Optional[tuple[tuple[str, int], ...]]:
-        self.shape_of[self.last] = shape
-        reduction = self[shape] = _switch_reduction(self.shape_of, *self.sides)
-        return reduction
+        def reduce(shape: Shape) -> Optional[tuple[tuple[str, int], ...]]:
+            shape_of[last] = shape
+            return _switch_reduction(shape_of, *sides)
+
+        return _Memo(reduce)
+
+    return _Memo(row)
 
 
-class _Choices(dict):
-    """(position k, levels used before it as a bit set) -> the options at
-    k, each with the levels used after it, that leave no more levels
-    missing below the highest than segments after k."""
-
-    def __init__(self, options: Sequence[Shape], n: int):
-        super().__init__()
-        self.options, self.n = options, n
-
-    def __missing__(self, key: tuple[int, int]) -> list[tuple[Shape, int]]:
-        k, used = key
-        out = self[key] = []
-        for shape in self.options:
-            now = used if shape is None else used | 1 << shape[0]
-            if now.bit_length() - now.bit_count() > self.n - 1 - k:
-                # if this option raised the highest level, every later one
-                # sits higher still
-                if now.bit_length() > used.bit_length():
-                    break
-                continue
-            out.append((shape, now))
-        return out
+def _choices(options: Sequence[Shape], n: int, k: int, used: int) -> list[tuple[Shape, int]]:
+    """The options at position k of n, given the levels used before it as
+    a bit set, each with the levels used after it, that leave no more
+    levels missing below the highest than segments after k."""
+    out = []
+    for shape in options:
+        now = used if shape is None else used | 1 << shape[0]
+        if now.bit_length() - now.bit_count() > n - 1 - k:
+            # if this option raised the highest level, every later one
+            # sits higher still
+            if now.bit_length() > used.bit_length():
+                break
+            continue
+        out.append((shape, now))
+    return out
 
 
 # `enumerate_strata` refuses a track and height bound with more proximal
@@ -493,21 +461,21 @@ def enumerate_strata(track: TrainTrack, height_bound: int) -> list[Stratum]:
     asks for strictly positive finite magnitudes satisfying every switch;
     witnesses are attached when they exist.  The patterns are walked
     depth first over prefixes.  A prefix is dropped as soon as the
-    segments left cannot fill the levels missing below its highest level
-    (the options left at a position are worked out once per call for each
-    set of levels used before it).  Each switch is decided at its last
-    segment's position: the prefix before it looks up the switch's row
-    (`_Row`) once, by the shapes of the switch's other segments, and each
-    option there reads the row at its own shape, so `_switch_reduction`
-    runs once per call for each distinct restriction of a prefix to the
-    switch's segments.  Every proximal completion of a prefix that
-    contradicts a switch is infeasible with no further work.
-    `_fm_feasible` runs once per distinct system (finite variables,
-    equations in switch order with int coefficients, so the lookup hashes
-    no Fraction).  Each system keeps the witness values made for it by
-    (segment, shape), and `pair` builds each distinct witness value once
-    per call, so equal witness values are one object; every witness is
-    still checked with `validate`, and one that fails raises RuntimeError.
+    segments left cannot fill the levels missing below its highest level.
+    Every table below is a `_Memo`, made afresh for each call and filled
+    on first lookup: the options left at a position, per set of levels
+    used before it; per switch, a row per shapes of its segments before
+    its last, which each option at the last segment's position reads at
+    its own shape, so `_switch_reduction` runs once for each distinct
+    restriction of a prefix to the switch's segments; one `_fm_feasible`
+    solution per distinct system (finite variables, equations in switch
+    order with int coefficients, so the lookup hashes no Fraction); per
+    solved system, its witness values by (segment, shape); and the values
+    made by (level, reduced pair), so `pair` builds each distinct witness
+    value once and equal witness values are one object.  Every proximal
+    completion of a prefix that contradicts a switch is infeasible with
+    no further work.  Every witness is still checked with `validate`, and
+    one that fails raises RuntimeError.
 
     Order contract: patterns come in the lexicographic order of their
     per-segment options, first segment first, where each segment's options
@@ -538,33 +506,50 @@ def enumerate_strata(track: TrainTrack, height_bound: int) -> list[Stratum]:
         options += [(lev, FIN), (lev, INFINITE)]
     finite = set(options[1::2])  # the shapes whose magnitudes are variables
     # Per position: the switches whose last segment sits there, each with
-    # its index, the positions of its other distinct segments, its sides,
-    # and a table from their shapes to its `_Row`.
+    # its index, the positions of its other distinct segments and its
+    # `_switch_rows` table.
     decided_at: list[list] = [[] for _ in segments]
     for i, (a, b) in enumerate(track.switches):
         at = sorted({index[s] for s in a + b})
         if at:  # a switch with no ends is satisfied by every pattern
-            decided_at[at[-1]].append((i, at[:-1], (a, b), {}))
-    choices = _Choices(options, n)
+            table = _switch_rows([segments[j] for j in at[:-1]], segments[at[-1]], (a, b))
+            decided_at[at[-1]].append((i, at[:-1], table))
+    choices = _Memo(lambda key: _choices(options, n, *key))
     pattern: list[Shape] = [None] * n
     equations: list = [()] * len(track.switches)  # by switch, on this prefix
-    # (finite variables, equations) -> the witness values of its solution,
-    # or None when _fm_feasible finds none
-    solutions: dict = {}
-    made: dict = {}  # (level, reduced pair of the magnitude) -> witness value
+    # (level, reduced pair of the magnitude, infinity as 1/0) -> its witness
+    # value, so that `pair` builds each distinct value once, equal values
+    # are one object and no Fraction is hashed
+    made = _Memo(lambda at: pair(at[0], _from_ratio(*at[1])))
+
+    def solve(system: tuple) -> Optional[_Memo]:
+        """(segment, shape) -> that segment's witness value under the
+        system's solution: ZERO for no shape, infinity for an infinite
+        one, else the solved magnitude; or None when `_fm_feasible` finds
+        no solution."""
+        solution = _fm_feasible(*system)
+        if solution is None:
+            return None
+
+        def value(key: tuple[str, Shape]) -> LevelValue:
+            s, shape = key
+            if shape is None:
+                return ZERO
+            level, kind = shape
+            return made[level, _ratio(INF if kind == INFINITE else solution[s])]
+
+        return _Memo(value)
+
+    solutions = _Memo(solve)  # (finite variables, equations) -> `solve`'s table
     out: list[Stratum] = []
 
     def stratum() -> Stratum:
         """The stratum of a pattern that contradicts no switch."""
         shapes = tuple(pattern)
-        system = (
+        values = solutions[
             tuple(itertools.compress(segments, map(finite.__contains__, shapes))),
             tuple(filter(None, equations)),
-        )
-        values = solutions.get(system, solutions)
-        if values is solutions:  # not solved yet
-            solution = _fm_feasible(*system)
-            values = solutions[system] = None if solution is None else _Witness(solution, made)
+        ]
         if values is None:
             return Stratum(shapes, False)
         witness = tuple(map(values.__getitem__, zip(segments, shapes)))
@@ -578,13 +563,8 @@ def enumerate_strata(track: TrainTrack, height_bound: int) -> list[Stratum]:
         """Extend the prefix before k, whose levels are the set bits of
         used; alive is False once a switch of the prefix is contradicted."""
         rows = []  # (switch, its row for this prefix) for the switches decided at k
-        for i, before, sides, table in decided_at[k] if alive else ():
-            key = tuple(map(pattern.__getitem__, before))
-            row = table.get(key)
-            if row is None:
-                shape_of = dict(zip(map(segments.__getitem__, before), key))
-                row = table[key] = _Row(shape_of, segments[k], sides)
-            rows.append((i, row))
+        for i, before, table in decided_at[k] if alive else ():
+            rows.append((i, table[tuple(map(pattern.__getitem__, before))]))
         last = k == n - 1
         for shape, now in choices[k, used]:
             pattern[k] = shape

@@ -276,12 +276,13 @@ class XRat:
         # pickles from protocol 0 on and, unlike a Fraction on Python 3.10,
         # past the digit limit of str (from protocol 2, which writes ints
         # in binary).
-        frac = self._frac
-        return (XRat, ("inf",)) if frac is None else (_from_ratio, frac.as_integer_ratio())
+        return (_from_ratio, _ratio(self))
 
 
 def _from_ratio(num: int, den: int) -> XRat:
-    return XRat(Fraction(num, den))
+    """The XRat of a reduced integer pair, infinity as 1/0, as `_ratio`
+    gives it."""
+    return INF if not den else XRat(Fraction(num, den))
 
 
 INF = XRat("inf")
@@ -394,6 +395,23 @@ def _slot_setters(cls) -> tuple:
     """The setters of a slotted dataclass's fields, in field order: they
     bypass the frozen __setattr__, which refuses."""
     return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+class _Memo(dict):
+    """A table that fills itself: a missing key's value is `make(key)`,
+    stored on first lookup.  A hit runs no Python code, and a `make` that
+    raises stores nothing, so the next lookup of that key tries again."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
 
 ZERO = LevelValue(None, XRat(0))
 

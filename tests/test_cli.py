@@ -5,6 +5,7 @@ golden reports under ``tests/golden`` from the current code.
 """
 
 import copy
+import gc
 import io
 import itertools
 import json
@@ -313,6 +314,25 @@ def test_failing_witness_check_is_an_error(tmp_path, capsys, monkeypatch, k):
     # every witness up to the k-th was checked, though no system was solved twice
     assert checked == [s.witness for s in strata[:k]]
     assert len(set(solved)) == len(solved) == min(k, 4)
+
+
+def test_strata_runs_leave_no_reference_cycles(tmp_path, capsys):
+    # the walk's and the writer's tables are freed as a run ends, with no
+    # collection: no table, closure or row holds itself
+    argv = ["track", "strata", write(tmp_path, "track.json", SPIRAL_TRACK), "--height-bound", "4"]
+    track = jsonio.track_from_json(SPIRAL_TRACK)
+    runs = [lambda: run(capsys, *argv), lambda: run(capsys, *argv, "--format", "text"),
+            lambda: tracks.enumerate_strata(track, 4)]
+    for once in runs:  # first runs fill the caches every later run shares
+        once()
+    gc.collect()
+    gc.disable()
+    try:
+        for once in runs:
+            once()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class _NoCombinations:
@@ -1218,8 +1238,8 @@ STRATA = st.builds(
     st.none() | st.lists(WITNESS_VALUES, max_size=6).map(tuple),
 )
 # lists of strata whose witnesses take their values from one pool, each
-# value as the pool's own object (as `_Witness` hands out one object per
-# value) or as an equal but distinct copy
+# value as the pool's own object (as `enumerate_strata` hands out one
+# object per value) or as an equal but distinct copy
 SHARING_STRATA = st.lists(WITNESS_VALUES, min_size=1, max_size=4).flatmap(
     lambda pool: st.lists(
         st.builds(
@@ -1287,21 +1307,30 @@ def filtered_tracks(draw):
     return track, family, height
 
 
-def track_through_cli(folder, track, *argv, family=None):
-    """The result a `track` subcommand reports on the track (and family),
-    written to the folder and run through cli.main."""
+def through_cli(folder, words, docs, *options):
+    """The result the command reports on the documents, each written to the
+    folder in turn and run through cli.main."""
+    files = [write(folder, f"input{i}.json", doc) for i, doc in enumerate(docs)]
+    code, out, err = capture([*words, *files, *options])
+    assert (code, err) == (0, "")
+    return json.loads(out)["result"]
+
+
+def track_through_cli(folder, track, *argv, second=None):
+    """The result a `track` subcommand reports on the track (and a weights
+    or family document), run through cli.main."""
     doc = {
         "segments": list(track.segments),
         "switches": [{"a": list(a), "b": list(b)} for a, b in track.switches],
         "free_ends": track.free_end_map,
     }
-    files = [write(folder, "track.json", doc)]
-    if family is not None:
-        entries = [{"level": m.level, "coeff": str(m.coeff), "degree": m.degree} for m in family]
-        files.append(write(folder, "family.json", entries))
-    code, out, err = capture(["track", argv[0], *files, *argv[1:]])
-    assert (code, err) == (0, "")
-    return json.loads(out)["result"]
+    return through_cli(folder, ["track", argv[0]], [doc] + ([] if second is None else [second]), *argv[1:])
+
+
+def _pattern(weights):
+    """The level/finiteness pattern of a weights document, as the strata
+    report writes patterns."""
+    return [None if w is None else {"level": w["level"], "kind": "inf" if w["real"] == "inf" else "fin"} for w in weights]
 
 
 @settings(deadline=None)
@@ -1311,10 +1340,10 @@ def test_filtration_pattern_is_listed_feasible_through_cli(tmp_path_factory, dra
     # vector, so their level/finiteness pattern is a feasible stratum
     track, family, height = drawn
     folder = tmp_path_factory.getbasetemp()
-    weights = track_through_cli(folder, track, "filtration", family=family)["weights"]
-    pattern = [None if w is None else {"level": w["level"], "kind": "fin"} for w in weights]
+    entries = [{"level": m.level, "coeff": str(m.coeff), "degree": m.degree} for m in family]
+    weights = track_through_cli(folder, track, "filtration", second=entries)["weights"]
     strata = track_through_cli(folder, track, "strata", "--height-bound", str(height))["strata"]
-    assert [s["feasible"] for s in strata if s["pattern"] == pattern] == [True]
+    assert [s["feasible"] for s in strata if s["pattern"] == _pattern(weights)] == [True]
 
 
 @settings(deadline=None)
@@ -1328,6 +1357,56 @@ def test_feasible_witnesses_are_invariant_and_proximal_through_cli(tmp_path_fact
     assert witnesses
     for weights in witnesses:
         assert tracks.validate(track, weights) == [] and tracks.is_proximal(weights)
+
+
+@st.composite
+def short_tracks(draw):
+    """A balanced track of at most four segments (`random_track_family`,
+    one or two switches) and a height bound at or one past its segment
+    count, so at most 1,697 strata."""
+    track, _ = random_track_family(Random(draw(st.integers(0, 2**32 - 1))), draw(st.integers(1, 2)))
+    assume(len(track.segments) <= 4)
+    return track, len(track.segments) + draw(st.integers(0, 1))
+
+
+@settings(deadline=None)
+@given(short_tracks(), st.data())
+def test_aligned_adjustments_of_witnesses_are_listed_feasible_through_cli(tmp_path_factory, drawn, data):
+    # a valid adjustment of an invariant vector is invariant, and aligning
+    # it gives a proximal one, with at most as many levels as segments; so
+    # at a height bound at or past the segment count its pattern is listed,
+    # and feasible.  One feasible witness is drawn per track.
+    track, height = drawn
+    folder = tmp_path_factory.getbasetemp()
+    strata = track_through_cli(folder, track, "strata", "--height-bound", str(height))["strata"]
+    feasible = [s["pattern"] for s in strata if s["feasible"]]
+    witness = data.draw(st.sampled_from([s["witness"] for s in strata if s["feasible"]]))
+    adjustments = track_through_cli(folder, track, "adjust", second=witness)["adjustments"]
+    assert adjustments  # raising every segment is always one
+    for adjustment in adjustments:
+        aligned = track_through_cli(folder, track, "align", second=adjustment["weights"])["weights"]
+        assert _pattern(aligned) in feasible
+
+
+MONOMIALS = st.builds(
+    lambda level, p, q, degree: {"level": level, "coeff": f"{p}/{q}", "degree": degree},
+    st.integers(0, 3), st.integers(1, 9), st.integers(1, 4), st.integers(0, 3),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(st.none() | MONOMIALS, min_size=1, max_size=6).filter(lambda f: any(f)))
+def test_family_limits_hold_each_entry_limit_through_cli(tmp_path_factory, family):
+    # one class per distinct degree among the nonzero entries, and the
+    # limit normalized at each nonzero entry lies in one of them
+    folder = tmp_path_factory.getbasetemp()
+    classes = through_cli(folder, ["family", "limits"], [family])["classes"]
+    nonzero = [j for j, m in enumerate(family) if m is not None]
+    assert len(classes) == len({family[j]["degree"] for j in nonzero})
+    canons = [jsonio.vector_from_json(c) for c in classes]
+    for j in nonzero:
+        limit = through_cli(folder, ["family", "limit"], [{"family": family, "reference": j}])["vector"]
+        assert vectors.proj_canonical(jsonio.vector_from_json(limit)) in canons
 
 
 if __name__ == "__main__":

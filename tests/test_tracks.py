@@ -785,6 +785,30 @@ def test_enumeration_hashes_no_fraction(monkeypatch):
     assert len(strata) == 1697 and sum(s.feasible for s in strata) == 59
 
 
+@pytest.mark.parametrize(
+    "track, height, work",
+    [
+        # strata, feasible, then calls of _switch_reduction, _fm_feasible,
+        # pair and validate
+        (TrainTrack(["a", "b", "c", "d"], [(["a", "b"], ["c"]), (["c"], ["b", "d"])]), 4, (1697, 59, 561, 16, 7, 59)),
+        (TrainTrack(["x", "y", "z", "w"], [(["x", "y"], ["z"])]), 3, (1313, 147, 317, 16, 8, 147)),
+    ],
+)
+def test_enumeration_tables_pin_the_work_they_save(monkeypatch, track, height, work):
+    # one reduction per distinct restriction of a prefix to a switch, one
+    # solve per distinct system, one pair per distinct witness value, and
+    # one validate per feasible witness
+    calls = Counter()
+    for name in ("_switch_reduction", "_fm_feasible", "pair", "validate"):
+        real = getattr(tracks, name)
+        monkeypatch.setattr(tracks, name, lambda *args, _real=real, _name=name: calls.update([_name]) or _real(*args))
+    strata = enumerate_strata(track, height)
+    counted = (calls["_switch_reduction"], calls["_fm_feasible"], calls["pair"], calls["validate"])
+    assert (len(strata), sum(s.feasible for s in strata), *counted) == work
+    monkeypatch.undo()
+    assert strata == oracle_enumerate_strata(track, height)
+
+
 def test_switches_decided_at_different_depths_agree_with_both_oracles():
     # 5-6 segments and 2-3 switches whose last segments differ, so the
     # walk decides them at different prefix depths; heights 1 and 2, and 3

@@ -20,6 +20,7 @@ from levelring.values import (
     MAX_SEQUENCE_HEIGHT,
     XRat,
     ZERO,
+    _Memo,
     compare,
     from_sequence,
     level_of,
@@ -680,3 +681,25 @@ def test_overlong_values_pickle_as_their_numerators_do():
             else:
                 twin = pickle.loads(pickle.dumps(x, protocol))
                 assert type(twin) is type(x) and twin == x
+
+
+# ---------------------------------------------------------------------------
+# the self-filling table
+
+def test_memo_makes_each_value_once_and_keeps_no_failure():
+    made = []
+
+    def make(key):
+        made.append(key)
+        if key < 0:
+            raise ValueError(f"no value for {key}")
+        return [key]
+
+    memo = _Memo(make)
+    first = memo[3]
+    assert first == [3] and memo[3] is first and made == [3]  # a hit calls no make
+    for _ in range(2):  # a make that raised stored nothing, so it runs again
+        with pytest.raises(ValueError, match="no value for -1"):
+            memo[-1]
+    assert made == [3, -1, -1] and dict(memo) == {3: [3]}
+    assert memo.get(4) is None and 4 not in memo and made == [3, -1, -1]
