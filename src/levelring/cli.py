@@ -370,14 +370,14 @@ def _render_json(report: Any, indent: bool = True) -> str:
     """``json.dumps(report, sort_keys=True)`` byte for byte, with
     ``indent=2`` when indent and ``separators=(",", ":")`` otherwise, for
     the types a report holds: dicts with str keys, lists, tuples, str,
-    int, bool, None and `tracks.Stratum`, written as the object with keys
-    "feasible", "pattern" (its shapes) and "witness" (its value encodings,
-    or null); any other type raises TypeError.  A plain walk writes each
-    value in turn, except in a list whose first entry is a stratum: there
-    a stratum with a nonempty pattern and witness is one head text for
-    its verdict and one entry text per shape and per witness value, taken
-    from tables that fill themselves for that list (`values._Memo`), so
-    the parts of a large report are references to a few shared strings.
+    int, bool, None, and lists of `tracks.Stratum` as `enumerate_strata`
+    makes them (a nonempty pattern, a witness of at least one value or
+    None); anything else raises TypeError.  A stratum is the object with
+    keys "feasible", "pattern" (its shapes) and "witness" (its value
+    encodings, or null), written as one head text for its verdict and one
+    entry text per shape and per witness value, taken from tables that
+    fill themselves for its list (`values._Memo`), so the parts of a
+    large report are references to a few shared strings.
     Shapes are looked up by value, and witness values by identity, which
     hashes none: `enumerate_strata` makes equal values one object, and
     equal but distinct values get entries of their own, with the same
@@ -392,7 +392,7 @@ def _render_json(report: Any, indent: bool = True) -> str:
         return "".join(out)
 
     def strata(items: Any, depth: int, out: list) -> None:
-        """Append a list at depth whose first entry is a stratum."""
+        """Append a list of strata at depth."""
         item_at, field_at, entry_at = (newline + step * (depth + k) for k in (1, 2, 3))
         head = f'{item_at}{{{field_at}"feasible"{colon}%s,{field_at}"pattern"{colon}['
         true_head, false_head = head % "true", head % "false"
@@ -417,31 +417,21 @@ def _render_json(report: Any, indent: bool = True) -> str:
         last_values = values._Memo(lambda key: witness_texts[key][:-1] + stratum_end)
         out.append("[")
         for item in items:
-            if isinstance(item, tracks.Stratum) and item.pattern and item.witness != ():
-                pattern, witness = item.pattern, item.witness
-                out.append(true_head if item.feasible else false_head)
-                out.extend(map(shapes.__getitem__, pattern))
-                if witness is None:
-                    out[-1] = closed[pattern[-1]]
-                else:
-                    out[-1] = opened[pattern[-1]]
-                    out.extend(map(witness_texts.__getitem__, map(id, witness)))
-                    out[-1] = last_values[id(witness[-1])]
+            if not (isinstance(item, tracks.Stratum) and item.pattern and item.witness != ()):
+                raise TypeError(f"not a stratum with a pattern and a witness: {type(item).__name__}")
+            pattern, witness = item.pattern, item.witness
+            out.append(true_head if item.feasible else false_head)
+            out.extend(map(shapes.__getitem__, pattern))
+            if witness is None:
+                out[-1] = closed[pattern[-1]]
             else:
-                out.append(item_at)
-                write(item, depth + 1, out)
-                out.append(",")
+                out[-1] = opened[pattern[-1]]
+                out.extend(map(witness_texts.__getitem__, map(id, witness)))
+                out[-1] = last_values[id(witness[-1])]
         out[-1] = out[-1][:-1] + newline + step * depth + "]"
 
     def write(obj: Any, depth: int, out: list) -> None:
-        if isinstance(obj, tracks.Stratum):
-            witness = obj.witness
-            write({
-                "feasible": obj.feasible,
-                "pattern": list(map(_shape, obj.pattern)),
-                "witness": None if witness is None else list(map(jsonio.svalue_to_json, witness)),
-            }, depth, out)
-        elif isinstance(obj, str):
+        if isinstance(obj, str):
             out.append(encode_basestring_ascii(obj))
         elif obj is None:
             out.append("null")

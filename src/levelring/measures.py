@@ -51,8 +51,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -377,8 +376,10 @@ class Atom:
     _at: tuple[int, int] = field(compare=False, repr=False, init=False)
 
     def __init__(self, interval: str, position: Rat, level: int, mass):
-        position, level = _frac(position), int(level)
+        position = _frac(position)
         mass = mass if type(mass) is XRat else XRat(mass)
+        if type(level) is not int:
+            raise TypeError(f"level must be an int: {_ECHO.repr(level)}")
         if level < 0:
             raise ValueError("level must be nonnegative")
         if not mass:
@@ -412,9 +413,11 @@ class Density:
     _hi_at: tuple[int, int] = field(compare=False, repr=False, init=False)
 
     def __init__(self, interval: str, lo: Rat, hi: Rat, level: int, rate):
-        lo, hi, level = _frac(lo), _frac(hi), int(level)
+        lo, hi = _frac(lo), _frac(hi)
         rate = rate if type(rate) is XRat else XRat(rate)
         lo_at, hi_at = lo.as_integer_ratio(), hi.as_integer_ratio()
+        if type(level) is not int:
+            raise TypeError(f"level must be an int: {_ECHO.repr(level)}")
         if level < 0:
             raise ValueError("level must be nonnegative")
         if _cmp(lo_at, hi_at) >= 0:
@@ -462,6 +465,8 @@ class FHMeasure:
         components: Iterable[Component] = (),
         height_bound: int = DEFAULT_HEIGHT_BOUND,
     ):
+        if type(height_bound) is not int:
+            raise TypeError(f"height bound must be an int: {_ECHO.repr(height_bound)}")
         if height_bound < 1:
             raise ValueError("height bound must be at least 1")
         comps = tuple(components)
@@ -493,7 +498,7 @@ class FHMeasure:
                 )
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "height_bound", int(height_bound))
+        object.__setattr__(self, "height_bound", height_bound)
 
     @cached_property
     def _index(self) -> _LevelIndex:
@@ -540,9 +545,9 @@ class _LevelIndex:
     The components by level are sorted out at once.  On first use each
     interval is swept: its marks (0, the length, every atom position and
     density end) cut it into slots, and top[slot] is the highest level
-    covering the slot, or -1.  The supports and their complements are runs
-    of slots, and the slices are the components cut to the slots whose top
-    is their own level; each is built on first use and then kept.
+    covering the slot, or -1.  The sweep and the slices (the components
+    cut to the slots whose top is their own level) are built on first use
+    and then kept; a support is read off the sweep's runs on each call.
     """
 
     def __init__(self, mu: FHMeasure):
@@ -552,7 +557,6 @@ class _LevelIndex:
         self.domain = mu.domain
         self.levels = tuple(sorted(by_level))
         self.by_level = by_level
-        self._supports: dict[int, Region] = {}
 
     @cached_property
     def sweep(self) -> dict[str, tuple[list[Fraction], dict[tuple[int, int], int], list[int]]]:
@@ -593,20 +597,16 @@ class _LevelIndex:
         return out
 
     def support(self, k: int) -> Region:
-        """The slots covered at level k or higher (at least 0), kept per
-        distinct support."""
-        i = bisect_left(self.levels, k)
-        if i not in self._supports:
-            floor, parts = max(k, 0), []
-            for iid, (x, _, top) in self.sweep.items():
-                cuts = [
-                    cut for covered, start, end in _runs(x, top, lambda t: t >= floor)
-                    if covered for cut in (start, end)
-                ]
-                if cuts:
-                    parts.append((iid, tuple(cuts)))
-            self._supports[i] = Region(self.domain, tuple(parts))
-        return self._supports[i]
+        """The runs of slots covered at level k or higher (at least 0)."""
+        floor, parts = max(k, 0), []
+        for iid, (x, _, top) in self.sweep.items():
+            cuts = [
+                cut for covered, start, end in _runs(x, top, lambda t: t >= floor)
+                if covered for cut in (start, end)
+            ]
+            if cuts:
+                parts.append((iid, tuple(cuts)))
+        return Region(self.domain, tuple(parts))
 
     def peak(self, c: Component) -> int:
         """The highest level covering any point of c's carrier."""
@@ -633,16 +633,6 @@ class _LevelIndex:
                 for bare, (lo, _), (hi, _) in _runs(x[s // 2 : e // 2 + 1], top[s : e + 1], k.__eq__):
                     if bare:
                         cut.append(Density(c.interval, lo, hi, k, c.rate))
-        return out
-
-    @cached_property
-    def top_atom(self) -> dict[tuple[str, tuple[int, int]], int]:
-        """The highest atom level at each (interval, position pair) with one."""
-        out: dict[tuple[str, tuple[int, int]], int] = {}
-        for c in itertools.chain.from_iterable(self.by_level.values()):
-            if isinstance(c, Atom):
-                spot = (c.interval, c._at)
-                out[spot] = max(out.get(spot, c.level), c.level)
         return out
 
 
@@ -695,7 +685,8 @@ def nu_k(mu: FHMeasure, k: int, region: Region) -> XRat:
 
 
 def support(mu: FHMeasure, k: int) -> Region:
-    """Closed region carrying components of level >= k."""
+    """Closed region carrying components of level >= k, read off the level
+    index's sweep on each call."""
     return mu._index.support(k)
 
 
@@ -756,17 +747,14 @@ def is_open_graded(mu: FHMeasure) -> bool:
     higher atom (every set containing the point reads the higher atom, so
     the lower mass never surfaces in evaluation at all).  On this
     representation the predicate is exactly equivalent to the recovery
-    formula reproducing evaluation on every region.
+    formula reproducing evaluation on every region.  The atoms at one
+    point share one slot, so a point is graded exactly when its highest
+    atom tops that slot: when some atom there peaks at its own level.
     """
     index = mu._index
-    for c in mu.components:
-        if (
-            isinstance(c, Atom)
-            and index.top_atom[c.interval, c._at] == c.level
-            and index.peak(c) > c.level
-        ):
-            return False
-    return True
+    atoms = [c for c in mu.components if isinstance(c, Atom)]
+    topped = {(c.interval, c._at) for c in atoms if index.peak(c) == c.level}
+    return topped == {(c.interval, c._at) for c in atoms}
 
 
 def is_locally_finite(mu: FHMeasure) -> bool:
@@ -791,12 +779,7 @@ def align(mu: FHMeasure) -> FHMeasure:
     rank = {lev: i for i, lev in enumerate(mu.levels())}
     if all(rank[lev] == lev for lev in rank):
         return mu
-    comps: list[Component] = []
-    for c in mu.components:
-        if isinstance(c, Atom):
-            comps.append(Atom(c.interval, c.position, rank[c.level], c.mass))
-        else:
-            comps.append(Density(c.interval, c.lo, c.hi, rank[c.level], c.rate))
+    comps = [replace(c, level=rank[c.level]) for c in mu.components]
     return FHMeasure(mu.domain, comps, mu.height_bound)
 
 

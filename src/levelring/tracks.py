@@ -94,8 +94,10 @@ class TrainTrack:
             unknown = set(free_ends) - set(segs)
             if unknown:
                 raise ValueError(f"free_ends mention unknown segments: {_ECHO.repr(sorted(unknown, key=str))}")
-            declared = {s: int(free_ends.get(s, 0)) for s in segs}
+            declared = {s: free_ends.get(s, 0) for s in segs}
         for s in segs:
+            if type(declared[s]) is not int:
+                raise TypeError(f"free end count of {_ECHO.repr(s)} must be an int: {_ECHO.repr(declared[s])}")
             if ends[s] + declared[s] != 2:
                 raise ValueError(
                     f"segment {_ECHO.repr(s)} has {ends[s]} switch ends and "

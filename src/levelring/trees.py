@@ -344,12 +344,14 @@ class ChordFamily:
     chords: tuple[tuple[int, int, LevelValue], ...]
 
     def __init__(self, marks: int, chords: Iterable[tuple[int, int, LevelValue]]):
-        marks = int(marks)
+        if type(marks) is not int:
+            raise TypeError(f"mark count must be an int: {_ECHO.repr(marks)}")
         if marks < 0:
             raise ValueError(f"mark count {_ECHO.repr(marks)} is negative")
         rows = []
         for i, j, w in chords:
-            i, j = int(i), int(j)
+            if type(i) is not int or type(j) is not int:
+                raise TypeError(f"chord ends must be ints: ({_ECHO.repr(i)},{_ECHO.repr(j)})")
             if not (1 <= i <= marks and 1 <= j <= marks) or i == j:
                 raise ValueError(
                     f"chord ends ({_ECHO.repr(i)},{_ECHO.repr(j)}) out of range 1..{_ECHO.repr(marks)}"

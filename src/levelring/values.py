@@ -318,7 +318,9 @@ class LevelValue:
         if level is None:
             if magnitude:
                 raise ValueError("zero element must have magnitude 0")
-        elif not isinstance(level, int) or level < 0:
+        elif type(level) is not int:
+            raise TypeError(f"level must be an int: {_ECHO.repr(level)}")
+        elif level < 0:
             raise ValueError(f"level must be a nonnegative int: {_ECHO.repr(level)}")
         elif not magnitude:
             raise ValueError("nonzero value needs a positive magnitude; use ZERO")

@@ -130,6 +130,8 @@ class Monomial:
     degree: int
 
     def __post_init__(self) -> None:
+        if type(self.level) is not int or type(self.degree) is not int:
+            raise TypeError(f"level and degree must be ints: {_ECHO.repr((self.level, self.degree))}")
         if self.level < 0:
             raise ValueError("level must be nonnegative")
         if not isinstance(self.coeff, Fraction) or self.coeff <= 0:

@@ -1235,7 +1235,7 @@ STRATA = st.builds(
     tracks.Stratum,
     st.lists(SHAPES, min_size=1, max_size=6).map(tuple),
     st.booleans(),
-    st.none() | st.lists(WITNESS_VALUES, max_size=6).map(tuple),
+    st.none() | st.lists(WITNESS_VALUES, min_size=1, max_size=6).map(tuple),
 )
 # lists of strata whose witnesses take their values from one pool, each
 # value as the pool's own object (as `enumerate_strata` hands out one
@@ -1246,20 +1246,22 @@ SHARING_STRATA = st.lists(WITNESS_VALUES, min_size=1, max_size=4).flatmap(
             tracks.Stratum,
             st.lists(SHAPES, min_size=1, max_size=6).map(tuple),
             st.booleans(),
-            st.none() | st.lists(st.sampled_from(pool) | st.sampled_from(pool).map(copy.copy), max_size=6).map(tuple),
+            st.none()
+            | st.lists(st.sampled_from(pool) | st.sampled_from(pool).map(copy.copy), min_size=1, max_size=6).map(tuple),
         ),
         min_size=1,
         max_size=4,
     )
 )
-# lists of strata, and lists whose first entry is a stratum and whose later
-# entries are strata or other JSON values, nested at varying depths
+# lists of strata, nested at varying depths in lists and dicts beside
+# other JSON values
 JSON_LEAVES = st.none() | st.booleans() | st.integers(-9, 9) | st.text(max_size=3) | st.lists(st.integers(), max_size=2)
 STRATA_REPORTS = st.recursive(
-    st.lists(STRATA, min_size=1, max_size=3)
-    | SHARING_STRATA
-    | st.tuples(STRATA, st.lists(STRATA | JSON_LEAVES, max_size=2)).map(lambda t: [t[0], *t[1]]),
-    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text("ab", max_size=2), inner | STRATA, max_size=2),
+    st.lists(STRATA, min_size=1, max_size=3) | SHARING_STRATA,
+    lambda inner: (
+        st.lists(inner | JSON_LEAVES, max_size=2)
+        | st.dictionaries(st.text("ab", max_size=2), inner | JSON_LEAVES, max_size=2)
+    ),
     max_leaves=3,
 )
 
@@ -1272,16 +1274,28 @@ def test_report_writer_matches_json_dumps_on_strata(doc):
     assert cli._render_json(doc, indent=False) == compact
 
 
+FIN_STRATUM = tracks.Stratum(((0, tracks.FIN),), False)
+
+
 @pytest.mark.parametrize(
-    "stratum",
-    [tracks.Stratum((), False), tracks.Stratum(((0, tracks.FIN),), True, ()), tracks.Stratum((), True, ())],
+    "doc",
+    [
+        {"s": FIN_STRATUM},
+        [tracks.Stratum((), False)],
+        [tracks.Stratum(((0, tracks.FIN),), True, ())],
+        [tracks.Stratum((), True, ())],
+        [None, FIN_STRATUM],
+        [FIN_STRATUM, None],
+    ],
+    ids=["lone", "empty_pattern", "empty_witness", "empty_both", "after_other_entry", "before_other_entry"],
 )
-def test_report_writer_writes_empty_patterns_and_witnesses(stratum):
-    for doc in ({"s": [stratum]}, {"s": stratum}, [stratum, stratum, None]):
-        assert cli._render_json(doc) == json.dumps(doc, indent=2, sort_keys=True, default=_plain)
-        assert cli._render_json(doc, indent=False) == json.dumps(
-            doc, sort_keys=True, separators=(",", ":"), default=_plain
-        )
+def test_report_writer_refuses_strata_enumeration_never_makes(doc):
+    """A report holds strata only as `enumerate_strata` makes them: in a
+    list of strata, each with a pattern and a witness of at least one
+    value or None."""
+    for indent in (True, False):
+        with pytest.raises(TypeError):
+            cli._render_json(doc, indent)
 
 
 @pytest.mark.parametrize(

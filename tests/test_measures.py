@@ -666,6 +666,13 @@ def test_open_gradedness():
     )
     assert not is_open_graded(buried)
     assert not recover_check(buried)
+    # a lower atom under a higher atom at its point is shadowed, unless a
+    # still higher level covers the point
+    quarter = Fraction(1, 4)
+    atoms = [Atom("I", quarter, 0, 1), Atom("I", quarter, 1, 1)]
+    for over, graded in ([], True), ([Density("I", 0, 1, 2, 1)], False), ([Density("I", 0, 1, 1, 1)], True):
+        mu = FHMeasure(UNIT, atoms + over)
+        assert is_open_graded(mu) == recover_check(mu) == graded
 
 
 def test_local_finiteness():
@@ -702,6 +709,15 @@ def test_component_guards():
         FHMeasure(UNIT, [Atom("I", 2, 0, 1)])  # position beyond length
     with pytest.raises(ValueError):
         FHMeasure(UNIT, [Atom("I", 0, 99, 1)])  # level beyond height bound
+    # levels and the height bound are exactly ints, never truncated or parsed
+    for build in (
+        lambda: Atom("I", 0, 2.5, 1),
+        lambda: Atom("I", 0, True, 1),
+        lambda: Density("I", 0, 1, "3", 1),
+        lambda: FHMeasure(UNIT, [], 2.5),
+    ):
+        with pytest.raises(TypeError, match="must be an int"):
+            build()
 
 
 # one part in 10**12 past an interval's end: a check that rounded would let it through
@@ -1137,7 +1153,6 @@ def test_mixed_denominators_agree_with_the_oracles(case):
     top = mu.height if mu.height is not None else 0
     assert index.sweep == old.sweep
     assert index.slices == old.slices
-    assert index.top_atom == old.top_atom
     assert [index.peak(c) for c in mu.components] == [old.peak(c) for c in mu.components]
     for k in range(-1, top + 2):
         assert index.support(k) == old.support(k)

@@ -53,6 +53,10 @@ def test_end_counting_and_free_ends():
     assert SPIRAL.free_end_map == {"x": 1, "y": 0, "z": 1, "w": 0}
     loops = TrainTrack(["a", "b"], [], free_ends={"a": 2, "b": 2})
     assert loops.free_end_map == {"a": 2, "b": 2}
+    # a count is exactly an int, never truncated or parsed
+    for count in (2.7, "2", True):
+        with pytest.raises(TypeError, match="free end count of 'a' must be an int"):
+            TrainTrack(["a"], [], free_ends={"a": count})
 
 
 def test_structure_guards():

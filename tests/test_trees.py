@@ -743,6 +743,10 @@ def test_chord_family_guards():
         ChordFamily(4, [(2, 2, pair(0, 1))])
     with pytest.raises(ValueError, match="mark count -4 is negative"):
         ChordFamily(-4, [])
+    with pytest.raises(TypeError, match="mark count must be an int: 4.9"):
+        ChordFamily(4.9, [(1, 2, pair(0, 1))])
+    with pytest.raises(TypeError, match=r"chord ends must be ints: \(1.2,2.8\)"):
+        ChordFamily(4, [(1.2, 2.8, pair(0, 1))])
     assert ChordFamily(0, []).marks == 0
 
 
@@ -911,16 +915,22 @@ def test_dual_then_dist_gives_each_chord_its_weight(tmp_path, capsys):
         ]
 
 
+def result_through_cli(words, doc):
+    """The result the command reports on the document, run through
+    cli.main."""
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main([*words, str(path)]) == 0
+    return json.loads(out.getvalue())["result"]
+
+
 def dual_through_cli(marks, chords):
     """The tree `tree dual` reports for the chords, run through cli.main
     and decoded; each chord is listed with its ends in the order given."""
     listed = [{"ends": [a, b], "weight": jsonio.svalue_to_json(w)} for a, b, w in chords]
-    out = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
-        doc = Path(tmp) / "chords.json"
-        doc.write_text(json.dumps({"marks": marks, "chords": listed}))
-        assert cli.main(["tree", "dual", str(doc)]) == 0
-    return jsonio.tree_from_json(json.loads(out.getvalue())["result"]["tree"])
+    return jsonio.tree_from_json(result_through_cli(["tree", "dual"], {"marks": marks, "chords": listed})["tree"])
 
 
 @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=0, max_value=47))
@@ -934,6 +944,43 @@ def test_rotated_chords_give_an_isomorphic_dual(seed, shift):
     rotated = [(turn(b), turn(a), w) for a, b, w in fam.chords]
     rng.shuffle(rotated)
     assert isomorphic(dual_through_cli(m, fam.chords), dual_through_cli(m, rotated))
+
+
+def arc_region(rows, x):
+    """The region beside the arc from mark x to the next mark: the one just
+    inside the innermost chord (a, b) with a <= x < b, or outer."""
+    spans = [(b - a, a, b) for a, b, _ in rows if a <= x < b]
+    return "r{}_{}".format(*min(spans)[1:]) if spans else "outer"
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+def test_arc_distance_totals_the_separating_chords_through_cli(seed):
+    # the separation law: the path between the regions beside arcs x < y
+    # crosses exactly the chords with one end in (x, y]
+    fam = random_chords(Random(seed), max_chords=12)
+    dual = jsonio.tree_to_json(dual_through_cli(fam.marks, fam.chords))
+    arcs = list(itertools.combinations(range(1, fam.marks + 1), 2))
+    pairs = [[arc_region(fam.chords, x), arc_region(fam.chords, y)] for x, y in arcs]
+    got = result_through_cli(["tree", "dist"], {"tree": dual, "pairs": pairs})["distances"]
+    assert got == [
+        {"pair": p, "value": jsonio.svalue_to_json(total(w for a, b, w in fam.chords if (x < a <= y) != (x < b <= y)))}
+        for p, (x, y) in zip(pairs, arcs)
+    ]
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+def test_collapsing_across_a_chord_forgets_it_through_cli(seed):
+    # the forgetting law: merging the regions on a chord's two sides gives
+    # the dual of the family without that chord
+    fam = random_chords(Random(seed), max_chords=12)
+    rows = fam.chords
+    dual = jsonio.tree_to_json(dual_through_cli(fam.marks, rows))
+    for idx, (a, b, _) in enumerate(rows):
+        up = chord_parent(rows, idx)
+        group = [f"r{a}_{b}", "outer" if up is None else "r{}_{}".format(*rows[up][:2])]
+        collapsed = result_through_cli(["tree", "collapse"], {"tree": dual, "group": group})["tree"]
+        rest = rows[:idx] + rows[idx + 1:]
+        assert isomorphic(jsonio.tree_from_json(collapsed), dual_through_cli(fam.marks, rest))
 
 
 # --- order-tree axioms -----------------------------------------------------------

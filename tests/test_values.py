@@ -320,6 +320,10 @@ def test_value_constructor_guards():
         LevelValue(2, XRat(0))  # nonzero level with zero magnitude
     with pytest.raises(ValueError):
         LevelValue(-1, XRat(1))
+    # a level is exactly an int: not a bool, a float or a string
+    for level in (True, 1.0, "1"):
+        with pytest.raises(TypeError, match="level must be an int"):
+            pair(level, 1)
 
 
 def test_xrat_orders_above_negative_numbers():
@@ -442,7 +446,9 @@ class OracleLevelValue:
             if self.magnitude:
                 raise ValueError("zero element must have magnitude 0")
             return
-        if not isinstance(self.level, int) or self.level < 0:
+        if type(self.level) is not int:
+            raise TypeError(f"level must be an int: {self.level!r}")
+        if self.level < 0:
             raise ValueError(f"level must be a nonnegative int: {self.level!r}")
         if not self.magnitude:
             raise ValueError("nonzero value needs a positive magnitude; use ZERO")

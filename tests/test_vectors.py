@@ -240,6 +240,9 @@ def test_family_guards():
         monomial(0, 0, 1)  # zero coefficient
     with pytest.raises(ValueError):
         monomial(0, "inf", 1)
+    for level, degree in ((0.5, 1), (0, 1.5), (True, 0)):
+        with pytest.raises(TypeError, match="level and degree must be ints"):
+            Monomial(level, Fraction(1), degree)
 
 
 def test_limit_points_agree_with_the_oracle():
