@@ -51,12 +51,11 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from levelring.values import _ECHO, DEFAULT_HEIGHT_BOUND, INF, LevelValue, XRat, ZERO, _cmp, _slot_setters, pair
+from levelring.values import _ECHO, DEFAULT_HEIGHT_BOUND, INF, LevelValue, XRat, ZERO, _cmp, _Record, pair
 
 __all__ = [
     "Atom",
@@ -92,10 +91,10 @@ _BY_VALUE = cmp_to_key(_cmp)
 # ---------------------------------------------------------------------------
 # domains and regions
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(_Record):
     """Disjoint union of closed intervals [0, length], keyed by id."""
 
+    _FIELDS = ("intervals",)
     intervals: tuple[tuple[str, Fraction], ...]
 
     def __init__(self, intervals: Iterable[tuple[str, Rat]]):
@@ -107,11 +106,10 @@ class Domain:
         for _, length in rows:
             if length <= 0:
                 raise ValueError("interval lengths must be positive")
-        object.__setattr__(self, "intervals", rows)
+        self.__dict__.update(intervals=rows)
 
     @cached_property
     def _lengths(self) -> dict[str, Fraction]:
-        # not a field: equality, hash and repr see only the intervals
         return dict(self.intervals)
 
     def length_of(self, interval: str) -> Fraction:
@@ -209,8 +207,7 @@ def _overlap(cuts: Sequence[Cut], d: "Density") -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(_Record):
     """A finite union of sub-intervals and points of a domain, exact.
 
     Immutable and hashable; supports union/intersection/difference,
@@ -220,8 +217,12 @@ class Region:
     ``interval``/``points`` helpers.
     """
 
+    _FIELDS = ("domain", "parts")
     domain: Domain
     parts: tuple[tuple[str, tuple[Cut, ...]], ...]
+
+    def __init__(self, domain: Domain, parts: tuple[tuple[str, tuple[Cut, ...]], ...]):
+        self.__dict__.update(domain=domain, parts=parts, _by_id=dict(parts))
 
     @staticmethod
     def of(
@@ -266,11 +267,6 @@ class Region:
     def whole(domain: Domain) -> "Region":
         zero = Fraction(0)
         return Region(domain, tuple((i, ((zero, 0), (l, 1))) for i, l in domain.intervals))
-
-    @cached_property
-    def _by_id(self) -> dict[str, tuple[Cut, ...]]:
-        # not a field: equality, hash and repr see only the parts
-        return dict(self.parts)
 
     def _cuts(self, interval: str) -> tuple[Cut, ...]:
         return self._by_id.get(interval, ())
@@ -364,16 +360,16 @@ def points(domain: Domain, *pts: tuple[str, Rat]) -> Region:
 # ---------------------------------------------------------------------------
 # measures
 
-@dataclass(frozen=True, slots=True)
-class Atom:
+class Atom(_Record):
     """A point mass: `mass` (possibly infinite) at `position`, at `level`."""
 
+    __slots__ = ("interval", "position", "level", "mass", "_at")
+    _FIELDS = __slots__[:4]
     interval: str
     position: Fraction
     level: int
     mass: XRat
-    # the position's reduced pair, outside equality, hash and repr
-    _at: tuple[int, int] = field(compare=False, repr=False, init=False)
+    _at: tuple[int, int]  # the position's reduced pair
 
     def __init__(self, interval: str, position: Rat, level: int, mass):
         position = _frac(position)
@@ -384,7 +380,7 @@ class Atom:
             raise ValueError("level must be nonnegative")
         if not mass:
             raise ValueError("atom mass must be positive")
-        set_interval, set_position, set_level, set_mass, set_at = _ATOM_SETTERS
+        set_interval, set_position, set_level, set_mass, set_at = self._setters
         set_interval(self, str(interval))
         set_position(self, position)
         set_level(self, level)
@@ -395,22 +391,22 @@ class Atom:
         return (_from_pairs, (Atom, self.interval, (self._at,), self.level, self.mass))
 
 
-@dataclass(frozen=True, slots=True)
-class Density:
+class Density(_Record):
     """Constant-rate mass on the closed sub-interval [lo, hi], at `level`.
 
     An infinite rate means every positive-length subset of [lo, hi] has
     infinite mass at this level.
     """
 
+    __slots__ = ("interval", "lo", "hi", "level", "rate", "_lo_at", "_hi_at")
+    _FIELDS = __slots__[:5]
     interval: str
     lo: Fraction
     hi: Fraction
     level: int
     rate: XRat
-    # the ends' reduced pairs, outside equality, hash and repr
-    _lo_at: tuple[int, int] = field(compare=False, repr=False, init=False)
-    _hi_at: tuple[int, int] = field(compare=False, repr=False, init=False)
+    _lo_at: tuple[int, int]  # the ends' reduced pairs
+    _hi_at: tuple[int, int]
 
     def __init__(self, interval: str, lo: Rat, hi: Rat, level: int, rate):
         lo, hi = _frac(lo), _frac(hi)
@@ -424,7 +420,7 @@ class Density:
             raise ValueError("density needs lo < hi")
         if not rate:
             raise ValueError("density rate must be positive")
-        set_interval, set_lo, set_hi, set_level, set_rate, set_lo_at, set_hi_at = _DENSITY_SETTERS
+        set_interval, set_lo, set_hi, set_level, set_rate, set_lo_at, set_hi_at = self._setters
         set_interval(self, str(interval))
         set_lo(self, lo)
         set_hi(self, hi)
@@ -437,10 +433,6 @@ class Density:
         return (_from_pairs, (Density, self.interval, (self._lo_at, self._hi_at), self.level, self.rate))
 
 
-_ATOM_SETTERS = _slot_setters(Atom)
-_DENSITY_SETTERS = _slot_setters(Density)
-
-
 def _from_pairs(cls, interval: str, ends: tuple, level: int, value: XRat) -> Component:
     """A component rebuilt from its stored reduced pairs, as its
     `__reduce__` gives them: the pairs pickle from protocol 2 on past the
@@ -451,13 +443,13 @@ def _from_pairs(cls, interval: str, ends: tuple, level: int, value: XRat) -> Com
 Component = Union[Atom, Density]
 
 
-@dataclass(frozen=True)
-class FHMeasure:
+class FHMeasure(_Record):
     """A finite-height measure: a domain plus atom/density components."""
 
+    _FIELDS = ("domain", "components", "height_bound")
     domain: Domain
     components: tuple[Component, ...]
-    height_bound: int = DEFAULT_HEIGHT_BOUND
+    height_bound: int
 
     def __init__(
         self,
@@ -496,13 +488,10 @@ class FHMeasure:
                     f"component level {_ECHO.repr(c.level)} exceeds height bound "
                     f"{_ECHO.repr(height_bound)}"
                 )
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "height_bound", height_bound)
+        self.__dict__.update(domain=domain, components=comps, height_bound=height_bound)
 
     @cached_property
     def _index(self) -> _LevelIndex:
-        # not a field: equality, hash and repr see only the measure
         return _LevelIndex(self)
 
     @property
@@ -779,7 +768,7 @@ def align(mu: FHMeasure) -> FHMeasure:
     rank = {lev: i for i, lev in enumerate(mu.levels())}
     if all(rank[lev] == lev for lev in rank):
         return mu
-    comps = [replace(c, level=rank[c.level]) for c in mu.components]
+    comps = [c._replace(level=rank[c.level]) for c in mu.components]
     return FHMeasure(mu.domain, comps, mu.height_bound)
 
 

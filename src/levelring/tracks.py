@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from levelring.values import _ECHO, INF, LevelValue, ZERO, _from_ratio, _Memo, _ratio, _slot_setters, pair, total
+from levelring.values import _ECHO, INF, LevelValue, ZERO, _from_ratio, _Memo, _ratio, _Record, pair, total
 from levelring.vectors import Monomial, Vector, _as_family, _as_vector
 
 __all__ = [
@@ -55,13 +54,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TrainTrack:
+class TrainTrack(_Record):
     """Segments plus switches; each switch side is a multiset of segment
     ends.  `free_ends` counts ends not incident to any switch, and names
     segments only; omitted, it is inferred so that every segment has
     exactly two ends in total."""
 
+    _FIELDS = ("segments", "switches", "free_ends")
     segments: tuple[str, ...]
     switches: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
     free_ends: tuple[tuple[str, int], ...]
@@ -103,11 +102,7 @@ class TrainTrack:
                     f"segment {_ECHO.repr(s)} has {ends[s]} switch ends and "
                     f"{declared[s]} free ends; ends must total 2"
                 )
-        object.__setattr__(self, "segments", segs)
-        object.__setattr__(self, "switches", sw)
-        object.__setattr__(
-            self, "free_ends", tuple((s, declared[s]) for s in segs)
-        )
+        self.__dict__.update(segments=segs, switches=sw, free_ends=tuple((s, declared[s]) for s in segs))
 
     @property
     def free_end_map(self) -> dict[str, int]:
@@ -274,23 +269,23 @@ INFINITE = "inf"  # sorts after FIN, as `_switch_reduction` needs
 Shape = Optional[tuple[int, str]]  # None for ZERO, else (level, FIN|INFINITE)
 
 
-@dataclass(frozen=True, slots=True)
-class Stratum:
+class Stratum(_Record):
     """One proximal shape pattern with its feasibility verdict and, when
     feasible, an invariant witness vector."""
 
+    __slots__ = _FIELDS = ("pattern", "feasible", "witness")
     pattern: tuple[Shape, ...]
     feasible: bool
-    witness: Optional[Vector] = None
+    witness: Optional[Vector]
 
     def __init__(self, pattern: tuple[Shape, ...], feasible: bool, witness: Optional[Vector] = None):
-        set_pattern, set_feasible, set_witness = _STRATUM_SETTERS
+        set_pattern, set_feasible, set_witness = self._setters
         set_pattern(self, pattern)
         set_feasible(self, feasible)
         set_witness(self, witness)
 
-
-_STRATUM_SETTERS = _slot_setters(Stratum)
+    def __reduce__(self) -> tuple:
+        return (Stratum, (self.pattern, self.feasible, self.witness))
 
 
 def _fm_feasible(
@@ -447,6 +442,8 @@ def strata_count(n_segments: int, height_bound: int) -> int:
     """Number of proximal shape patterns on n segments with levels below
     the height bound: choose the j nonzero segments, their fin/inf kinds,
     and a surjection of them onto levels 0..m-1 with m <= height bound."""
+    if type(height_bound) is not int:
+        raise TypeError(f"height bound must be an int: {_ECHO.repr(height_bound)}")
     return sum(
         comb(n_segments, j) * 2**j * _surjections(j, m)
         for j in range(n_segments + 1)
@@ -486,12 +483,15 @@ def enumerate_strata(track: TrainTrack, height_bound: int) -> list[Stratum]:
     min(height_bound, number of segments), and every height bound at or
     above the number of segments gives the same list.
 
-    Raises ValueError for a height bound below 1 and when `strata_count`
-    exceeds `MAX_STRATA`, before any pattern is generated.  That count is
-    the only size limit: 12 segments pass at height bound 1 (531,441
-    strata), 13 segments never do, so the walk is at most 12 deep.
+    Raises TypeError for a height bound that is not an int, and ValueError
+    for one below 1 or when `strata_count` exceeds `MAX_STRATA`, before
+    any pattern is generated.  That count is the only size limit: 12
+    segments pass at height bound 1 (531,441 strata), 13 never do, so the
+    walk is at most 12 deep.
     """
     n = len(track.segments)
+    if type(height_bound) is not int:
+        raise TypeError(f"height bound must be an int: {_ECHO.repr(height_bound)}")
     if height_bound < 1:
         raise ValueError("height bound must be at least 1")
     # Patterns of ZERO and level-0 shapes alone number 3**n, so that cheap

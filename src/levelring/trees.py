@@ -33,12 +33,11 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass, field
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
-from levelring.values import _ECHO, LevelValue, ZERO, total
+from levelring.values import _ECHO, LevelValue, ZERO, _Record, total
 
 __all__ = [
     "ChordFamily",
@@ -59,20 +58,20 @@ __all__ = [
 Edge = tuple[str, str, LevelValue]
 
 
-@dataclass(frozen=True)
-class STree:
+class STree(_Record):
     """A finite tree; every edge carries a nonzero leveled length."""
 
+    _FIELDS = ("nodes", "edges")
     nodes: tuple[str, ...]
     edges: tuple[Edge, ...]
     # node -> {neighbor: length}, built once from the sorted edges
-    _adjacency: dict[str, dict[str, LevelValue]] = field(compare=False, repr=False)
+    _adjacency: dict[str, dict[str, LevelValue]]
     # node -> (parent, hops), the tree hung from nodes[0] by ``_hang`` when
     # the build checks connectivity; nodes[0] maps to (None, 0).  Lengths
     # stay in _adjacency: the garbage collector stops tracking a tuple of a
     # str and an int, but not one holding a LevelValue, and storing lengths
     # here made a 1,200-node build about a tenth slower.
-    _up: dict[str, tuple[Optional[str], int]] = field(compare=False, repr=False)
+    _up: dict[str, tuple[Optional[str], int]]
 
     def __init__(
         self, nodes: Iterable[str], edges: Iterable[tuple[str, str, LevelValue]] = ()
@@ -105,10 +104,7 @@ class STree:
         up = _hang(adjacency, node_list[0])
         if len(up) != len(node_list):
             raise ValueError("tree is not connected")
-        object.__setattr__(self, "nodes", node_list)
-        object.__setattr__(self, "edges", tuple(edge_list))
-        object.__setattr__(self, "_adjacency", adjacency)
-        object.__setattr__(self, "_up", up)
+        self.__dict__.update(nodes=node_list, edges=tuple(edge_list), _adjacency=adjacency, _up=up)
 
     def neighbors(self, node: str) -> Mapping[str, LevelValue]:
         """Adjacent nodes with the connecting edge lengths (a read-only view)."""
@@ -330,8 +326,7 @@ def isomorphic(a: STree, b: STree) -> bool:
 # ---------------------------------------------------------------------------
 # chord families in a disk
 
-@dataclass(frozen=True)
-class ChordFamily:
+class ChordFamily(_Record):
     """Non-crossing weighted chords on marks 1..marks around a circle.
 
     Crossings are found in one sweep by left end, as in parenthesis
@@ -340,6 +335,7 @@ class ChordFamily:
     with the innermost such chord.
     """
 
+    _FIELDS = ("marks", "chords")
     marks: int
     chords: tuple[tuple[int, int, LevelValue], ...]
 
@@ -375,8 +371,7 @@ class ChordFamily:
                     f"chords ({_ECHO.repr(c)},{_ECHO.repr(d)}) and ({_ECHO.repr(a)},{_ECHO.repr(b)}) cross"
                 )
             open_chords.append((a, b))
-        object.__setattr__(self, "marks", marks)
-        object.__setattr__(self, "chords", tuple(rows))
+        self.__dict__.update(marks=marks, chords=tuple(rows))
 
 
 def dual_tree(family: ChordFamily) -> tuple[STree, dict[str, tuple]]:

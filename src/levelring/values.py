@@ -11,11 +11,13 @@ level >= 0 and a strictly positive magnitude.  The operations are
 * scaling by a positive extended rational: magnitude scales, level is kept,
 * order: lexicographic in (level, magnitude), with zero least.
 
-``LevelValue`` is an immutable slotted class: assigning or deleting an
-attribute raises ``AttributeError``, and equality and hashing go by
-``(level, magnitude)``.  ``XRat`` order is one rule over exact integers:
-each side is read as its reduced pair p/q, with infinity as 1/0, and a < b
-exactly when a.p * b.q < b.p * a.q.  Equality is a direct check of the
+The package's records, ``LevelValue`` and the measure, track, tree and
+vector classes, share one immutable base, ``_Record``, and are not
+dataclasses, which would import ``inspect`` and generate code on every CLI
+start.  ``LevelValue`` keeps its own, faster, equality and hash.  ``XRat``
+order is one rule over exact integers: each side is read as its reduced
+pair p/q, with infinity as 1/0, and a < b exactly when
+a.p * b.q < b.p * a.q.  Equality is a direct check of the
 reduced pairs.  Neither goes through ``Fraction``'s generic comparison, and
 neither through floats.
 
@@ -45,7 +47,6 @@ from __future__ import annotations
 import operator
 import reprlib
 import sys
-from dataclasses import fields
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -297,7 +298,49 @@ def _keys(a: "LevelValue", b: object) -> Optional[tuple[tuple, tuple]]:
     return (-1 if x is None else x, a.magnitude), (-1 if y is None else y, b.magnitude)
 
 
-class LevelValue:
+class _Record:
+    """An immutable record, compared (only within its class), hashed and
+    shown in the dataclass form by the fields `_FIELDS` names, in order;
+    assigning or deleting an attribute raises AttributeError.  `__init__`
+    sets the fields through `self.__dict__`, or in a slotted record through
+    `_setters`, the slots' own setters in order.  Pickle and copy restore
+    slots through the refusing `__setattr__`, so a slotted record defines
+    `__reduce__`."""
+
+    __slots__ = ()
+    _FIELDS: tuple[str, ...]
+
+    def __init_subclass__(cls):
+        cls._key = operator.attrgetter(*cls._FIELDS)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__dict__.get("__slots__", ()))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _replace(self, **changes):
+        """A copy with the named fields changed, built by the constructor."""
+        fields = [changes.pop(name, getattr(self, name)) for name in self._FIELDS]
+        if changes:
+            raise TypeError(f"no such fields: {_ECHO.repr(sorted(changes))}")
+        return type(self)(*fields)
+
+
+class LevelValue(_Record):
     """Zero, or a (level, magnitude) pair of the leveled semiring.
 
     The zero element is the unique value with ``level is None`` and
@@ -309,7 +352,7 @@ class LevelValue:
     ``AttributeError``.  Equality and hashing go by ``(level, magnitude)``.
     """
 
-    __slots__ = ("level", "magnitude")
+    __slots__ = _FIELDS = ("level", "magnitude")
 
     level: Optional[int]
     magnitude: XRat
@@ -327,14 +370,7 @@ class LevelValue:
         _set_level(self, level)
         _set_magnitude(self, magnitude)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
     def __reduce__(self) -> tuple:
-        # The default slot restore assigns through __setattr__, which refuses.
         return (LevelValue, (self.level, self.magnitude))
 
     @property
@@ -388,15 +424,7 @@ class LevelValue:
         return "ZERO" if self.is_zero else f"pair({self.level}, {str(self.magnitude)!r})"
 
 
-# The slots' own setters, which bypass the refusing __setattr__.
-_set_level = LevelValue.level.__set__
-_set_magnitude = LevelValue.magnitude.__set__
-
-
-def _slot_setters(cls) -> tuple:
-    """The setters of a slotted dataclass's fields, in field order: they
-    bypass the frozen __setattr__, which refuses."""
-    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+_set_level, _set_magnitude = LevelValue._setters
 
 
 class _Memo(dict):
@@ -454,9 +482,11 @@ def to_sequence(x: LevelValue, height: int = DEFAULT_HEIGHT_BOUND) -> tuple[XRat
 
     A value of level k becomes (inf, ..., inf, magnitude, 0, ..., 0) with
     the magnitude at index k; zero becomes the all-zero sequence.  Raises
-    when the level does not fit below the height bound, or when the height
-    exceeds ``MAX_SEQUENCE_HEIGHT``.
+    TypeError for a height that is not an int, and ValueError when the
+    level does not fit below it or it exceeds ``MAX_SEQUENCE_HEIGHT``.
     """
+    if type(height) is not int:
+        raise TypeError(f"height must be an int: {_ECHO.repr(height)}")
     if height < 1:
         raise ValueError("height must be at least 1")
     if height > MAX_SEQUENCE_HEIGHT:

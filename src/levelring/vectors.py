@@ -10,11 +10,10 @@ distinct projective classes approached by a single family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from levelring.values import _ECHO, INF, LevelValue, RatLike, XRat, ZERO, pair
+from levelring.values import _ECHO, INF, LevelValue, RatLike, XRat, ZERO, _Record, pair
 
 __all__ = [
     "MAX_LIMIT_ENTRIES",
@@ -92,14 +91,14 @@ def proj_canonical(v: Sequence[LevelValue]) -> Vector:
     return tuple(e if e.is_zero else e.scale(XRat(1) / top) for e in vec)
 
 
-@dataclass(frozen=True)
-class ProjClass:
+class ProjClass(_Record):
     """A projective equivalence class, keyed by its canonical vector."""
 
+    _FIELDS = ("canon",)
     canon: Vector
 
     def __init__(self, v: Sequence[LevelValue]):
-        object.__setattr__(self, "canon", proj_canonical(v))
+        self.__dict__.update(canon=proj_canonical(v))
 
     def __contains__(self, v: Sequence[LevelValue]) -> bool:
         return proj_canonical(v) == self.canon
@@ -121,21 +120,22 @@ def level_pattern(v: Sequence[LevelValue]) -> tuple[Optional[int], ...]:
 # one-parameter monomial families
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(_Record):
     """One family entry: the value (level, coeff * t^degree) at parameter t."""
 
+    _FIELDS = ("level", "coeff", "degree")
     level: int
     coeff: Fraction
     degree: int
 
-    def __post_init__(self) -> None:
-        if type(self.level) is not int or type(self.degree) is not int:
-            raise TypeError(f"level and degree must be ints: {_ECHO.repr((self.level, self.degree))}")
-        if self.level < 0:
+    def __init__(self, level: int, coeff: Fraction, degree: int):
+        if type(level) is not int or type(degree) is not int:
+            raise TypeError(f"level and degree must be ints: {_ECHO.repr((level, degree))}")
+        if level < 0:
             raise ValueError("level must be nonnegative")
-        if not isinstance(self.coeff, Fraction) or self.coeff <= 0:
+        if not isinstance(coeff, Fraction) or coeff <= 0:
             raise ValueError("coefficient must be a positive Fraction")
+        self.__dict__.update(level=level, coeff=coeff, degree=degree)
 
 
 def monomial(level: int, coeff: RatLike, degree: int) -> Monomial:

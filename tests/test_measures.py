@@ -2,7 +2,6 @@
 
 import contextlib
 import copy
-import dataclasses
 import io
 import itertools
 import json
@@ -38,7 +37,10 @@ from levelring.measures import (
     recover_check,
     support,
 )
+from levelring.tracks import Stratum, TrainTrack
+from levelring.trees import ChordFamily, STree
 from levelring.values import XRat, ZERO, _cmp, pair
+from levelring.vectors import Monomial, ProjClass
 
 DOM = Domain([("I", 1), ("J", 2)])
 
@@ -1284,25 +1286,98 @@ def test_measure_identity_ignores_index():
     assert support(rebuilt, 0) == oracle_support(rebuilt, 0)
 
 
+def _records():
+    """One record of each of the library's eleven record classes, and an
+    atom of infinite mass, with its repr in the dataclass form the classes
+    were first written with."""
+    dom = Domain([("i", 1), ("j", "3/2")])
+    doms = "Domain(intervals=(('i', Fraction(1, 1)), ('j', Fraction(3, 2))))"
+    return [
+        (dom, doms),
+        (
+            interval(dom, "i", 0, "1/2", closed_hi=False).union(points(dom, ("j", 1))),
+            f"Region(domain={doms}, parts=(('i', ((Fraction(0, 1), 0), (Fraction(1, 2), 0))), "
+            "('j', ((Fraction(1, 1), 0), (Fraction(1, 1), 1)))))",
+        ),
+        (Atom("i", "1/2", 0, 1), "Atom(interval='i', position=Fraction(1, 2), level=0, mass=XRat('1'))"),
+        (
+            Density("i", "1/4", Fraction(1, 2), 1, "3"),
+            "Density(interval='i', lo=Fraction(1, 4), hi=Fraction(1, 2), level=1, rate=XRat('3'))",
+        ),
+        (
+            FHMeasure(dom, [Atom("i", "1/2", 0, 1), Density("j", 0, 1, 2, "inf")], 4),
+            f"FHMeasure(domain={doms}, components=(Atom(interval='i', position=Fraction(1, 2), level=0, "
+            "mass=XRat('1')), Density(interval='j', lo=Fraction(0, 1), hi=Fraction(1, 1), level=2, "
+            "rate=XRat('inf'))), height_bound=4)",
+        ),
+        (
+            TrainTrack(["x", "y"], [(["x"], ["y"])]),
+            "TrainTrack(segments=('x', 'y'), switches=((('x',), ('y',)),), free_ends=(('x', 1), ('y', 1)))",
+        ),
+        (
+            Stratum(((0, "fin"), None), True, (pair(0, 1), ZERO)),
+            "Stratum(pattern=((0, 'fin'), None), feasible=True, witness=(pair(0, '1'), ZERO))",
+        ),
+        (
+            STree(["a", "b", "c"], [("b", "a", pair(0, 2)), ("b", "c", pair(1, "1/2"))]),
+            "STree(nodes=('a', 'b', 'c'), edges=(('a', 'b', pair(0, '2')), ('b', 'c', pair(1, '1/2'))))",
+        ),
+        (ChordFamily(4, [(1, 3, pair(0, 1))]), "ChordFamily(marks=4, chords=((1, 3, pair(0, '1')),))"),
+        (
+            ProjClass((pair(0, 2), ZERO, pair(1, 3))),
+            "ProjClass(canon=(pair(0, '2/3'), ZERO, pair(1, '1')))",
+        ),
+        (Monomial(1, Fraction(2, 3), 2), "Monomial(level=1, coeff=Fraction(2, 3), degree=2)"),
+        (
+            Atom("i", Fraction(2, 6), 3, "inf"),
+            "Atom(interval='i', position=Fraction(1, 3), level=3, mass=XRat('inf'))",
+        ),
+    ]
+
+
 def test_components_keep_their_value_semantics():
-    # slotted components with stored position pairs compare, hash, print,
-    # copy and refuse assignment as the plain frozen dataclasses did
-    atom = Atom("i", "1/2", 0, 1)
+    # every record compares, hashes, prints, copies and refuses assignment
+    # as the frozen dataclasses it replaces did, by its `_FIELDS` alone
+    records = _records()
+    assert len({type(r) for r, _ in records}) == 11
+    for r, text in records:
+        fields = [getattr(r, name) for name in r._FIELDS]
+        assert repr(r) == text
+        # a track's constructor takes `free_ends` as a mapping, not as the
+        # field's pairs, so a track is rebuilt by hand below
+        if type(r) is not TrainTrack:
+            twin = r._replace()
+            assert twin is not r and (twin == r, hash(twin), repr(twin)) == (True, hash(r), text)
+        assert hash(r) == hash(r._key(r)) and r != r._key(r) and r.__eq__(r._key(r)) is NotImplemented
+        copies = [pickle.loads(pickle.dumps(r, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in copies + [copy.copy(r), copy.deepcopy(r)]:
+            assert type(twin) is type(r)
+            assert (twin, hash(twin), repr(twin)) == (r, hash(r), text)
+            assert [getattr(twin, name) for name in r._FIELDS] == fields
+        for name in r._FIELDS + ("_other",):
+            with pytest.raises(AttributeError) as err:
+                setattr(r, name, 1)
+            assert err.value.args == (f"cannot assign to field {name!r}",)
+            with pytest.raises(AttributeError) as err:
+                delattr(r, name)
+            assert err.value.args == (f"cannot delete field {name!r}",)
+        assert [getattr(r, name) for name in r._FIELDS] == fields
+        with pytest.raises(TypeError, match="no such fields: \\['_other'\\]"):
+            r._replace(_other=1)
+    # state outside the fields (a built index) takes no part in equality,
+    # and a replacement keeps each constructor's normal form
+    dom, region, atom, dens, mu, track, stratum, tree = (r for r, _ in records[:8])
+    assert "_index" not in vars(mu) and mu._index.levels == (0, 2) and mu == FHMeasure(dom, mu.components, 4)
+    assert tree == tree._replace(edges=tuple(reversed(tree.edges)))
+    assert track._replace(free_ends={"x": 1, "y": 1}) == track
+    assert region != region._replace(parts=region.parts[:1])
+    assert stratum != stratum._replace(feasible=False) and stratum._replace(witness=None).witness is None
     assert atom == Atom("i", Fraction(1, 2), 0, "1")
     assert hash(atom) == hash(Atom("i", Fraction(1, 2), 0, "1"))
     assert atom != Atom("i", Fraction(1, 2), 1, 1)
-    dens = Density("i", "1/4", Fraction(1, 2), 1, "3")
-    assert repr(atom) == "Atom(interval='i', position=Fraction(1, 2), level=0, mass=XRat('1'))"
-    assert repr(dens) == "Density(interval='i', lo=Fraction(1, 4), hi=Fraction(1, 2), level=1, rate=XRat('3'))"
     assert (atom._at, dens._lo_at, dens._hi_at) == ((1, 2), (1, 4), (1, 2))
     weight = XRat(5)
     assert Atom("i", 0, 0, weight).mass is weight and Density("i", 0, 1, 0, weight).rate is weight
-    heavy = Atom("i", Fraction(2, 6), 3, "inf")
-    for c in (atom, dens, heavy):
-        copies = [pickle.loads(pickle.dumps(c, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
-        for twin in copies + [copy.copy(c), copy.deepcopy(c)]:
-            assert (twin, hash(twin), repr(twin)) == (c, hash(c), repr(c))
-            assert [getattr(twin, f.name) for f in dataclasses.fields(c)] == [getattr(c, f.name) for f in dataclasses.fields(c)]
     # an end too long for str pickles as its stored pair from protocol 2
     # on; protocols 0 and 1 write ints as decimal text, so under the
     # interpreter's digit limit they refuse it there, as for XRat
@@ -1320,21 +1395,24 @@ def test_components_keep_their_value_semantics():
             twin = pickle.loads(pickle.dumps(c, protocol))
             assert type(twin) is type(c) and twin == c
         assert copy.copy(c) == c and copy.deepcopy(c) == c
-    assert dataclasses.replace(long_atom, level=2)._at == dataclasses.replace(long_dens, level=2)._lo_at == (1, 10**4400)
-    moved = dataclasses.replace(atom, position="3/4", level=2)
+    assert long_atom._replace(level=2)._at == long_dens._replace(level=2)._lo_at == (1, 10**4400)
+    moved = atom._replace(position="3/4", level=2)
     assert moved == Atom("i", Fraction(3, 4), 2, 1) and moved._at == (3, 4)
-    wider = dataclasses.replace(dens, lo=0, hi=Fraction(4, 6))
+    wider = dens._replace(lo=0, hi=Fraction(4, 6))
     assert wider == Density("i", 0, Fraction(2, 3), 1, 3) and (wider._lo_at, wider._hi_at) == ((0, 1), (2, 3))
+    # a replacement runs every check of the constructor
     with pytest.raises(ValueError, match="density needs lo < hi"):
-        dataclasses.replace(dens, hi=Fraction(1, 4))
+        dens._replace(hi=Fraction(1, 4))
+    with pytest.raises(ValueError, match="atom mass must be positive"):
+        atom._replace(mass=0)
     for c, name in ((atom, "position"), (atom, "_at"), (dens, "hi"), (dens, "_lo_at")):
-        with pytest.raises(dataclasses.FrozenInstanceError) as err:
+        with pytest.raises(AttributeError) as err:
             setattr(c, name, Fraction(1, 3))
         assert err.value.args == (f"cannot assign to field {name!r}",)
-        with pytest.raises(dataclasses.FrozenInstanceError) as err:
+        with pytest.raises(AttributeError) as err:
             delattr(c, name)
         assert err.value.args == (f"cannot delete field {name!r}",)
-    assert not hasattr(atom, "__dict__") and not hasattr(dens, "__dict__")
+    assert not any(hasattr(r, "__dict__") for r in (atom, dens, stratum))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,24 @@ def test_package_names_are_the_modules_own(module):
         assert getattr(levelring, name) is getattr(module, name), name
 
 
+def test_cli_import_loads_every_module_and_no_code_generator():
+    """A CLI start imports every library module at once, none of them
+    lazily, and pulls in neither `dataclasses` nor `inspect`, whose import
+    and generated code would cost every run."""
+    probe = (
+        "import sys, levelring.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('levelring.')))\n"
+        "print('dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded, generators = proc.stdout.splitlines()
+    modules = ["cli", "jsonio", "measures", "tracks", "trees", "values", "vectors"]
+    assert loaded == repr([f"levelring.{m}" for m in modules])
+    assert generators == "False False"
+
+
 def test_every_demo_is_collected():
     assert len(DEMOS) == 5
 

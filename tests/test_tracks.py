@@ -855,12 +855,23 @@ def test_oversized_strata_are_refused_before_enumerating(monkeypatch):
         raise AssertionError("enumeration started")
 
     monkeypatch.setattr(tracks, "Stratum", never)
+    # a height bound is exactly an int, not a bool, a float or a string,
+    # and a bound of another type is refused before every other check
+    line = TrainTrack(["x", "y"], [(["x"], ["y"])])
+    long = TrainTrack([f"s{i}" for i in range(5000)], [])
+    for height in (2.5, True, "2", 0.5, 1e9):
+        for refused in (
+            lambda: strata_count(2, height),
+            lambda: enumerate_strata(line, height),
+            lambda: enumerate_strata(long, height),
+        ):
+            with pytest.raises(TypeError, match="height bound must be an int"):
+                refused()
     seven = TrainTrack([f"s{i}" for i in range(7)], [(["s0"], ["s1"])])
     with pytest.raises(ValueError, match=f"more than {MAX_STRATA} strata"):
         enumerate_strata(seven, 4)
     # a long track is refused without working out its exact count
     monkeypatch.setattr(tracks, "strata_count", never)
-    long = TrainTrack([f"s{i}" for i in range(5000)], [])
     with pytest.raises(ValueError, match=f"more than {MAX_STRATA} strata"):
         enumerate_strata(long, 16)
 

@@ -324,6 +324,10 @@ def test_value_constructor_guards():
     for level in (True, 1.0, "1"):
         with pytest.raises(TypeError, match="level must be an int"):
             pair(level, 1)
+    # so is a sequence height, refused before its range checks
+    for height in (True, 2.5, "2", 0.5, 2.0**17):
+        with pytest.raises(TypeError, match="height must be an int"):
+            to_sequence(pair(0, 1), height)
 
 
 def test_xrat_orders_above_negative_numbers():
