@@ -26,19 +26,32 @@ of the location as the fault passes out (``exprs[0].args[1].real``).
 command is one entry of ``COMMANDS``.
 
 Shared flags: --height-bound (default 16), --format json|text.
+
+An argv in the plain form, ``GROUP [SUB] FILE [FILE]`` (no file starting
+with ``-``) followed by any number of ``--height-bound N`` and
+``--format F`` pairs, each flag spelled in full as its own word, is read
+straight from ``COMMANDS``, ``GROUPS`` and ``FLAGS``, and argparse is not
+loaded for it.  Every other spelling (an abbreviated flag, ``--flag=value``,
+a flag before a file, ``--``, ``-h``) goes to argparse, with the same
+meaning and the same usage errors (exit 2), and every ``--help`` text
+comes from argparse alone.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import hashlib
+import itertools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Any, Optional
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, Optional
 
 from levelring import jsonio, measures, tracks, trees, values, vectors
+
+if TYPE_CHECKING:  # loaded at run time only for help and usage errors
+    import argparse
 
 __all__ = ["main"]
 
@@ -321,21 +334,29 @@ COMMANDS = {
 }
 
 
+# group -> its command words after the group, in table order; empty for a
+# group of one command
+SUBCOMMANDS = {group: [words[1] for words in COMMANDS if words[0] == group and len(words) > 1] for group in GROUPS}
+
+# shared flag -> its argparse keywords, which the plain form reads too
+FLAGS = {
+    "--height-bound": {
+        "dest": "height_bound",
+        "type": int,
+        "default": values.DEFAULT_HEIGHT_BOUND,
+        "help": "level cap for sequence embeddings and strata enumeration",
+    },
+    "--format": {"dest": "format", "choices": ("json", "text"), "default": "json", "help": "report rendering"},
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
-        "--height-bound",
-        type=int,
-        default=values.DEFAULT_HEIGHT_BOUND,
-        help="level cap for sequence embeddings and strata enumeration",
-    )
-    shared.add_argument(
-        "--format",
-        choices=("json", "text"),
-        default="json",
-        help="report rendering",
-    )
+    for flag, keywords in FLAGS.items():
+        shared.add_argument(flag, **keywords)
 
     parser = argparse.ArgumentParser(
         prog="levelring",
@@ -344,12 +365,49 @@ def _build_parser() -> argparse.ArgumentParser:
     groups = parser.add_subparsers(dest="group", required=True)
     for group, (group_help, files) in GROUPS.items():
         p = groups.add_parser(group, parents=[shared], help=group_help)
-        subs = [words[1] for words in COMMANDS if words[0] == group and len(words) > 1]
-        if subs:
-            p.add_argument("subcommand", choices=subs)
+        if SUBCOMMANDS[group]:
+            p.add_argument("subcommand", choices=SUBCOMMANDS[group])
         for i, (name, file_help) in enumerate(files):
             p.add_argument(name, nargs="?" if i else None, help=file_help)
     return parser
+
+
+def _plain_args(argv: list) -> Optional[SimpleNamespace]:
+    """The arguments argparse would parse from an argv in the plain form
+    (see the module docstring), or None for any other argv.  Flags come
+    after every file: argparse ends an optional second file at a flag, so
+    a file after one is an extra argument (a usage error) there."""
+    group = argv[0] if argv else None
+    if group not in GROUPS:
+        return None
+    parsed = {"group": group}
+    start = 1
+    if SUBCOMMANDS[group]:
+        if len(argv) < 2 or argv[1] not in SUBCOMMANDS[group]:
+            return None
+        parsed["subcommand"] = argv[1]
+        start = 2
+    names = [name for name, _ in GROUPS[group][1]]
+    files = list(itertools.takewhile(lambda word: word[:1] != "-", argv[start:start + len(names)]))
+    if not files:
+        return None
+    parsed.update(itertools.zip_longest(names, files))
+    parsed.update((keywords["dest"], keywords["default"]) for keywords in FLAGS.values())
+    tail = argv[start + len(files):]
+    if len(tail) % 2:
+        return None
+    for flag, word in zip(tail[::2], tail[1::2]):
+        keywords = FLAGS.get(flag)
+        if keywords is None or word[:1] == "-":
+            return None
+        try:
+            value = keywords.get("type", str)(word)
+        except ValueError:
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        parsed[keywords["dest"]] = value
+    return SimpleNamespace(**parsed)
 
 
 # --- report rendering ----------------------------------------------------------------
@@ -480,9 +538,10 @@ _WRITE_SLICE = 1 << 20  # characters of a report per write
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv) or _build_parser().parse_args(argv)
 
-    words = [args.group] + ([args.subcommand] if "subcommand" in args else [])
+    words = [args.group] + ([args.subcommand] if SUBCOMMANDS[args.group] else [])
     roles, handler = COMMANDS[tuple(words)]
     paths = [getattr(args, name) for name, _ in GROUPS[args.group][1]]
     inputs: dict = {}

@@ -64,13 +64,28 @@ HELP_CASES = {
     "help": ["--help"],
     **{f"help_{group}": [group, "--help"] for group in ("svalue", "track", "measure", "tree", "family")},
 }
+# name -> argv outside the plain form, run as is: usage errors (exit 2),
+# then spellings that argparse reads and the plain parse leaves to it
+USAGE_CASES = {
+    "usage_no_words": [],
+    "usage_unknown_group": ["bogus"],
+    "usage_unknown_subcommand": ["track", "bogus", "xy_track.json"],
+    "usage_missing_file": ["tree", "dist"],
+    "usage_extra_file": ["svalue", "exprs.json", "extra.json"],
+    "usage_height_bound_not_int": ["svalue", "exprs.json", "--height-bound", "x"],
+    # a flag ends the optional second file, so the word after it is extra
+    "usage_file_after_flag": ["track", "strata", "xy_track.json", "--format", "text", "xy_weights.json"],
+    "spelling_abbreviated_flag": ["track", "strata", "xy_track.json", "--height", "2"],
+    "spelling_flag_with_equals": ["svalue", "--height-bound=5", "exprs.json"],
+    "spelling_flag_before_subcommand": ["track", "--format", "text", "strata", "xy_track.json"],
+}
 
 
 # golden file name -> argv
 GOLDEN_RUNS = {
     **{f"{name}.{fmt}.golden": argv + ["--format", fmt]
        for name, argv in GOLDEN_CASES.items() for fmt in ("json", "text")},
-    **{f"{name}.golden": argv for name, argv in HELP_CASES.items()},
+    **{f"{name}.golden": argv for name, argv in {**HELP_CASES, **USAGE_CASES}.items()},
 }
 
 
@@ -1119,6 +1134,75 @@ def test_one_parser_serves_every_call(monkeypatch):
     ):
         assert golden_report(GOLDEN_RUNS[golden]).encode() == (GOLDEN / golden).read_bytes()
     assert cli._build_parser() is cli._build_parser()
+
+
+def argparse_args(argv):
+    """vars() of what argparse parses from argv, or None for a usage error."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+COMMAND_WORDS = sorted({word for words in COMMANDS for word in words})
+FILE_WORDS = st.text(max_size=6).filter(lambda w: not w.startswith("-")) | st.sampled_from(COMMAND_WORDS)
+HEIGHT_WORDS = st.integers(0, 10**6).map(str) | st.sampled_from([" 7", "5_0", "+3", "007"])
+FLAG_PAIRS = HEIGHT_WORDS.map(lambda v: ["--height-bound", v]) | st.sampled_from(
+    [["--format", "json"], ["--format", "text"]]
+)
+
+
+@st.composite
+def plain_argvs(draw):
+    """An argv of the plain form, built from the command table; a flag may
+    repeat."""
+    words = draw(st.sampled_from(sorted(COMMANDS)))
+    files = draw(st.lists(FILE_WORDS, min_size=1, max_size=len(cli.GROUPS[words[0]][1])))
+    flags = draw(st.lists(FLAG_PAIRS, max_size=3))
+    return [*words, *files, *itertools.chain.from_iterable(flags)]
+
+
+# words an argv is edited with: command words (also as file names), wrong
+# words, words that start with "-", full, abbreviated and "=" flags, help
+# and "--", and flag values that int() reads or refuses
+ARGV_WORDS = st.sampled_from(sorted({
+    *COMMAND_WORDS, "bogus", "a.json", "-", "", "-x.json", "--height-bound", "--height", "--format", "--form",
+    "--height-bound=5", "--format=text", "-h", "--help", "--", "5", "-3", " 7", "5_0", "x", "json", "text",
+}))
+EDITS = st.lists(st.tuples(st.integers(0, 12), st.sampled_from(["insert", "replace", "delete"]), ARGV_WORDS),
+                 max_size=3)
+
+
+@st.composite
+def near_plain_argvs(draw):
+    """A plain argv after up to three edits, each inserting, replacing or
+    deleting one word: a flag between files, a missing file, a wrong word."""
+    argv = draw(plain_argvs())
+    for at, edit, word in draw(EDITS):
+        at %= len(argv) + 1
+        if edit == "insert":
+            argv.insert(at, word)
+        else:
+            argv[at:at + 1] = [word] if edit == "replace" else []
+    return argv
+
+
+@settings(deadline=None)
+@given(near_plain_argvs() | st.lists(ARGV_WORDS, max_size=8))
+def test_plain_parse_agrees_with_argparse(argv):
+    plain = cli._plain_args(argv)
+    if plain is not None:
+        assert vars(plain) == argparse_args(argv)
+
+
+@settings(deadline=None)
+@given(plain_argvs())
+def test_plain_parse_reads_every_plain_argv(argv):
+    # the table path cannot fall silently out of use
+    plain = cli._plain_args(argv)
+    assert plain is not None
+    assert vars(plain) == argparse_args(argv)
 
 
 @pytest.mark.parametrize("reference", [2, 5, -1])

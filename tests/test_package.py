@@ -42,6 +42,30 @@ def test_cli_import_loads_every_module_and_no_code_generator():
     assert generators == "False False"
 
 
+def test_plain_run_never_loads_argparse(tmp_path):
+    """A plain command line is read from the command table, so `argparse`
+    loads only for help and usage errors, and help still comes from it."""
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps({"nodes": ["a", "b"], "edges": [
+        {"a": "a", "b": "b", "len": {"level": 0, "real": "1"}}]}))
+    probe = (
+        "import sys\n"
+        "from levelring import cli\n"
+        f"code = cli.main(['tree', 'metric', {str(tree)!r}])\n"
+        "print(code, 'argparse' in sys.modules, file=sys.stderr)\n"
+        "cli.main(['--help'])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "0 False\n"
+    golden = (ROOT / "tests" / "golden" / "help.golden").read_text()
+    help_text = golden.split("--- stdout\n", 1)[1].split("--- stderr\n", 1)[0]
+    report, _, rest = proc.stdout.partition("\n}\n")
+    assert json.loads(report + "\n}")["result"] == {"metric": True}
+    assert rest == help_text
+
+
 def test_every_demo_is_collected():
     assert len(DEMOS) == 5
 
