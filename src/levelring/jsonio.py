@@ -468,7 +468,10 @@ def _edge(obj: Any) -> tuple[str, str, LevelValue]:
         _expect_str(a, ".a")
     if type(b) is not str:
         _expect_str(b, ".b")
-    return a, b, _located(_svalue, obj["len"], ".len")
+    try:
+        return a, b, _svalue(obj["len"])
+    except (ValueError, KeyError) as exc:
+        raise _relocated(exc, ".len") from None
 
 
 def _tree(obj: Any) -> STree:
@@ -492,7 +495,10 @@ def _chord(obj: Any) -> tuple[int, int, LevelValue]:
         raise FormatError(".ends", f"expected two marks, got {len(ends)}")
     i = _expect_int(ends[0], ".ends[0]")
     j = _expect_int(ends[1], ".ends[1]")
-    return i, j, _located(_svalue, doc["weight"], ".weight")
+    try:
+        return i, j, _svalue(doc["weight"])
+    except (ValueError, KeyError) as exc:
+        raise _relocated(exc, ".weight") from None
 
 
 def _chords(obj: Any) -> ChordFamily:

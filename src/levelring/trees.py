@@ -2,16 +2,18 @@
 families.
 
 An ``STree`` is a finite tree whose edges carry nonzero ``LevelValue``
-lengths.  Distance between nodes is the leveled sum along the unique
-connecting path; since a sum always dominates its terms, the triangle
-inequality comes for free.  Every rooted question hangs the tree one way,
-breadth-first, as each node's parent and hops.  The build hangs it from its
-first node, so ``path`` climbs from both ends until they meet, in the hops
-of its own path, and ``collapse`` tests a node set's connectivity with no
-walk.  ``verify_metric`` audits the distances in one pass of O(n^2) time
-and memory: the tree hung from each node gives that node's row, each step
-monotone and each distance nonzero and symmetric, from which the triangle
-inequality follows.
+lengths, each edge stored once, in the adjacency map the constructor
+checks and fills in one pass; ``edges`` sorts them when first read.
+Distance between nodes is the leveled sum along the unique connecting
+path; since a sum always dominates its terms, the triangle inequality
+comes for free.  Every rooted question hangs the tree one way,
+breadth-first, as each node's parent and hops.  The build hangs it from
+its first node, so ``path`` climbs from both ends until they meet, in the
+hops of its own path, and ``collapse`` tests a node set's connectivity
+with no walk.  ``verify_metric`` audits the distances in one pass of
+O(n^2) time and memory: the tree hung from each node gives that node's
+row, each step monotone and each distance nonzero and symmetric, from
+which the triangle inequality follows.
 
 ``boundary_points`` are the degree-one nodes.  ``infinite_points`` is
 offered for flat (all level-0) trees only: a node is infinite when every
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from operator import itemgetter
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
@@ -63,8 +65,7 @@ class STree(_Record):
 
     _FIELDS = ("nodes", "edges")
     nodes: tuple[str, ...]
-    edges: tuple[Edge, ...]
-    # node -> {neighbor: length}, built once from the sorted edges
+    # node -> {neighbor: length} in the order given: the one copy of the edges
     _adjacency: dict[str, dict[str, LevelValue]]
     # node -> (parent, hops), the tree hung from nodes[0] by ``_hang`` when
     # the build checks connectivity; nodes[0] maps to (None, 0).  Lengths
@@ -82,7 +83,7 @@ class STree(_Record):
         adjacency: dict[str, dict[str, LevelValue]] = {n: {} for n in node_list}
         if len(adjacency) != len(node_list):
             raise ValueError("node ids must be unique")
-        edge_list = []
+        count = 0
         for a, b, length in edges:
             a, b = str(a), str(b)
             if a not in adjacency or b not in adjacency:
@@ -91,23 +92,27 @@ class STree(_Record):
                 raise ValueError(f"self-loop at {_ECHO.repr(a)}")
             if not isinstance(length, LevelValue) or length.is_zero:
                 raise ValueError(f"edge ({_ECHO.repr(a)},{_ECHO.repr(b)}) needs a nonzero length")
-            edge_list.append((a, b, length) if a < b else (b, a, length))
-        if len(edge_list) != len(node_list) - 1:
+            adjacency[a][b] = adjacency[b][a] = length
+            count += 1
+        if count != len(node_list) - 1:
             raise ValueError(
                 f"{len(node_list)} nodes need exactly {len(node_list) - 1} edges "
-                f"for a tree, got {len(edge_list)}"
+                f"for a tree, got {count}"
             )
-        edge_list.sort(key=itemgetter(0, 1))
-        for a, b, length in edge_list:
-            adjacency[a][b] = adjacency[b][a] = length
         # connectivity (acyclicity then follows from the edge count)
         up = _hang(adjacency, node_list[0])
         if len(up) != len(node_list):
             raise ValueError("tree is not connected")
-        self.__dict__.update(nodes=node_list, edges=tuple(edge_list), _adjacency=adjacency, _up=up)
+        self.__dict__.update(nodes=node_list, _adjacency=adjacency, _up=up)
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """Each (a, b, length) with a < b, sorted, derived when first read."""
+        return tuple(sorted(_edge_rows(self)))
 
     def neighbors(self, node: str) -> Mapping[str, LevelValue]:
-        """Adjacent nodes with the connecting edge lengths (a read-only view)."""
+        """Adjacent nodes with the connecting edge lengths (a read-only view),
+        in the order their edges were given, which is not part of the contract."""
         if not _is_node(self, node):
             raise KeyError(f"unknown node {_ECHO.repr(node)}")
         return MappingProxyType(self._adjacency[node])
@@ -118,6 +123,12 @@ class STree(_Record):
 
 def _is_node(tree: STree, node) -> bool:
     return isinstance(node, str) and node in tree._adjacency
+
+
+def _edge_rows(tree: STree) -> list[Edge]:
+    """Each edge once as (a, b, length) with a < b, read off the parent links."""
+    up, near = itertools.islice(tree._up.items(), 1, None), tree._adjacency
+    return [(a, p, near[a][p]) if a < p else (p, a, near[a][p]) for a, (p, _) in up]
 
 
 def _hang(adjacency: dict, root: str) -> dict[str, tuple[Optional[str], int]]:
@@ -203,12 +214,10 @@ def infinite_points(tree: STree) -> set[str]:
     incident edges are infinite (the last step dominates any finite
     prefix).  A one-node tree has no approaches and no infinite points.
     """
-    for _, _, length in tree.edges:
-        if length.level != 0:
-            raise ValueError("infinite points are defined for level-0 trees only")
     out = set()
-    for n in tree.nodes:
-        incident = tree.neighbors(n)
+    for n, incident in tree._adjacency.items():
+        if any(l.level != 0 for l in incident.values()):
+            raise ValueError("infinite points are defined for level-0 trees only")
         if incident and all(l.magnitude.is_infinite for l in incident.values()):
             out.add(n)
     return out
@@ -247,10 +256,9 @@ def insert(
             )
     to_node = {direction: b for b, direction in attach.items()}
     nodes = tuple(n for n in tree.nodes if n != v) + insertion.nodes
-    edges = [e for e in tree.edges if v not in (e[0], e[1])]
-    for direction, length in neighbors.items():
-        edges.append((to_node[direction], direction, length))
-    edges.extend(insertion.edges)
+    edges = [e for e in _edge_rows(tree) if v not in e[:2]]
+    edges += ((to_node[direction], direction, length) for direction, length in neighbors.items())
+    edges += _edge_rows(insertion)
     return STree(nodes, edges)
 
 
@@ -270,12 +278,12 @@ def collapse(tree: STree, group: Iterable[str]) -> STree:
         raise ValueError("collapse set is not connected")
     merged = min(chosen)
     nodes = [merged] + [n for n in tree.nodes if n not in chosen]
-    edges = []
-    for a, b, length in tree.edges:
-        a2 = merged if a in chosen else a
-        b2 = merged if b in chosen else b
-        if a2 != b2:
-            edges.append((a2, b2, length))
+    near = tree._adjacency
+    edges = [
+        (merged if a in chosen else a, merged if p in chosen else p, near[a][p])
+        for a, (p, _) in itertools.islice(tree._up.items(), 1, None)
+        if a not in chosen or p not in chosen
+    ]
     return STree(nodes, edges)
 
 

@@ -2,13 +2,16 @@
 families."""
 
 import contextlib
+import copy
 import io
 import itertools
 import json
+import pickle
 import sys
 import tempfile
 from collections import deque
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 from random import Random
 
@@ -31,7 +34,7 @@ from levelring.trees import (
     tree_is_locally_finite,
     verify_metric,
 )
-from levelring.values import INF, ZERO, LevelValue, pair, total
+from levelring.values import _ECHO, INF, ZERO, LevelValue, pair, total
 
 from helpers import random_chords, random_flat_tree, random_insertion, random_tree
 
@@ -202,24 +205,162 @@ STAR = STree(
 # --- construction guards ------------------------------------------------------
 
 def test_tree_validation():
-    with pytest.raises(ValueError):
-        STree([])
-    with pytest.raises(ValueError):
-        STree(["a", "a"])
-    with pytest.raises(ValueError):
-        STree(["a", "b"], [])  # wrong edge count
-    with pytest.raises(ValueError):
-        STree(["a", "b"], [("a", "a", pair(0, 1)), ("a", "b", pair(0, 1))])
-    with pytest.raises(ValueError):
-        STree(["a", "b"], [("a", "x", pair(0, 1))])
-    with pytest.raises(ValueError):
-        STree(["a", "b"], [("a", "b", ZERO)])
-    with pytest.raises(ValueError):
-        # right count, but a doubled edge leaves c-d unreachable
-        STree(
-            ["a", "b", "c", "d"],
-            [("a", "b", pair(0, 1)), ("a", "b", pair(0, 2)), ("c", "d", pair(0, 1))],
+    def fault(nodes, edges=()):
+        with pytest.raises(ValueError) as caught:
+            STree(nodes, edges)
+        return str(caught.value)
+
+    assert fault([]) == "a tree needs at least one node"
+    assert fault(["a", "a"]) == "node ids must be unique"
+    assert fault(["a", "b"], []) == "2 nodes need exactly 1 edges for a tree, got 0"
+    assert fault(["a", "b"], [("a", "a", pair(0, 1)), ("a", "b", pair(0, 1))]) == "self-loop at 'a'"
+    assert fault(["a", "b"], [("a", "x", pair(0, 1))]) == "edge ('a','x') mentions unknown nodes"
+    assert fault(["a", "b"], [("a", "b", ZERO)]) == "edge ('a','b') needs a nonzero length"
+    # right count, but a doubled edge leaves c-d unreachable
+    assert fault(
+        ["a", "b", "c", "d"],
+        [("a", "b", pair(0, 1)), ("a", "b", pair(0, 2)), ("c", "d", pair(0, 1))],
+    ) == "tree is not connected"
+    # two faults: each edge is checked in the order given, unknown nodes then
+    # a self-loop then its length, and the edge count only after every edge
+    assert fault(["a", "b"], [("x", "x", ZERO)]) == "edge ('x','x') mentions unknown nodes"
+    assert fault(
+        ["a", "b"], [("a", "b", pair(0, 1)), ("b", "a", pair(0, 1)), ("b", "a", ZERO)]
+    ) == "edge ('b','a') needs a nonzero length"
+
+
+def oracle_stree(nodes, edges=()):
+    """The eager build the one-pass constructor replaced, kept as its
+    oracle: edges are normalised into a list, checked, counted, sorted, and
+    only then written into the adjacency; the tree is hung breadth-first
+    from its first node.  Returns an STree whose sorted edges are stored."""
+    node_list = tuple(map(str, nodes))
+    if not node_list:
+        raise ValueError("a tree needs at least one node")
+    adjacency = {n: {} for n in node_list}
+    if len(adjacency) != len(node_list):
+        raise ValueError("node ids must be unique")
+    edge_list = []
+    for a, b, length in edges:
+        a, b = str(a), str(b)
+        if a not in adjacency or b not in adjacency:
+            raise ValueError(f"edge ({_ECHO.repr(a)},{_ECHO.repr(b)}) mentions unknown nodes")
+        if a == b:
+            raise ValueError(f"self-loop at {_ECHO.repr(a)}")
+        if not isinstance(length, LevelValue) or length.is_zero:
+            raise ValueError(f"edge ({_ECHO.repr(a)},{_ECHO.repr(b)}) needs a nonzero length")
+        edge_list.append((a, b, length) if a < b else (b, a, length))
+    if len(edge_list) != len(node_list) - 1:
+        raise ValueError(
+            f"{len(node_list)} nodes need exactly {len(node_list) - 1} edges "
+            f"for a tree, got {len(edge_list)}"
         )
+    edge_list.sort(key=itemgetter(0, 1))
+    for a, b, length in edge_list:
+        adjacency[a][b] = adjacency[b][a] = length
+    up, level, hops = {node_list[0]: (None, 0)}, [node_list[0]], 0
+    while level:
+        hops += 1
+        below = []
+        for cur in level:
+            for nxt in adjacency[cur]:
+                if nxt not in up:
+                    up[nxt] = (cur, hops)
+                    below.append(nxt)
+        level = below
+    if len(up) != len(node_list):
+        raise ValueError("tree is not connected")
+    tree = object.__new__(STree)
+    tree.__dict__.update(nodes=node_list, edges=tuple(edge_list), _adjacency=adjacency, _up=up)
+    return tree
+
+
+def drawn_edge_list(rng: Random):
+    """Nodes and edges of a random attachment tree, the edges shuffled and
+    each given in either orientation, with up to two faults drawn from every
+    kind the build names; a faulty edge may be unknown, a loop and of a bad
+    length at once.  Node ids are strs, or ints that edges give as ints or
+    as their strs."""
+    n = rng.randint(1, 14)
+    ints = rng.random() < 0.3
+    nodes = list(range(n)) if ints else [f"n{i}" for i in range(n)]
+    rng.shuffle(nodes)
+
+    def spelled(i):
+        return rng.choice((i, str(i))) if ints else f"n{i}"
+
+    def length():
+        return pair(rng.randint(0, 2), rng.choice((INF, Fraction(rng.randint(1, 9), rng.randint(1, 4)))))
+
+    edges = [(spelled(rng.randrange(i)), spelled(i), length()) for i in range(1, n)]
+    edges = [(b, a, l) if rng.random() < 0.5 else (a, b, l) for a, b, l in edges]
+    rng.shuffle(edges)
+    faults = ["edge", "few", "many", "rewire", "double", "dup_node"]
+    for fault in rng.sample(faults, rng.choice((0, 1, 1, 2, 2))):
+        k = rng.choice((-1, rng.randrange(len(edges)))) if edges else None  # often the last edge
+        u, v = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if fault == "edge" and edges:
+            a, b, l = edges[k]
+            while (a, b, l) == edges[k]:
+                if rng.random() < 0.5:
+                    b = a  # a self-loop
+                if rng.random() < 0.5:
+                    a = rng.choice(("zz", n + 5))  # an unknown node, in both ends of a loop
+                    b = a if b == edges[k][0] else b
+                if rng.random() < 0.5:
+                    l = rng.choice((ZERO, Fraction(1), 1, None, "1"))
+            edges[k] = (a, b, l)
+        elif fault == "few" and edges:
+            del edges[k]
+        elif fault == "many" and n > 1:
+            # one or two more edges, before the last, so that a fault in the
+            # last edge follows a surplus
+            for _ in range(rng.randint(1, 2)):
+                edges.insert(rng.randint(0, max(len(edges) - 1, 0)), (spelled(u), spelled(v), length()))
+        elif fault == "rewire" and n > 1 and edges:
+            edges[k] = (spelled(u), spelled(v), length())  # a tree, a cycle or a doubled edge
+        elif fault == "double" and len(edges) > 1:
+            a, b, _ = edges[(k + 1) % len(edges)]
+            edges[k] = (a, b, length()) if rng.random() < 0.5 else (b, a, length())
+        elif fault == "dup_node":
+            twin = rng.choice(nodes)
+            nodes.insert(rng.randint(0, len(nodes)), str(twin) if ints and rng.random() < 0.5 else twin)
+    return nodes, edges
+
+
+def built_or_fault(build, nodes, edges):
+    try:
+        return build(nodes, edges)
+    except ValueError as exc:
+        return exc.args
+
+
+def assert_same_tree(tree, oracle):
+    assert tree.nodes == oracle.nodes
+    assert {n: dict(tree.neighbors(n)) for n in tree.nodes} == oracle._adjacency
+    assert tree._up == oracle._up
+    assert tree.edges == oracle.edges
+    assert tree == oracle and hash(tree) == hash(oracle) and repr(tree) == repr(oracle)
+    assert tree._replace() == oracle and jsonio.tree_to_json(tree) == jsonio.tree_to_json(oracle)
+
+
+def copies(tree) -> list:
+    clones = [pickle.loads(pickle.dumps(tree, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    return clones + [copy.copy(tree), copy.deepcopy(tree)]
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+def test_build_oracle_on_drawn_edge_lists(seed):
+    nodes, edges = drawn_edge_list(Random(seed))
+    tree, oracle = built_or_fault(STree, nodes, edges), built_or_fault(oracle_stree, nodes, edges)
+    if not isinstance(oracle, STree):
+        assert tree == oracle
+        return
+    unread = copies(tree)
+    assert "edges" not in vars(tree) and not any("edges" in vars(c) for c in unread)
+    assert_same_tree(tree, oracle)  # the first read of edges
+    for clone in unread + copies(tree):
+        assert_same_tree(clone, oracle)
 
 
 def test_single_node_tree():
@@ -437,6 +578,48 @@ def test_tree_metric_visits_no_triple(monkeypatch, tmp_path, capsys):
     doc.write_text(json.dumps({"nodes": nodes, "edges": edges}))
     assert cli.main(["tree", "metric", str(doc)]) == 0
     assert json.loads(capsys.readouterr().out)["result"] == {"metric": True}
+
+
+def built_trees(monkeypatch) -> list:
+    """Every STree built from now on, in order of construction."""
+    built, init = [], STree.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(STree, "__init__", recording)
+    return built
+
+
+def test_only_written_trees_sort_their_edges(monkeypatch, tmp_path, capsys):
+    rng = Random(83)
+    tree = random_tree(rng, max_nodes=60)
+    while len(tree.nodes) < 10:
+        tree = random_tree(rng, max_nodes=60)
+    doc = jsonio.tree_to_json(tree)
+    v, insertion, attach = random_insertion(rng, tree)
+    inputs = {
+        "metric": doc,
+        "dist": {"tree": doc, "pairs": [rng.sample(tree.nodes, 2) for _ in range(5)]},
+        "collapse": {"tree": doc, "group": [tree.nodes[0], next(iter(tree.neighbors(tree.nodes[0])))]},
+        "insert": {
+            "tree": doc, "at": v, "insertion": jsonio.tree_to_json(insertion), "attach": attach,
+        },
+    }
+    for sub, body in inputs.items():
+        (tmp_path / f"{sub}.json").write_text(json.dumps(body))
+    built = built_trees(monkeypatch)
+    for sub in inputs:
+        built.clear()
+        assert cli.main(["tree", sub, str(tmp_path / f"{sub}.json")]) == 0, capsys.readouterr()
+        assert json.loads(capsys.readouterr().out)["result"]
+        # dist and metric sort no edges; collapse and insert sort only the tree they write
+        written = built[-1] if sub in ("collapse", "insert") else None
+        assert built and ["edges" in vars(t) for t in built] == [t is written for t in built], sub
+    flat = random_flat_tree(rng, max_nodes=20)
+    tree_is_locally_finite(flat)
+    assert "edges" not in vars(flat)
 
 
 def test_tree_dist_takes_no_walk(monkeypatch, tmp_path, capsys):
